@@ -103,7 +103,8 @@ def test_balancer_pick_overhead(benchmark, bench_n_requests):
     for name, rate in rates.items():
         benchmark.extra_info[f"{name}_picks_per_sec"] = rate
 
-    # Even the full-scan policies (SED reads every replica per pick)
-    # must stay in the thousands-per-second range; below that the
-    # balancer, not the servers, dominates rack simulation time.
-    assert min(rates.values()) > 2_000
+    # View reads and liveness are O(1) (server counters, cached live
+    # set), so even the full-scan policies (SED reads every replica per
+    # pick) clear ~29k picks/s on a 2-core x86 VM; the floor keeps ~3x
+    # headroom for slower CI hosts.
+    assert min(rates.values()) > 8_000

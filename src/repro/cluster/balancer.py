@@ -58,6 +58,16 @@ class Balancer(ABC):
         #: end (``repro.rack`` partition faults); never routed to while
         #: any reachable replica exists.
         self.unreachable: Set[int] = set()
+        #: Open partitions per unreachable replica index: overlapping
+        #: partitions heal only when the last of them ends.
+        self._partitions: Dict[int, int] = {}
+        self._everyone = list(range(len(self.servers)))
+        #: Cached available replica indices (None = rebuild on next
+        #: read); invalidated only by a server's liveness flip or a
+        #: reachability change.
+        self._live: Optional[List[int]] = None
+        for server in self.servers:
+            server.watch_alive(self._invalidate_live)
 
     @abstractmethod
     def pick(self, request: Request) -> int:
@@ -68,13 +78,44 @@ class Balancer(ABC):
         return self.servers[index].alive and index not in self.unreachable
 
     def set_reachable(self, index: int, reachable: bool) -> None:
-        """Mark a replica (un)reachable from this front end."""
+        """Open (``reachable=False``) or close (``True``) one partition
+        between this front end and a replica.
+
+        The replica is unreachable while any partition covering it is
+        open, so overlapping partitions heal only when the last one
+        ends.  Closing a partition on a reachable replica is a no-op.
+        """
         if not 0 <= index < len(self.servers):
             raise ConfigurationError(f"replica index {index} out of range")
-        if reachable:
-            self.unreachable.discard(index)
-        else:
+        partitions = self._partitions
+        open_count = partitions.get(index, 0) + (-1 if reachable else 1)
+        if open_count > 0:
+            partitions[index] = open_count
             self.unreachable.add(index)
+        else:
+            partitions.pop(index, None)
+            self.unreachable.discard(index)
+        self._live = None
+
+    def _invalidate_live(self) -> None:
+        self._live = None
+
+    def _available_indices(self) -> List[int]:
+        """Every available replica index, ascending (possibly empty).
+
+        Cached: the list is rebuilt only after a liveness flip or a
+        reachability change, and callers must not mutate it.
+        """
+        live = self._live
+        if live is None:
+            live = self._live = [i for i in self._everyone if self.available(i)]
+        return live
+
+    def live_pool(self) -> List[int]:
+        """``live_indices(range(n))`` read from the cache: every
+        available replica, or every replica if none is available.
+        Callers must not mutate the returned list."""
+        return self._available_indices() or self._everyone
 
     def live_indices(self, candidates: Sequence[int]) -> List[int]:
         """``candidates`` minus dead/unreachable replicas; all of them
@@ -116,7 +157,7 @@ class Balancer(ABC):
     def ingress(self, request: Request) -> None:
         """The cluster's single entry point (the generator's sink)."""
         self.routed += 1
-        if any(self.available(i) for i in range(len(self.servers))):
+        if self._available_indices():
             index = self.pick(request)
         else:
             index = self.dead_fallback(request)
@@ -134,7 +175,7 @@ class RandomBalancer(Balancer):
         self.rng = rng
 
     def pick(self, request: Request) -> int:
-        pool = self.live_indices(range(len(self.servers)))
+        pool = self.live_pool()
         return pool[int(self.rng.integers(0, len(pool)))]
 
 
@@ -172,7 +213,7 @@ class JoinShortestQueue(Balancer):
 
     def pick(self, request: Request) -> int:
         n = len(self.servers)
-        any_live = any(self.available(i) for i in range(n))
+        any_live = bool(self._available_indices())
         best_idx = self._start
         best_load = None
         for offset in range(n):

@@ -16,6 +16,10 @@ Invariants checked after every event
   that request points back at the worker, no request is on two workers,
   no completed request is still occupying a core, and no *crashed* core
   holds a request (the crash handler must evict in-flight work).
+* **worker-counters** — the server's O(1) busy and crashed core
+  counters (:class:`~repro.server.worker.WorkerCounts`) equal a scan
+  of its workers; the drain check below reads them, so a desync must
+  fail here rather than as a wrong conservation verdict.
 * **queue-depth** — ``Scheduler.pending_count()`` is never negative and
   drop counters never decrease.
 * **request-conservation** (running form) — completions (including late
@@ -151,6 +155,7 @@ class SimSanitizer:
             self._shadow_after(loop, event)
         if self.server is not None:
             self._check_workers(loop)
+            self._check_counters(loop)
             self._check_queues(loop)
             self._check_conservation(loop, at_drain=False)
             self._check_darc(loop)
@@ -158,6 +163,7 @@ class SimSanitizer:
     def on_drain(self, loop: "EventLoop") -> None:
         """Called by the engine when the heap empties at the end of run()."""
         if self.server is not None:
+            self._check_counters(loop)
             self._check_conservation(loop, at_drain=True)
 
     # ------------------------------------------------------------------
@@ -283,6 +289,23 @@ class SimSanitizer:
                     loop,
                     {"rid": request.rid, "worker": worker.worker_id},
                 )
+
+    def _check_counters(self, loop: "EventLoop") -> None:
+        counts = getattr(self.server, "counts", None)
+        if counts is None:
+            return  # a stub server without worker counters
+        self.checks_run += 1
+        workers = self.server.workers
+        busy = sum(1 for w in workers if w.current is not None)
+        failed = sum(1 for w in workers if w.failed)
+        if counts.busy != busy or counts.failed != failed:
+            self._violate(
+                "worker-counters",
+                "busy/failed worker counters disagree with the workers",
+                loop,
+                {"busy": counts.busy, "busy_scan": busy,
+                 "failed": counts.failed, "failed_scan": failed},
+            )
 
     def _check_queues(self, loop: "EventLoop") -> None:
         self.checks_run += 1

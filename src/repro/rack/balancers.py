@@ -93,7 +93,7 @@ class PowerOfD(RackBalancer):
         self.d = d
 
     def pick(self, request: Request) -> int:
-        pool = self.live_indices(range(len(self.servers)))
+        pool = self.live_pool()
         if len(pool) > self.d:
             sampled = self.rng.choice(len(pool), size=self.d, replace=False)
             pool = [pool[int(i)] for i in sampled]
@@ -125,7 +125,7 @@ class StaleJSQ(RackBalancer):
         self._start = 0
 
     def pick(self, request: Request) -> int:
-        pool = self.live_indices(range(len(self.servers)))
+        pool = self.live_pool()
         if self.k is not None and len(pool) > self.k:
             sampled = self.rng.choice(len(pool), size=self.k, replace=False)
             pool = [pool[int(i)] for i in sampled]
@@ -166,15 +166,15 @@ class ShortestExpectedDelay(RackBalancer):
         self.mean_service_us = mean_service_us
 
     def pick(self, request: Request) -> int:
-        pool = self.live_indices(range(len(self.servers)))
+        pool = self.live_pool()
         load = self.views.load
         servers = self.servers
         mean = self.mean_service_us
         best = pool[0]
         best_delay = None
         for i in pool:
-            server = servers[i]
-            cores = len(server.workers) - server.failed_workers
+            counts = servers[i].counts
+            cores = counts.size - counts.failed
             delay = (load(i) + 1) * mean / max(1, cores)
             if best_delay is None or delay < best_delay:
                 best_delay = delay
@@ -221,7 +221,7 @@ class TypeAffinity(RackBalancer):
         home = self.live_indices(self.assignment.get(request.type_id, self.default))
         best = self._least_loaded(home)
         if self.views.load(best) > self.spill_threshold:
-            everyone = self.live_indices(range(len(self.servers)))
+            everyone = self.live_pool()
             spilled = self._least_loaded(everyone)
             if spilled != best:
                 self.spills += 1
@@ -258,7 +258,7 @@ class SessionAffinity(RackBalancer):
         if self.available(home) and self.views.load(home) <= self.spill_threshold:
             return home
         self.spills += 1
-        pool = self.live_indices(range(n))
+        pool = self.live_pool()
         return self._least_loaded(pool)
 
 

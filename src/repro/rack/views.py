@@ -49,21 +49,30 @@ class QueueViews:
 
     def _actual(self, index: int) -> int:
         server = self.servers[index]
-        return server.pending + server.in_flight
+        return server.scheduler.pending_count() + server.counts.busy
 
     def load(self, index: int) -> int:
-        """The balancer-visible load of server ``index``."""
-        if self.staleness_us <= 0:
-            return self._actual(index)
+        """The balancer-visible load of server ``index``.
+
+        The only read path balancers use: O(1) per call, computing the
+        actual load (queued + busy cores) once, inline.
+        """
+        server = self.servers[index]
+        actual = server.scheduler.pending_count() + server.counts.busy
+        staleness = self.staleness_us
+        if staleness <= 0:
+            return actual
         now = self.loop.now
-        if now - self._refreshed_at[index] >= self.staleness_us:
-            self._view[index] = self._actual(index)
+        view = self._view
+        if now - self._refreshed_at[index] >= staleness:
+            view[index] = actual
             self._refreshed_at[index] = now
             self.fresh_reads += 1
-        else:
-            self.stale_reads += 1
-            self.error_sum += abs(self._view[index] - self._actual(index))
-        return self._view[index]
+            return actual
+        self.stale_reads += 1
+        viewed = view[index]
+        self.error_sum += abs(viewed - actual)
+        return viewed
 
     def peek(self, index: int) -> tuple:
         """Pure read of the current view state: ``(viewed_load, age_us)``.

@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # avoid a circular import (policies.base uses Worker)
     from ..policies.base import Scheduler
 from ..workload.request import Request
 from .config import ServerConfig
-from .worker import Worker
+from .worker import Worker, WorkerCounts
 
 
 class Server:
@@ -40,7 +40,11 @@ class Server:
         self.scheduler = scheduler
         self.config = config if config is not None else ServerConfig()
         self.recorder = recorder if recorder is not None else Recorder()
-        self.workers: List[Worker] = [Worker(i) for i in range(self.config.n_workers)]
+        n_workers = self.config.n_workers
+        #: Busy/crashed core tallies kept by the workers themselves, so
+        #: load and liveness reads never scan the worker list.
+        self.counts = WorkerCounts(n_workers)
+        self.workers: List[Worker] = [Worker(i, self.counts) for i in range(n_workers)]
         self.received = 0
         #: Requests the dispatcher stage dropped (its inbound queue full).
         self.dispatcher_drops = 0
@@ -125,17 +129,23 @@ class Server:
     @property
     def in_flight(self) -> int:
         """Requests being served right now."""
-        return sum(1 for w in self.workers if w.is_busy)
+        return self.counts.busy
 
     @property
     def alive(self) -> bool:
         """True while at least one worker core has not crashed."""
-        return any(not w.failed for w in self.workers)
+        counts = self.counts
+        return counts.failed < counts.size
 
     @property
     def failed_workers(self) -> int:
         """Number of currently crashed cores."""
-        return sum(1 for w in self.workers if w.failed)
+        return self.counts.failed
+
+    def watch_alive(self, listener) -> None:
+        """Call ``listener()`` whenever :attr:`alive` flips: the last
+        live core crashes, or the first core of a dead server recovers."""
+        self.counts.listeners.append(listener)
 
     @property
     def pending(self) -> int:

@@ -14,6 +14,34 @@ from ..errors import SchedulingError
 from ..workload.request import Request
 
 
+class WorkerCounts:
+    """Busy and crashed core counts shared by one server's workers.
+
+    :class:`Worker` updates these at its four state transitions
+    (:meth:`~Worker.begin`, :meth:`~Worker.end`, :meth:`~Worker.fail`,
+    :meth:`~Worker.recover`), so a server's load and liveness are O(1)
+    reads instead of scans over its cores.  ``listeners`` are called
+    with no arguments whenever liveness flips: the last live core
+    crashes, or the first core of a dead set recovers.
+    """
+
+    __slots__ = ("busy", "failed", "size", "listeners")
+
+    def __init__(self, size: int):
+        #: Workers currently holding a request (crashed or not).
+        self.busy = 0
+        #: Workers currently crashed.
+        self.failed = 0
+        #: Workers sharing this tally.
+        self.size = size
+        self.listeners: list = []
+
+    def alive_changed(self) -> None:
+        """Tell every listener that liveness just flipped."""
+        for listener in self.listeners:
+            listener()
+
+
 class Worker:
     """One application core."""
 
@@ -29,10 +57,13 @@ class Worker:
         "failed",
         "speed_factor",
         "crash_count",
+        "counts",
     )
 
-    def __init__(self, worker_id: int):
+    def __init__(self, worker_id: int, counts: Optional[WorkerCounts] = None):
         self.worker_id = worker_id
+        #: The owning server's tally; a standalone worker keeps its own.
+        self.counts = counts if counts is not None else WorkerCounts(1)
         self.current: Optional[Request] = None
         self._busy_since: Optional[float] = None
         self.total_busy_time = 0.0
@@ -63,12 +94,22 @@ class Worker:
     def fail(self) -> None:
         """Mark the core crashed.  The caller (the scheduler's crash
         handler) is responsible for evicting any in-flight request first."""
-        self.failed = True
+        if not self.failed:
+            self.failed = True
+            counts = self.counts
+            counts.failed += 1
+            if counts.failed == counts.size:
+                counts.alive_changed()
         self.crash_count += 1
 
     def recover(self) -> None:
         """Bring a crashed core back; it restarts clean and at full speed."""
-        self.failed = False
+        if self.failed:
+            self.failed = False
+            counts = self.counts
+            counts.failed -= 1
+            if counts.failed == counts.size - 1:
+                counts.alive_changed()
         self.speed_factor = 1.0
 
     def set_speed(self, factor: float) -> None:
@@ -93,6 +134,7 @@ class Worker:
                 f"while busy with {self.current.rid}"
             )
         self.current = request
+        self.counts.busy += 1
         self._busy_since = now
         request.worker_id = self.worker_id
         if request.first_service_time is None:
@@ -111,6 +153,7 @@ class Worker:
         self.total_overhead_time += overhead
         request = self.current
         self.current = None
+        self.counts.busy -= 1
         self._busy_since = None
         self.idle_since = now
         return request

@@ -213,6 +213,65 @@ class TestForensicsNeutrality:
         )
 
 
+class TestRackCounterParity:
+    """Server busy/failed counters and the balancer's cached live set
+    replaced O(workers) scans on every routing decision; they must not
+    move a single routing decision.  Digests captured with the scanning
+    implementation, per catalogue balancer, on a steady run and on one
+    through crashes, recoveries and (non-overlapping) partitions."""
+
+    SCANNING_DIGESTS = {
+        ("pow2", "steady"): "9a539883cdb90dd08da3fe9958ba217a9d94f23ce4fde737e65e868fb23744c1",
+        ("pow2", "faults"): "b8ef5a17a48ba2c3636a71bd1d759df26f1a62cf8b1bcbf23ed834abc1166ed8",
+        ("jsq-stale", "steady"): "cdb5118f70d53ae96d32daad386f2d6128978b1401dba50877c0a71795e969df",
+        ("jsq-stale", "faults"): "ad786720691a14d470e38b00d3535760ef8dc2683f988504bd827418d9f03ea2",
+        ("jsq-k", "steady"): "6db129ed4729af28f5a0b8d8e86c757236bf3a6df021548769804b42bd473294",
+        ("jsq-k", "faults"): "212729492304a1f8c89a978b05e91b72aaac47890101a08d1828c36cc736b63c",
+        ("sed", "steady"): "6752d9e9a69578d1d33b088d56d8961606f76290c6b7a1dc84b9e9f184f9d2c2",
+        ("sed", "faults"): "114e8c25bb6e28558de863be1b8e6577ec3b5adc7c489ec360cfffb6fcd37505",
+        ("type-affinity", "steady"): "f5525b6ae5335b3a52fcde2133aa7d0713a5dbb834fa901413db328879f2df91",
+        ("type-affinity", "faults"): "29c46443fba6d578c9de12f6be070a5069a61460bbb406f76cf95c44a61bfb38",
+        ("session", "steady"): "2290493ac394e73e30a594e5e58553625b42a58b4441993159f45ec10354d16d",
+        ("session", "faults"): "a49b6dd2bb16e13f942a3d87c40657d66bf3f384d7fa142b5383314603cf48a8",
+    }
+
+    @staticmethod
+    def _fault_plan():
+        from repro.rack.faults import (
+            RackFaultPlan,
+            RackPartition,
+            ServerCrash,
+            ServerRecover,
+        )
+
+        return RackFaultPlan([
+            ServerCrash(1000.0, 1),
+            RackPartition(2000.0, 4000.0, [2]),
+            RackPartition(2500.0, 3500.0, [1]),
+            ServerRecover(3000.0, 1),
+            ServerCrash(4500.0, 3, requeue=False),
+            RackPartition(5000.0, 6000.0, [0]),
+            ServerRecover(5500.0, 3),
+        ])
+
+    @pytest.mark.parametrize("balancer,mode", sorted(SCANNING_DIGESTS))
+    def test_digest_matches_scanning_implementation(self, balancer, mode):
+        from repro.rack.rack import run_rack
+
+        result = run_rack(
+            PersephoneSystem(n_workers=4),
+            high_bimodal(),
+            balancer=balancer,
+            n_servers=4,
+            utilization=0.7,
+            n_requests=1500,
+            seed=3,
+            staleness_us=50.0,
+            plan=self._fault_plan() if mode == "faults" else None,
+        )
+        assert result.digest() == self.SCANNING_DIGESTS[(balancer, mode)]
+
+
 @pytest.fixture(scope="module")
 def sweep_plan():
     """One small real figure5 grid: 2 workloads × 3 systems × 2 seeds."""

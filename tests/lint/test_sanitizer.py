@@ -104,6 +104,40 @@ class TestWorkerExclusivity:
         assert excinfo.value.invariant == "worker-exclusivity"
 
 
+class TestWorkerCounters:
+    def test_desynced_busy_counter_is_caught(self):
+        loop, server, _ = make_server(CentralizedFCFS(), n_workers=2)
+        feed(loop, server, [Request(0, 0, 0.0, 100.0)])
+        loop.run(until=1.0)
+        assert server.in_flight == 1
+        server.counts.busy += 1  # the bug: a counter bumped off-transition
+        loop.call_at(1.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=2.0)
+        assert excinfo.value.invariant == "worker-counters"
+        assert excinfo.value.context["busy"] == 2
+        assert excinfo.value.context["busy_scan"] == 1
+
+    def test_desynced_failed_counter_is_caught(self):
+        loop, server, _ = make_server(CentralizedFCFS(), n_workers=2)
+        server.counts.failed += 1
+        loop.call_at(1.0, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run()
+        assert excinfo.value.invariant == "worker-counters"
+
+    def test_desync_at_drain_is_not_misread_as_lost_requests(self):
+        # The drain-form conservation check reads server.in_flight; a
+        # stale counter must surface as itself, not as a lost request.
+        loop, server, _ = make_server(CentralizedFCFS(), n_workers=1)
+        feed(loop, server, requests(3, service=1.0))
+        loop.run()
+        server.counts.busy += 1
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run()
+        assert excinfo.value.invariant == "worker-counters"
+
+
 class TestQueueDepth:
     def test_negative_pending_count_is_caught(self):
         scheduler = CentralizedFCFS()

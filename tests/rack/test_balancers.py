@@ -267,3 +267,84 @@ class TestMakeBalancer:
         views = QueueViews(loop, servers[:2])
         with pytest.raises(ConfigurationError):
             StaleJSQ(servers, views)
+
+
+class TestLiveSetCache:
+    """The balancer's cached live set follows every liveness flip and
+    reachability change, and nothing else."""
+
+    def _rack(self, n=4, n_workers=2):
+        loop = EventLoop()
+        servers = make_servers(loop, n, n_workers=n_workers)
+        return servers, StaleJSQ(servers, QueueViews(loop, servers))
+
+    def test_partial_crash_keeps_server_in_pool(self):
+        servers, balancer = self._rack()
+        pool = balancer.live_pool()
+        servers[1].workers[0].fail()
+        assert balancer.live_pool() is pool  # not even invalidated
+        assert pool == [0, 1, 2, 3]
+
+    def test_whole_server_crash_removes_it(self):
+        servers, balancer = self._rack()
+        balancer.live_pool()
+        kill(servers[1])
+        assert balancer.live_pool() == [0, 2, 3]
+        assert not balancer.available(1)
+
+    def test_recovery_restores_it(self):
+        servers, balancer = self._rack()
+        kill(servers[1])
+        assert balancer.live_pool() == [0, 2, 3]
+        servers[1].workers[1].recover()
+        assert balancer.live_pool() == [0, 1, 2, 3]
+
+    def test_set_reachable_invalidates(self):
+        servers, balancer = self._rack()
+        balancer.live_pool()
+        balancer.set_reachable(2, False)
+        assert balancer.live_pool() == [0, 1, 3]
+        balancer.set_reachable(2, True)
+        assert balancer.live_pool() == [0, 1, 2, 3]
+
+    def test_overlapping_partitions_heal_with_the_last(self):
+        servers, balancer = self._rack()
+        balancer.set_reachable(2, False)
+        balancer.set_reachable(2, False)
+        balancer.set_reachable(2, True)
+        assert not balancer.available(2)
+        assert balancer.live_pool() == [0, 1, 3]
+        balancer.set_reachable(2, True)
+        assert balancer.available(2)
+        assert balancer.unreachable == set()
+        # Closing a partition that is not open changes nothing.
+        balancer.set_reachable(2, True)
+        balancer.set_reachable(2, False)
+        assert not balancer.available(2)
+
+    def test_no_catalogue_balancer_picks_a_dead_replica(self):
+        loop = EventLoop()
+        spec = high_bimodal()
+        for name in BALANCER_NAMES + ("jsq-k",):
+            servers = make_servers(loop, 8, n_workers=2)
+            views = QueueViews(loop, servers)
+            balancer = make_balancer(name, servers, views, RngRegistry(seed=1), spec)
+            balancer.pick(req(0))  # fill the cache before the crash
+            kill(servers[3])
+            balancer.set_reachable(5, False)
+            picks = {balancer.pick(req(i, session=i)) for i in range(64)}
+            assert picks.isdisjoint({3, 5}), name
+
+    def test_all_down_rack_reaches_dead_fallback(self):
+        servers, balancer = self._rack(n=3)
+        for server in servers:
+            kill(server)
+        servers[0].ingress(req(100))  # queues at the dead replica
+
+        def no_pick(request):
+            raise AssertionError("pick() called on an all-down rack")
+
+        balancer.pick = no_pick
+        assert balancer.live_pool() == [0, 1, 2]
+        balancer.ingress(req(0))
+        assert balancer.route_counts == [0, 1, 0]  # least-loaded dead replica

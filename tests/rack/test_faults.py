@@ -122,3 +122,35 @@ class TestInjector:
         injector = RackFaultInjector(RackFaultPlan.server_crash_recover([3], 1.0))
         with pytest.raises(ConfigurationError):
             injector.arm(loop, servers, balancer)
+
+
+class TestOverlappingPartitions:
+    def test_replica_stays_dark_until_the_last_partition_ends(self):
+        from repro.rack.balancers import make_balancer
+        from repro.rack.rack import run_rack
+        from repro.systems.persephone import PersephoneSystem
+        from repro.workload.presets import high_bimodal
+
+        decisions = []
+
+        def factory(servers, views, rngs, spec):
+            balancer = make_balancer("jsq-stale", servers, views, rngs, spec)
+            balancer.attach_decision_sink(
+                lambda request, index: decisions.append((views.loop.now, index))
+            )
+            return balancer
+
+        plan = RackFaultPlan([
+            RackPartition(1000.0, 3000.0, [1]),
+            RackPartition(2000.0, 5000.0, [1, 2]),
+        ])
+        result = run_rack(
+            PersephoneSystem(n_workers=4), high_bimodal(), balancer=factory,
+            n_servers=4, n_requests=1500, seed=3, plan=plan,
+        )
+        dark = [t for t, index in decisions if index == 1 and 1000.0 <= t < 5000.0]
+        assert dark == []
+        # The replica is routed to on both sides of the blackout.
+        assert any(index == 1 for t, index in decisions if t < 1000.0)
+        assert any(index == 1 for t, index in decisions if t >= 5000.0)
+        assert result.injector.partition_heals == 3

@@ -1,0 +1,143 @@
+"""Busy/failed worker counters: every transition keeps them equal to a
+scan of the workers, and liveness listeners fire only on a flip."""
+
+import pytest
+
+from repro.errors import SchedulingError
+from repro.policies.fcfs import CentralizedFCFS
+from repro.server.config import ServerConfig
+from repro.server.server import Server
+from repro.server.worker import Worker, WorkerCounts
+from repro.sim.engine import EventLoop
+from repro.workload.request import Request
+
+
+def req(rid=0, service=5.0):
+    return Request(rid, 0, 0.0, service)
+
+
+def make_server(n_workers=3):
+    loop = EventLoop()
+    return Server(loop, CentralizedFCFS(), config=ServerConfig(n_workers=n_workers))
+
+
+def scanned(server):
+    busy = sum(1 for w in server.workers if w.current is not None)
+    failed = sum(1 for w in server.workers if w.failed)
+    return busy, failed
+
+
+class TestStandaloneWorker:
+    def test_keeps_a_private_tally(self):
+        w = Worker(4)
+        assert w.counts.size == 1
+        assert (w.counts.busy, w.counts.failed) == (0, 0)
+        w.begin(req(), 0.0)
+        assert w.counts.busy == 1
+        w.end(1.0)
+        assert w.counts.busy == 0
+
+    def test_standalone_workers_do_not_share(self):
+        a, b = Worker(0), Worker(1)
+        a.begin(req(), 0.0)
+        assert a.counts is not b.counts
+        assert b.counts.busy == 0
+
+    def test_failed_begin_and_end_leave_counters_alone(self):
+        w = Worker(0)
+        with pytest.raises(SchedulingError):
+            w.end(1.0)
+        assert w.counts.busy == 0
+        w.begin(req(0), 0.0)
+        with pytest.raises(SchedulingError):
+            w.begin(req(1), 1.0)
+        assert w.counts.busy == 1
+
+
+class TestServerCounters:
+    def test_workers_share_the_server_tally(self):
+        server = make_server(3)
+        assert all(w.counts is server.counts for w in server.workers)
+        assert server.counts.size == 3
+
+    def test_begin_end(self):
+        server = make_server(3)
+        a, b = server.workers[0], server.workers[1]
+        a.begin(req(0), 0.0)
+        b.begin(req(1), 0.0)
+        assert server.in_flight == 2 == scanned(server)[0]
+        a.end(1.0)
+        assert server.in_flight == 1 == scanned(server)[0]
+        b.end(2.0)
+        assert server.in_flight == 0
+
+    def test_fail_and_recover_while_idle(self):
+        server = make_server(3)
+        worker = server.workers[2]
+        worker.fail()
+        assert server.failed_workers == 1 == scanned(server)[1]
+        assert server.in_flight == 0
+        worker.recover()
+        assert server.failed_workers == 0 == scanned(server)[1]
+
+    def test_fail_and_recover_while_busy(self):
+        # fail() does not evict; the busy count follows the request, not
+        # the crash, until the scheduler's crash handler ends it.
+        server = make_server(2)
+        worker = server.workers[0]
+        worker.begin(req(), 0.0)
+        worker.fail()
+        assert (server.in_flight, server.failed_workers) == (1, 1) == scanned(server)
+        worker.recover()
+        assert (server.in_flight, server.failed_workers) == (1, 0) == scanned(server)
+        worker.end(3.0)
+        assert (server.in_flight, server.failed_workers) == (0, 0)
+
+    def test_double_fail_and_recover_are_counter_no_ops(self):
+        server = make_server(2)
+        worker = server.workers[0]
+        worker.fail()
+        worker.fail()
+        assert server.failed_workers == 1
+        assert worker.crash_count == 2  # every crash is still counted
+        worker.recover()
+        worker.recover()
+        assert server.failed_workers == 0
+        assert server.alive
+
+    def test_crash_handler_keeps_counters_exact(self):
+        server = make_server(2)
+        server.ingress(req(0, service=100.0))
+        server.ingress(req(1, service=100.0))
+        assert server.in_flight == 2
+        server.scheduler.on_worker_crash(server.workers[0], requeue=False)
+        assert (server.in_flight, server.failed_workers) == (1, 1) == scanned(server)
+        server.scheduler.on_worker_recover(server.workers[0])
+        assert (server.in_flight, server.failed_workers) == (1, 0) == scanned(server)
+
+
+class TestLivenessListeners:
+    def test_fires_only_when_alive_flips(self):
+        server = make_server(2)
+        flips = []
+        server.watch_alive(lambda: flips.append(server.alive))
+        first, second = server.workers
+        first.fail()  # partial crash: still alive
+        assert flips == [] and server.alive
+        second.fail()  # last live core: dead
+        assert flips == [False]
+        first.fail()  # already down: nothing changes
+        assert flips == [False]
+        second.recover()  # first core back: alive again
+        assert flips == [False, True]
+        first.recover()
+        assert flips == [False, True]
+
+    def test_single_core_server(self):
+        counts = WorkerCounts(1)
+        flips = []
+        counts.listeners.append(lambda: flips.append(counts.failed))
+        worker = Worker(0, counts)
+        worker.fail()
+        worker.recover()
+        assert flips == [1, 0]
