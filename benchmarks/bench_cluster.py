@@ -1,21 +1,19 @@
 """Extension: DARC at cluster scale.
 
 The paper argues DARC "reduces the overall number of machines needed to
-serve this workload".  This benchmark quantifies that: a 4-replica
-cluster behind a join-shortest-queue balancer, comparing c-FCFS and DARC
-backends at the same offered load, plus the balancer comparison (random
-vs JSQ vs type-aware replica reservation — DARC's idea one level up).
+serve this workload".  This benchmark quantifies that: 4 replicas behind
+a join-shortest-queue balancer with oracle (``staleness_us=0``) views,
+comparing c-FCFS and DARC backends at the same offered load, plus the
+balancer comparison (random vs JSQ vs type-aware replica reservation —
+DARC's idea one level up).
 """
 
-import pytest
+import sys
+
 from conftest import run_single
 
-from repro.cluster.balancer import (
-    JoinShortestQueue,
-    RandomBalancer,
-    TypeAwareBalancer,
-)
-from repro.cluster.cluster import run_cluster
+from repro.rack.balancers import TypeAffinity
+from repro.rack.rack import run_rack
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.presets import high_bimodal
 
@@ -24,33 +22,31 @@ N_WORKERS = 14
 UTILIZATION = 0.80
 
 
-def jsq(servers, rngs):
-    return JoinShortestQueue(servers)
-
-
-def random_lb(servers, rngs):
-    return RandomBalancer(servers, rngs.stream("balancer"))
-
-
-def type_aware(servers, rngs):
+def type_aware(servers, views, rngs, spec):
     # Reserve one replica for shorts; longs share the other three.
-    return TypeAwareBalancer(
+    return TypeAffinity(
         servers,
+        views,
         assignment={0: list(range(len(servers))), 1: list(range(1, len(servers)))},
+        spill_threshold=sys.maxsize,
+    )
+
+
+def run_oracle(system, balancer, n_requests):
+    return run_rack(
+        system, high_bimodal(), balancer=balancer, n_servers=N_REPLICAS,
+        utilization=UTILIZATION, n_requests=n_requests, seed=1, staleness_us=0.0,
     )
 
 
 def test_cluster_darc_vs_cfcfs(benchmark, bench_n_requests):
     def run_both():
-        darc = run_cluster(
-            PersephoneSystem(n_workers=N_WORKERS, oracle=True), high_bimodal(),
-            jsq, n_replicas=N_REPLICAS, utilization=UTILIZATION,
-            n_requests=bench_n_requests, seed=1,
+        darc = run_oracle(
+            PersephoneSystem(n_workers=N_WORKERS, oracle=True), "jsq-stale",
+            bench_n_requests,
         )
-        cfcfs = run_cluster(
-            PersephoneCfcfsSystem(n_workers=N_WORKERS), high_bimodal(),
-            jsq, n_replicas=N_REPLICAS, utilization=UTILIZATION,
-            n_requests=bench_n_requests, seed=1,
+        cfcfs = run_oracle(
+            PersephoneCfcfsSystem(n_workers=N_WORKERS), "jsq-stale", bench_n_requests
         )
         return darc, cfcfs
 
@@ -79,15 +75,13 @@ def test_cluster_darc_vs_cfcfs(benchmark, bench_n_requests):
 def test_cluster_balancer_comparison(benchmark, bench_n_requests):
     def run_all():
         out = {}
-        for name, factory in (
-            ("random", random_lb),
-            ("jsq", jsq),
+        for name, balancer in (
+            ("random", "random"),
+            ("jsq", "jsq-stale"),
             ("type-aware", type_aware),
         ):
-            out[name] = run_cluster(
-                PersephoneCfcfsSystem(n_workers=N_WORKERS), high_bimodal(),
-                factory, n_replicas=N_REPLICAS, utilization=UTILIZATION,
-                n_requests=bench_n_requests, seed=1,
+            out[name] = run_oracle(
+                PersephoneCfcfsSystem(n_workers=N_WORKERS), balancer, bench_n_requests
             )
         return out
 

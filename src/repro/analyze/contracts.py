@@ -2,8 +2,8 @@
 
 The extension points this repo exposes — scheduling policies
 (:class:`repro.policies.base.Scheduler`), system models
-(:class:`repro.systems.base.SystemModel`) and cluster balancers
-(:class:`repro.cluster.balancer.Balancer`) — each carry an implicit
+(:class:`repro.systems.base.SystemModel`) and rack balancers
+(:class:`repro.rack.balancers.RackBalancer`) — each carry an implicit
 contract: members a subclass must provide, base methods whose overrides
 must chain to ``super()`` because the base maintains engine-side state
 there, and fields that belong to the engine and must never be written
@@ -65,8 +65,8 @@ CONTRACTS: Tuple[ContractSpec, ...] = (
         super_chain=("__init__",),
     ),
     ContractSpec(
-        base_key="repro.cluster.balancer.Balancer",
-        display="cluster balancer",
+        base_key="repro.rack.balancers.RackBalancer",
+        display="rack balancer",
         required_methods=("pick",),
         required_attrs=(),
         super_chain=("__init__", "ingress"),

@@ -47,7 +47,7 @@ SIM_CRITICAL_PACKAGES = frozenset(
         "server",
         "workload",
         "net",
-        "cluster",
+        "rack",
         "apps",
         "faults",
     }

@@ -11,8 +11,11 @@ rack.  See ``docs/rack.md``.
 
 from .balancers import (
     BALANCER_NAMES,
+    EXTRA_BALANCER_NAMES,
     PowerOfD,
     RackBalancer,
+    RandomBalancer,
+    RoundRobinBalancer,
     SessionAffinity,
     ShortestExpectedDelay,
     StaleJSQ,
@@ -35,6 +38,7 @@ from .views import QueueViews
 __all__ = [
     "BALANCER_NAMES",
     "DEFAULT_N_USERS",
+    "EXTRA_BALANCER_NAMES",
     "PowerOfD",
     "QueueViews",
     "Rack",
@@ -44,6 +48,8 @@ __all__ = [
     "RackFaultPlan",
     "RackPartition",
     "RackResult",
+    "RandomBalancer",
+    "RoundRobinBalancer",
     "ServerCrash",
     "ServerRecover",
     "SessionAffinity",

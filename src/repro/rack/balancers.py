@@ -1,11 +1,11 @@
 """Rack-level balancer catalogue (RackSched-style policies).
 
-All policies extend :class:`~repro.cluster.balancer.Balancer` and read
-server load exclusively through a :class:`~repro.rack.views.QueueViews`
-instance, so every one of them can be run against oracle or stale
-information by flipping one knob.  Randomized policies draw from
-dedicated ``rack.*`` RNG streams, keeping rack runs bit-identical per
-seed and independent of any other consumer of the registry.
+Every policy extends :class:`RackBalancer` and reads server load
+exclusively through a :class:`~repro.rack.views.QueueViews` instance,
+so every one of them can be run against oracle or stale information by
+flipping one knob.  Randomized policies draw from dedicated ``rack.*``
+RNG streams, keeping rack runs bit-identical per seed and independent
+of any other consumer of the registry.
 
 * :class:`PowerOfD`             — sample ``d`` replicas, pick the least
   loaded (the classic power-of-two-choices for ``d=2``);
@@ -19,17 +19,29 @@ seed and independent of any other consumer of the registry.
   head slice, with *bounded spill* to the globally least-loaded
   replica when the home set is overloaded;
 * :class:`SessionAffinity`      — keyed sessions pin to a home server
-  (``request.session % n``) and spill only past a load threshold.
+  (``request.session % n``) and spill only past a load threshold;
+* :class:`RandomBalancer` / :class:`RoundRobinBalancer` — load-blind
+  baselines (what anycast/ECMP and a plain rotation do).
+
+Every policy routes around *dead* replicas (all cores crashed,
+:attr:`~repro.server.server.Server.alive` False) and *unreachable*
+ones (partitioned away from the front end, see
+:meth:`RackBalancer.set_reachable`): the candidate set shrinks to the
+available replicas.  Only when the whole rack is down does routing
+fall back — to the **least-loaded** dead replica, so the queued
+backlog is spread rather than piled onto whatever arbitrary index the
+policy's ``pick`` would have returned (the request then queues at a
+dead replica rather than vanishing, keeping request conservation
+intact for when cores recover).
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from abc import ABC, abstractmethod
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..cluster.balancer import Balancer
 from ..errors import ConfigurationError
 from ..server.server import Server
 from ..sim.randomness import RngRegistry
@@ -46,25 +58,146 @@ BALANCER_NAMES: Tuple[str, ...] = (
     "session",
 )
 
+#: Names :func:`make_balancer` also accepts that stay out of the rack
+#: experiment's catalogue (sampled JSQ and the load-blind baselines).
+EXTRA_BALANCER_NAMES: Tuple[str, ...] = ("jsq-k", "random", "round-robin")
 
-class RackBalancer(Balancer):
-    """Base for view-driven rack balancers."""
+
+class RackBalancer(ABC):
+    """Chooses a replica for each arriving request from the views."""
 
     def __init__(self, servers: Sequence[Server], views: QueueViews):
-        super().__init__(servers)
+        if not servers:
+            raise ConfigurationError("need at least one server")
+        self.servers = list(servers)
         if len(views.servers) != len(self.servers):
             raise ConfigurationError("views and servers disagree on replica count")
         self.views = views
         #: Requests routed outside their preferred replica set.
         self.spills = 0
+        self.routed = 0
+        #: Requests routed to each replica index (telemetry view).
+        self.route_counts: List[int] = [0] * len(self.servers)
+        #: Optional pure observer called as ``sink(request, index)``
+        #: after every routing decision, before the request is handed to
+        #: the chosen replica (rack tracing's balancer decision log).
+        self._decision_sink = None
+        #: Replica indices currently partitioned away from this front
+        #: end (partition faults); never routed to while any reachable
+        #: replica exists.
+        self.unreachable: Set[int] = set()
+        #: Open partitions per unreachable replica index: overlapping
+        #: partitions heal only when the last of them ends.
+        self._partitions: Dict[int, int] = {}
+        self._everyone = list(range(len(self.servers)))
+        #: Cached available replica indices (None = rebuild on next
+        #: read); invalidated only by a server's liveness flip or a
+        #: reachability change.
+        self._live: Optional[List[int]] = None
+        for server in self.servers:
+            server.watch_alive(self._invalidate_live)
 
     @abstractmethod
     def pick(self, request: Request) -> int:
         """Index of the replica that should serve ``request``."""
 
+    def available(self, index: int) -> bool:
+        """True when replica ``index`` is alive and reachable."""
+        return self.servers[index].alive and index not in self.unreachable
+
+    def set_reachable(self, index: int, reachable: bool) -> None:
+        """Open (``reachable=False``) or close (``True``) one partition
+        between this front end and a replica.
+
+        The replica is unreachable while any partition covering it is
+        open, so overlapping partitions heal only when the last one
+        ends.  Closing a partition on a reachable replica is a no-op.
+        """
+        if not 0 <= index < len(self.servers):
+            raise ConfigurationError(f"replica index {index} out of range")
+        partitions = self._partitions
+        open_count = partitions.get(index, 0) + (-1 if reachable else 1)
+        if open_count > 0:
+            partitions[index] = open_count
+            self.unreachable.add(index)
+        else:
+            partitions.pop(index, None)
+            self.unreachable.discard(index)
+        self._live = None
+
+    def _invalidate_live(self) -> None:
+        self._live = None
+
+    def _available_indices(self) -> List[int]:
+        """Every available replica index, ascending (possibly empty).
+
+        Cached: the list is rebuilt only after a liveness flip or a
+        reachability change, and callers must not mutate it.
+        """
+        live = self._live
+        if live is None:
+            live = self._live = [i for i in self._everyone if self.available(i)]
+        return live
+
+    def live_pool(self) -> List[int]:
+        """``live_indices(range(n))`` read from the cache: every
+        available replica, or every replica if none is available.
+        Callers must not mutate the returned list."""
+        return self._available_indices() or self._everyone
+
+    def live_indices(self, candidates: Sequence[int]) -> List[int]:
+        """``candidates`` minus dead/unreachable replicas; all of them
+        if none is available."""
+        live = [i for i in candidates if self.available(i)]
+        return live if live else list(candidates)
+
+    def dead_fallback(self, request: Request) -> int:
+        """Replica to queue at when *every* replica is down.
+
+        The least-loaded dead replica (ties to the lowest index): its
+        queue drains first once cores recover, so it is the best proxy
+        for "recovers soonest" without peeking at the fault plan.
+        Subclasses with recovery knowledge may override.
+        """
+        servers = self.servers
+        best = 0
+        best_load = None
+        for i in range(len(servers)):
+            load = servers[i].pending + servers[i].in_flight
+            if best_load is None or load < best_load:
+                best_load = load
+                best = i
+        return best
+
+    def attach_decision_sink(self, sink) -> None:
+        """Attach a pure routing-decision observer (one per balancer).
+
+        The sink must observe only — no event scheduling, no RNG draws,
+        no server mutation — so armed and unarmed runs stay
+        bit-identical.
+        """
+        if self._decision_sink is not None:
+            raise ConfigurationError(
+                "balancer already has a decision sink; use one per run"
+            )
+        self._decision_sink = sink
+
+    def ingress(self, request: Request) -> None:
+        """Route one request: ``pick`` among the available replicas, or
+        :meth:`dead_fallback` when none is available."""
+        self.routed += 1
+        if self._available_indices():
+            index = self.pick(request)
+        else:
+            index = self.dead_fallback(request)
+        self.route_counts[index] += 1
+        if self._decision_sink is not None:
+            self._decision_sink(request, index)
+        self.servers[index].ingress(request)
+
     def _least_loaded(self, pool: Sequence[int]) -> int:
-        """Pool index with the smallest viewed load (ties to the lowest
-        replica index, so the scan is deterministic)."""
+        """Pool index with the smallest viewed load (ties to the first
+        in pool order, so the scan is deterministic)."""
         load = self.views.load
         best = pool[0]
         best_load = None
@@ -262,6 +395,39 @@ class SessionAffinity(RackBalancer):
         return self._least_loaded(pool)
 
 
+class RandomBalancer(RackBalancer):
+    """Uniform random over the available replicas — what anycast/ECMP
+    effectively does.  Reads no views."""
+
+    def __init__(
+        self, servers: Sequence[Server], views: QueueViews, rng: np.random.Generator
+    ):
+        super().__init__(servers, views)
+        self.rng = rng
+
+    def pick(self, request: Request) -> int:
+        pool = self.live_pool()
+        return pool[int(self.rng.integers(0, len(pool)))]
+
+
+class RoundRobinBalancer(RackBalancer):
+    """Strict rotation, skipping unavailable replicas.  Reads no views."""
+
+    def __init__(self, servers: Sequence[Server], views: QueueViews):
+        super().__init__(servers, views)
+        self._next = 0
+
+    def pick(self, request: Request) -> int:
+        n = len(self.servers)
+        index = self._next
+        self._next = (index + 1) % n
+        for offset in range(n):
+            candidate = (index + offset) % n
+            if self.available(candidate):
+                return candidate
+        return index
+
+
 def affinity_assignment(
     spec: WorkloadSpec, n_servers: int
 ) -> Tuple[Dict[int, List[int]], List[int]]:
@@ -296,7 +462,8 @@ def make_balancer(
     rngs: RngRegistry,
     spec: WorkloadSpec,
 ) -> RackBalancer:
-    """Build a catalogue balancer by name (see :data:`BALANCER_NAMES`).
+    """Build a balancer by name (see :data:`BALANCER_NAMES` and
+    :data:`EXTRA_BALANCER_NAMES`).
 
     The spill threshold for the affinity policies is twice the
     per-server core count — past that depth the home set is clearly
@@ -321,6 +488,11 @@ def make_balancer(
         )
     if name == "session":
         return SessionAffinity(servers, views, spill_threshold=spill_threshold)
+    if name == "random":
+        return RandomBalancer(servers, views, rngs.stream("rack.random"))
+    if name == "round-robin":
+        return RoundRobinBalancer(servers, views)
     raise ConfigurationError(
-        f"unknown balancer {name!r}; expected one of {BALANCER_NAMES + ('jsq-k',)}"
+        f"unknown balancer {name!r}; expected one of "
+        f"{BALANCER_NAMES + EXTRA_BALANCER_NAMES}"
     )

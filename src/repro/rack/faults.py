@@ -11,7 +11,7 @@ experiment wants to speak in *servers*.  This module adds that layer:
 * :class:`RackPartition` — the balancer loses reach to a set of
   replicas during ``[at, until)`` while those replicas keep draining
   their queues (the classic grey partition); implemented purely at the
-  balancer via :meth:`~repro.cluster.balancer.Balancer.set_reachable`.
+  balancer via :meth:`~repro.rack.balancers.RackBalancer.set_reachable`.
 
 A :class:`RackFaultPlan` is data, like its worker-level counterpart;
 :class:`RackFaultInjector` arms one against the rack's loop, servers
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..cluster.balancer import Balancer
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, WorkerCrash, WorkerRecover
 from ..server.server import Server
 from ..sim.engine import EventLoop
+from .balancers import RackBalancer
 
 
 class RackFaultEvent:
@@ -213,7 +213,7 @@ class RackFaultInjector:
         self.plan = plan
         self._armed = False
         self._loop: Optional[EventLoop] = None
-        self._balancer: Optional[Balancer] = None
+        self._balancer: Optional[RackBalancer] = None
         #: server index -> the worker-level injector executing its faults.
         self.server_injectors: Dict[int, FaultInjector] = {}
         self.partitions = 0
@@ -221,7 +221,7 @@ class RackFaultInjector:
         #: Chronological record of partition flips: (time, kind, server).
         self.log: List[Tuple[float, str, int]] = []
 
-    def arm(self, loop: EventLoop, servers: Sequence[Server], balancer: Balancer) -> None:
+    def arm(self, loop: EventLoop, servers: Sequence[Server], balancer: RackBalancer) -> None:
         """Compile and schedule the plan against ``servers``/``balancer``."""
         if self._armed:
             raise ConfigurationError("rack injector already armed")
@@ -230,6 +230,7 @@ class RackFaultInjector:
         self._loop = loop
         self._balancer = balancer
         per_server: Dict[int, List] = {}
+        partitions: List[RackPartition] = []
         for event in self.plan.events:
             if isinstance(event, ServerCrash):
                 worker_ids = range(len(servers[event.server_id].workers))
@@ -243,8 +244,15 @@ class RackFaultInjector:
                     WorkerRecover(event.at, wid) for wid in worker_ids
                 )
             elif isinstance(event, RackPartition):
-                loop.call_at(event.at, self._partition_start, event)
-                loop.call_at(event.until, self._partition_end, event)
+                partitions.append(event)
+        # Explicit tie-break: every start is booked before any end, so at
+        # one instant partitions open before others close.  Abutting
+        # partitions of a replica then never let it read as reachable at
+        # the seam, and the log lists the open before the heal.
+        for event in partitions:
+            loop.call_at(event.at, self._partition_start, event)  # repro-analyze: disable=A002
+        for event in partitions:
+            loop.call_at(event.until, self._partition_end, event)
         for sid in sorted(per_server):
             injector = FaultInjector(FaultPlan(per_server[sid]))
             injector.arm(loop, servers[sid])

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..cluster.cluster import _tee
 from ..errors import ConfigurationError
 from ..metrics.degradation import DegradationReport
 from ..metrics.recorder import Recorder
@@ -49,6 +48,18 @@ from .views import QueueViews
 #: Default user-population size for session keys — the "millions of
 #: users" scale the rack is meant to absorb.
 DEFAULT_N_USERS = 1_000_000
+
+
+def _tee(rack_sink: Callable, replica_sink: Callable) -> Callable:
+    """Sink forwarding each request to the rack-level recorder first
+    (so rack digests match a single shared recorder) and then to the
+    replica's own recorder."""
+
+    def sink(request) -> None:
+        rack_sink(request)
+        replica_sink(request)
+
+    return sink
 
 
 class Rack:

@@ -130,6 +130,64 @@ class TestRequiredOverrides:
         assert analyze(files, select=["A201"]) == []
 
 
+BALANCER_BASE = {
+    "repro/rack/balancers.py": """
+    import abc
+
+    class RackBalancer(abc.ABC):
+        def __init__(self, servers, views):
+            self.servers = list(servers)
+            self.views = views
+            self.routed = 0
+
+        @abc.abstractmethod
+        def pick(self, request):
+            ...
+
+        def ingress(self, request):
+            self.routed += 1
+            self.servers[self.pick(request)].ingress(request)
+    """
+}
+
+
+class TestBalancerContract:
+    def test_missing_pick_fires(self, analyze):
+        files = dict(
+            BALANCER_BASE,
+            **{
+                "repro/rack/lazy.py": """
+                from .balancers import RackBalancer
+
+                class Lazy(RackBalancer):
+                    pass
+                """
+            },
+        )
+        findings = analyze(files, select=["A201"])
+        assert rule_ids(findings) == ["A201"]
+        assert "rack balancer" in findings[0].message
+
+    def test_unchained_ingress_fires(self, analyze):
+        files = dict(
+            BALANCER_BASE,
+            **{
+                "repro/rack/bypass.py": """
+                from .balancers import RackBalancer
+
+                class Bypass(RackBalancer):
+                    def pick(self, request):
+                        return 0
+
+                    def ingress(self, request):
+                        self.servers[0].ingress(request)
+                """
+            },
+        )
+        findings = analyze(files, select=["A202"])
+        assert [f.symbol for f in findings] == ["repro.rack.bypass.Bypass.ingress"]
+
+
 class TestSuperChains:
     def test_init_without_super_fires(self, analyze):
         files = dict(

@@ -1,5 +1,7 @@
 """The simulated-time race detector (A001/A002)."""
 
+import pytest
+
 from repro.analyze.eventflow import collect_schedule_sites
 
 
@@ -106,6 +108,11 @@ class TestSameTimeRace:
                     self.log.append("b")
             """
         }
+        assert rule_ids(analyze(files, select=["A001"])) == ["A001"]
+
+    @pytest.mark.parametrize("package", ["rack", "faults"])
+    def test_rack_tier_packages_in_scope(self, analyze, package):
+        files = {f"{package}/pipe.py": RACE["sim/pipe.py"]}
         assert rule_ids(analyze(files, select=["A001"])) == ["A001"]
 
     def test_noncritical_package_out_of_scope(self, analyze):

@@ -1,17 +1,21 @@
-"""Tests for cluster load balancers."""
+"""The load-blind and oracle-view rack balancers that replaced the
+cluster layer: round-robin, random, JSQ and type-aware reservation."""
+
+import sys
 
 import numpy as np
 import pytest
 
-from repro.cluster.balancer import (
-    JoinShortestQueue,
-    RandomBalancer,
-    RoundRobinBalancer,
-    TypeAwareBalancer,
-)
 from repro.errors import ConfigurationError
 from repro.metrics.recorder import Recorder
 from repro.policies.fcfs import CentralizedFCFS
+from repro.rack.balancers import (
+    RandomBalancer,
+    RoundRobinBalancer,
+    StaleJSQ,
+    TypeAffinity,
+)
+from repro.rack.views import QueueViews
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -31,26 +35,42 @@ def req(rid, type_id=0, service=1.0):
     return Request(rid, type_id, 0.0, service)
 
 
+def oracle(loop, servers):
+    return QueueViews(loop, servers, staleness_us=0.0)
+
+
+def type_aware(loop, servers, assignment, default=None):
+    """Type reservation with JSQ inside each set and no spilling."""
+    return TypeAffinity(
+        servers, oracle(loop, servers), assignment, default,
+        spill_threshold=sys.maxsize,
+    )
+
+
 class TestRoundRobin:
     def test_rotates(self):
         loop = EventLoop()
         servers = make_servers(loop, 3)
-        balancer = RoundRobinBalancer(servers)
+        balancer = RoundRobinBalancer(servers, oracle(loop, servers))
         for i in range(6):
             balancer.ingress(req(i))
         assert [s.received for s in servers] == [2, 2, 2]
         assert balancer.routed == 6
 
     def test_empty_servers_rejected(self):
+        loop = EventLoop()
+        views = oracle(loop, make_servers(loop, 1))
         with pytest.raises(ConfigurationError):
-            RoundRobinBalancer([])
+            RoundRobinBalancer([], views)
 
 
 class TestRandom:
     def test_roughly_uniform(self):
         loop = EventLoop()
         servers = make_servers(loop, 4, n_workers=64)
-        balancer = RandomBalancer(servers, np.random.default_rng(0))
+        balancer = RandomBalancer(
+            servers, oracle(loop, servers), np.random.default_rng(0)
+        )
         for i in range(4000):
             balancer.ingress(req(i, service=0.001))
         loads = [s.received for s in servers]
@@ -62,7 +82,7 @@ class TestJoinShortestQueue:
     def test_prefers_idle_server(self):
         loop = EventLoop()
         servers = make_servers(loop, 2)
-        balancer = JoinShortestQueue(servers)
+        balancer = StaleJSQ(servers, oracle(loop, servers))
         balancer.ingress(req(0, service=100.0))  # server 0 busy
         balancer.ingress(req(1, service=1.0))
         assert servers[1].received == 1
@@ -70,7 +90,7 @@ class TestJoinShortestQueue:
     def test_spreads_backlog_evenly(self):
         loop = EventLoop()
         servers = make_servers(loop, 3)
-        balancer = JoinShortestQueue(servers)
+        balancer = StaleJSQ(servers, oracle(loop, servers))
         for i in range(9):
             balancer.ingress(req(i, service=50.0))
         assert [s.received for s in servers] == [3, 3, 3]
@@ -80,9 +100,7 @@ class TestTypeAware:
     def test_types_routed_to_assigned_replicas(self):
         loop = EventLoop()
         servers = make_servers(loop, 3)
-        balancer = TypeAwareBalancer(
-            servers, assignment={0: [0], 1: [1, 2]}
-        )
+        balancer = type_aware(loop, servers, assignment={0: [0], 1: [1, 2]})
         balancer.ingress(req(0, type_id=0))
         balancer.ingress(req(1, type_id=1))
         balancer.ingress(req(2, type_id=1))
@@ -92,14 +110,14 @@ class TestTypeAware:
     def test_unmapped_type_uses_default(self):
         loop = EventLoop()
         servers = make_servers(loop, 2)
-        balancer = TypeAwareBalancer(servers, assignment={0: [0]}, default=[1])
+        balancer = type_aware(loop, servers, assignment={0: [0]}, default=[1])
         balancer.ingress(req(0, type_id=9))
         assert servers[1].received == 1
 
     def test_jsq_within_replica_set(self):
         loop = EventLoop()
         servers = make_servers(loop, 2)
-        balancer = TypeAwareBalancer(servers, assignment={0: [0, 1]})
+        balancer = type_aware(loop, servers, assignment={0: [0, 1]})
         balancer.ingress(req(0, type_id=0, service=100.0))
         balancer.ingress(req(1, type_id=0, service=1.0))
         assert servers[0].received == 1
@@ -109,8 +127,8 @@ class TestTypeAware:
         loop = EventLoop()
         servers = make_servers(loop, 2)
         with pytest.raises(ConfigurationError):
-            TypeAwareBalancer(servers, assignment={0: []})
+            type_aware(loop, servers, assignment={0: []})
         with pytest.raises(ConfigurationError):
-            TypeAwareBalancer(servers, assignment={0: [5]})
+            type_aware(loop, servers, assignment={0: [5]})
         with pytest.raises(ConfigurationError):
-            TypeAwareBalancer(servers, assignment={0: [0]}, default=[])
+            type_aware(loop, servers, assignment={0: [0]}, default=[])

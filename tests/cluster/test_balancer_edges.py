@@ -1,17 +1,18 @@
-"""Balancer edge cases: tie-breaking determinism, single-replica
-clusters, and routing around dead replicas (all cores crashed)."""
+"""Balancer edge cases on oracle views: tie-breaking determinism,
+single-replica racks, and routing around dead replicas (all cores
+crashed)."""
 
 import numpy as np
-import pytest
 
-from repro.cluster.balancer import (
-    JoinShortestQueue,
-    RandomBalancer,
-    RoundRobinBalancer,
-    TypeAwareBalancer,
-)
 from repro.metrics.recorder import Recorder
 from repro.policies.fcfs import CentralizedFCFS
+from repro.rack.balancers import (
+    RandomBalancer,
+    RoundRobinBalancer,
+    StaleJSQ,
+    TypeAffinity,
+)
+from repro.rack.views import QueueViews
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -36,11 +37,15 @@ def kill(server):
         worker.fail()
 
 
+def oracle(loop, servers):
+    return QueueViews(loop, servers, staleness_us=0.0)
+
+
 class TestJSQTieBreaking:
     def test_all_idle_ties_rotate_deterministically(self):
         loop = EventLoop()
         servers = make_servers(loop, 3, n_workers=8)
-        balancer = JoinShortestQueue(servers)
+        balancer = StaleJSQ(servers, oracle(loop, servers))
         # With every replica equally loaded the rotating scan start must
         # pick 0, 1, 2, 0, 1, 2 — never pile ties onto index 0.
         picks = [balancer.pick(req(i, service=0.0)) for i in range(6)]
@@ -51,7 +56,7 @@ class TestJSQTieBreaking:
         routings = []
         for _ in range(2):
             servers = make_servers(loop, 4)
-            balancer = JoinShortestQueue(servers)
+            balancer = StaleJSQ(servers, oracle(loop, servers))
             for i in range(12):
                 balancer.ingress(req(i, service=50.0))
             routings.append([s.received for s in servers])
@@ -62,13 +67,13 @@ class TestSingleReplica:
     def test_every_policy_handles_one_replica(self):
         loop = EventLoop()
         for make in (
-            lambda s: RoundRobinBalancer(s),
-            lambda s: RandomBalancer(s, np.random.default_rng(0)),
-            lambda s: JoinShortestQueue(s),
-            lambda s: TypeAwareBalancer(s, assignment={0: [0]}),
+            lambda s, v: RoundRobinBalancer(s, v),
+            lambda s, v: RandomBalancer(s, v, np.random.default_rng(0)),
+            lambda s, v: StaleJSQ(s, v),
+            lambda s, v: TypeAffinity(s, v, assignment={0: [0]}),
         ):
             servers = make_servers(loop, 1)
-            balancer = make(servers)
+            balancer = make(servers, oracle(loop, servers))
             for i in range(3):
                 balancer.ingress(req(i, type_id=0))
             assert servers[0].received == 3
@@ -78,7 +83,7 @@ class TestSingleReplica:
         loop = EventLoop()
         servers = make_servers(loop, 1)
         kill(servers[0])
-        balancer = RoundRobinBalancer(servers)
+        balancer = RoundRobinBalancer(servers, oracle(loop, servers))
         balancer.ingress(req(0))
         assert servers[0].received == 1
 
@@ -88,7 +93,7 @@ class TestDeadReplicaExclusion:
         loop = EventLoop()
         servers = make_servers(loop, 3)
         kill(servers[1])
-        balancer = RoundRobinBalancer(servers)
+        balancer = RoundRobinBalancer(servers, oracle(loop, servers))
         for i in range(6):
             balancer.ingress(req(i))
         assert servers[1].received == 0
@@ -98,7 +103,9 @@ class TestDeadReplicaExclusion:
         loop = EventLoop()
         servers = make_servers(loop, 4, n_workers=4)
         kill(servers[2])
-        balancer = RandomBalancer(servers, np.random.default_rng(7))
+        balancer = RandomBalancer(
+            servers, oracle(loop, servers), np.random.default_rng(7)
+        )
         for i in range(200):
             balancer.ingress(req(i, service=0.001))
         assert servers[2].received == 0
@@ -108,7 +115,7 @@ class TestDeadReplicaExclusion:
         loop = EventLoop()
         servers = make_servers(loop, 3)
         kill(servers[0])  # idle, so JSQ would otherwise prefer it
-        balancer = JoinShortestQueue(servers)
+        balancer = StaleJSQ(servers, oracle(loop, servers))
         for i in range(4):
             balancer.ingress(req(i, service=50.0))
         assert servers[0].received == 0
@@ -119,7 +126,9 @@ class TestDeadReplicaExclusion:
         loop = EventLoop()
         servers = make_servers(loop, 3)
         kill(servers[0])
-        balancer = TypeAwareBalancer(servers, assignment={0: [0, 1]})
+        balancer = TypeAffinity(
+            servers, oracle(loop, servers), assignment={0: [0, 1]}
+        )
         balancer.ingress(req(0, type_id=0))
         assert servers[0].received == 0
         assert servers[1].received == 1
@@ -129,7 +138,7 @@ class TestDeadReplicaExclusion:
         servers = make_servers(loop, 2)
         for server in servers:
             kill(server)
-        balancer = JoinShortestQueue(servers)
+        balancer = StaleJSQ(servers, oracle(loop, servers))
         for i in range(4):
             balancer.ingress(req(i))
         assert sum(s.received for s in servers) == 4
@@ -138,7 +147,7 @@ class TestDeadReplicaExclusion:
         loop = EventLoop()
         servers = make_servers(loop, 2)
         kill(servers[0])
-        balancer = RoundRobinBalancer(servers)
+        balancer = RoundRobinBalancer(servers, oracle(loop, servers))
         balancer.ingress(req(0))
         assert servers[0].received == 0
         for worker in servers[0].workers:
@@ -152,7 +161,9 @@ class TestTypeAwareUnmappedDefault:
     def test_unmapped_type_uses_implicit_full_default(self):
         loop = EventLoop()
         servers = make_servers(loop, 3)
-        balancer = TypeAwareBalancer(servers, assignment={0: [0]})
+        balancer = TypeAffinity(
+            servers, oracle(loop, servers), assignment={0: [0]}, spill_threshold=100
+        )
         # Unmapped type with no explicit default: JSQ over all replicas.
         balancer.ingress(req(0, type_id=5, service=100.0))
         balancer.ingress(req(1, type_id=5, service=100.0))

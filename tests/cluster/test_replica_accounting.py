@@ -1,26 +1,24 @@
-"""Per-replica recorders, dead-cluster fallback, and balancer chaos.
+"""Per-replica recorders, dead-rack fallback, and balancer chaos on
+oracle views.
 
-Covers the cluster-layer fixes that rode along with the rack subsystem:
-
-* ``run_cluster`` tees completions into per-replica recorders without
-  changing the cluster-level stream;
-* ``Balancer.ingress`` routes to the *least-loaded* dead replica when
-  the whole cluster is down (not an arbitrary ``pick()``);
-* ``TypeAwareBalancer``/``JoinShortestQueue`` under worker
-  crash/recover chaos: routing shrinks to the live set and conservation
-  holds throughout.
+* ``run_rack`` tees completions into per-replica recorders without
+  changing the rack-level stream;
+* ``RackBalancer.ingress`` routes to the *least-loaded* dead replica
+  when the whole rack is down (not an arbitrary ``pick()``);
+* type-aware reservation and JSQ under worker crash/recover chaos:
+  routing shrinks to the live set and conservation holds throughout.
 """
 
-import pytest
+import sys
 
-from repro.cluster.balancer import JoinShortestQueue, TypeAwareBalancer
-from repro.cluster.cluster import ClusterResult, run_cluster
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.metrics.recorder import Recorder
 from repro.metrics.summary import RunSummary
 from repro.policies.fcfs import CentralizedFCFS
+from repro.rack.balancers import StaleJSQ, TypeAffinity
+from repro.rack.rack import run_rack
+from repro.rack.views import QueueViews
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -32,8 +30,15 @@ from repro.workload.presets import high_bimodal
 from repro.workload.request import Request
 
 
-def jsq_factory(servers, rngs):
-    return JoinShortestQueue(servers)
+def jsq(loop, servers):
+    return StaleJSQ(servers, QueueViews(loop, servers, staleness_us=0.0))
+
+
+def run_oracle(**kwargs):
+    return run_rack(
+        PersephoneCfcfsSystem(n_workers=2), high_bimodal(), balancer="jsq-stale",
+        staleness_us=0.0, **kwargs,
+    )
 
 
 def make_servers(loop, n=3, n_workers=1):
@@ -56,15 +61,7 @@ def kill(server):
 
 class TestReplicaSummaries:
     def test_per_replica_recorders_partition_the_stream(self):
-        result = run_cluster(
-            PersephoneCfcfsSystem(n_workers=2),
-            high_bimodal(),
-            jsq_factory,
-            n_replicas=3,
-            utilization=0.5,
-            n_requests=3000,
-            seed=2,
-        )
+        result = run_oracle(n_servers=3, utilization=0.5, n_requests=3000, seed=2)
         assert len(result.replica_recorders) == 3
         # The tee forwards every completion/drop to exactly one replica
         # recorder and the shared one: per-replica counts sum to the total.
@@ -79,27 +76,16 @@ class TestReplicaSummaries:
     def test_cluster_summary_unchanged_by_tee(self):
         # The shared recorder sees completions in the same order as the
         # pre-tee implementation: identical runs still agree exactly, and
-        # the replica roll-up matches the cluster-level stream.
-        kwargs = dict(n_replicas=2, utilization=0.5, n_requests=1500, seed=4)
-        a = run_cluster(
-            PersephoneCfcfsSystem(n_workers=2), high_bimodal(), jsq_factory, **kwargs
-        )
-        b = run_cluster(
-            PersephoneCfcfsSystem(n_workers=2), high_bimodal(), jsq_factory, **kwargs
-        )
+        # the replica roll-up matches the rack-level stream.
+        kwargs = dict(n_servers=2, utilization=0.5, n_requests=1500, seed=4)
+        a = run_oracle(**kwargs)
+        b = run_oracle(**kwargs)
         assert a.summary.completed == b.summary.completed
         assert a.summary.overall_tail_latency == b.summary.overall_tail_latency
         for result in (a, b):
             assert sum(
                 r.completed + r.dropped for r in result.replica_recorders
             ) == 1500
-
-    def test_empty_replica_recorders_raise(self):
-        result = ClusterResult(
-            summary=None, servers=[], balancer=None, utilization=0.5
-        )
-        with pytest.raises(ConfigurationError):
-            result.replica_summaries()
 
 
 class TestDeadClusterFallback:
@@ -108,7 +94,7 @@ class TestDeadClusterFallback:
         _, servers = make_servers(loop, 3)
         for server in servers:
             kill(server)
-        balancer = JoinShortestQueue(servers)
+        balancer = jsq(loop, servers)
         # Pre-load the dead replicas unevenly.
         servers[0].ingress(req(100))
         servers[0].ingress(req(101))
@@ -123,18 +109,17 @@ class TestDeadClusterFallback:
         _, servers = make_servers(loop, 3)
         for server in servers:
             kill(server)
-        balancer = JoinShortestQueue(servers)
+        balancer = jsq(loop, servers)
         balancer.ingress(req(0))
         assert servers[0].received == 1
 
     def test_full_cluster_crash_recover_plan_conserves(self):
-        # Satellite regression: the whole cluster crashes mid-run and
-        # recovers; queued-on-dead requests drain after recovery and
-        # nothing is lost.
+        # The whole rack crashes mid-run and recovers; queued-on-dead
+        # requests drain after recovery and nothing is lost.
         loop = EventLoop()
         rngs = RngRegistry(seed=5)
         recorder, servers = make_servers(loop, 2, n_workers=2)
-        balancer = JoinShortestQueue(servers)
+        balancer = jsq(loop, servers)
         for server in servers:
             injector = FaultInjector(
                 FaultPlan.crash_recover([0, 1], crash_at=500.0, recover_at=4000.0)
@@ -159,13 +144,13 @@ class TestDeadClusterFallback:
 
 
 class TestBalancerChaos:
-    """Satellite: TypeAware + JSQ routing under worker crash/recover."""
+    """Type-aware reservation and JSQ routing under worker crash/recover."""
 
     def _run_with_chaos(self, balancer_factory, probe_index):
         loop = EventLoop()
         rngs = RngRegistry(seed=6)
         recorder, servers = make_servers(loop, 3, n_workers=2)
-        balancer = balancer_factory(servers)
+        balancer = balancer_factory(loop, servers)
         # Crash both cores of the probed replica mid-run, recover later.
         injector = FaultInjector(
             FaultPlan.crash_recover([0, 1], crash_at=1000.0, recover_at=6000.0)
@@ -201,7 +186,7 @@ class TestBalancerChaos:
 
     def test_jsq_routing_shrinks_to_live_set(self):
         recorder, servers, balancer, routed_while_dead = self._run_with_chaos(
-            lambda s: JoinShortestQueue(s), probe_index=1
+            jsq, probe_index=1
         )
         # No new work reached the dead replica during the outage...
         assert routed_while_dead == [0]
@@ -213,8 +198,9 @@ class TestBalancerChaos:
 
     def test_type_aware_routing_shrinks_to_live_set(self):
         recorder, servers, balancer, routed_while_dead = self._run_with_chaos(
-            lambda s: TypeAwareBalancer(
-                s, assignment={0: [0, 1], 1: [1, 2]}
+            lambda loop, s: TypeAffinity(
+                s, QueueViews(loop, s, staleness_us=0.0),
+                assignment={0: [0, 1], 1: [1, 2]}, spill_threshold=sys.maxsize,
             ),
             probe_index=1,
         )

@@ -1,6 +1,8 @@
 """Seed-determinism over the three simulated systems, and proof that the
 sanitizer neither perturbs results nor fires on healthy experiments."""
 
+import sys
+
 import pytest
 
 from repro.experiments.common import run_once
@@ -270,6 +272,62 @@ class TestRackCounterParity:
             plan=self._fault_plan() if mode == "faults" else None,
         )
         assert result.digest() == self.SCANNING_DIGESTS[(balancer, mode)]
+
+
+class TestClusterParity:
+    """The former cluster runner (``run_cluster`` with join-shortest-queue
+    or type-aware replica reservation) folded into the rack.  Its
+    behaviour is the rack's oracle-view path: ``jsq-stale`` and
+    ``TypeAffinity`` with spilling disabled over ``staleness_us=0``.
+    Digests captured from ``run_cluster`` before the fold, 4 replicas x
+    4 workers at rho=0.7."""
+
+    ASSIGNMENT = {0: [0, 1, 2, 3], 1: [1, 2, 3]}
+
+    CLUSTER_DIGESTS = {
+        ("jsq", "c-fcfs", 1): "de5d39896287b75fb83b9481a1e2ca9d57f9368927dbceda6686396b426540ce",
+        ("jsq", "c-fcfs", 2): "5a696ab9ec2be2ed9cb17f39375bca47ef7c4707f5fda9e716b333b402ab74e6",
+        ("jsq", "c-fcfs", 3): "56024c456bd6f579fd902300e9d68b376d115e1fca9e896923125bbda5a1aec6",
+        ("jsq", "darc", 1): "97afff20609a7bb5b1ecbfad2037d8472c47aacc0301e890ac1b0e084d72fd82",
+        ("jsq", "darc", 2): "98460fe62e4a8fd1240f53f4fb445b8ff78bdc8a85b03290b8020a56227c54cf",
+        ("jsq", "darc", 3): "bce3828ffe9c440b04337ed16599feb395fb03d88e1abeaff5c1e95238844841",
+        ("type-aware", "c-fcfs", 1): "3d6608ea406160246cda59511d8bc1afc912cc7b71ead488378213ffddf68eec",
+        ("type-aware", "c-fcfs", 2): "413f8e55c7a7d69a60f152c5bf0d1cb045ab7cea400672129fd462066dbcd4ef",
+        ("type-aware", "c-fcfs", 3): "d1d53e17d6df7b059acd1225a9387bfb503b76126f251949df3963173771c8a4",
+        ("type-aware", "darc", 1): "3d6608ea406160246cda59511d8bc1afc912cc7b71ead488378213ffddf68eec",
+        ("type-aware", "darc", 2): "06b19f5e2b991826ead8e321b9f332182a8f8da4248ef1627446963f308e25ef",
+        ("type-aware", "darc", 3): "d1d53e17d6df7b059acd1225a9387bfb503b76126f251949df3963173771c8a4",
+    }
+
+    @classmethod
+    def _type_aware(cls, servers, views, rngs, spec):
+        from repro.rack.balancers import TypeAffinity
+
+        return TypeAffinity(
+            servers, views, cls.ASSIGNMENT, spill_threshold=sys.maxsize
+        )
+
+    @pytest.mark.parametrize("balancer,backend,seed", sorted(CLUSTER_DIGESTS))
+    def test_oracle_rack_matches_cluster(self, balancer, backend, seed):
+        from repro.rack.rack import run_rack
+        from repro.systems.persephone import PersephoneCfcfsSystem
+
+        system = (
+            PersephoneCfcfsSystem(n_workers=4)
+            if backend == "c-fcfs"
+            else PersephoneSystem(n_workers=4, min_samples=200)
+        )
+        result = run_rack(
+            system,
+            high_bimodal(),
+            balancer="jsq-stale" if balancer == "jsq" else self._type_aware,
+            n_servers=4,
+            utilization=0.7,
+            n_requests=8000,
+            seed=seed,
+            staleness_us=0.0,
+        )
+        assert result.digest() == self.CLUSTER_DIGESTS[(balancer, backend, seed)]
 
 
 @pytest.fixture(scope="module")

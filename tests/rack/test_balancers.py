@@ -8,7 +8,9 @@ from repro.metrics.recorder import Recorder
 from repro.policies.fcfs import CentralizedFCFS
 from repro.rack.balancers import (
     BALANCER_NAMES,
+    EXTRA_BALANCER_NAMES,
     PowerOfD,
+    RandomBalancer,
     SessionAffinity,
     ShortestExpectedDelay,
     StaleJSQ,
@@ -248,11 +250,27 @@ class TestMakeBalancer:
     def test_every_catalogue_name_builds(self):
         loop = EventLoop()
         spec = high_bimodal()
-        for name in BALANCER_NAMES + ("jsq-k",):
+        for name in BALANCER_NAMES + EXTRA_BALANCER_NAMES:
             servers = make_servers(loop, 8, n_workers=2)
             views = QueueViews(loop, servers)
             balancer = make_balancer(name, servers, views, RngRegistry(seed=1), spec)
             assert balancer.pick(req(0)) in range(8)
+
+    def test_extra_names_stay_out_of_the_catalogue(self):
+        # The rack experiment iterates BALANCER_NAMES; sampled JSQ and
+        # the load-blind baselines must not widen its grid.
+        assert set(EXTRA_BALANCER_NAMES).isdisjoint(BALANCER_NAMES)
+        assert {"random", "round-robin"} <= set(EXTRA_BALANCER_NAMES)
+
+    def test_random_draws_from_its_own_stream(self):
+        loop = EventLoop()
+        servers = make_servers(loop, 8)
+        views = QueueViews(loop, servers)
+        built = make_balancer("random", servers, views, RngRegistry(seed=4), high_bimodal())
+        direct = RandomBalancer(servers, views, RngRegistry(seed=4).stream("rack.random"))
+        picks = [[b.pick(req(i)) for i in range(32)] for b in (built, direct)]
+        assert picks[0] == picks[1]
+        assert len(set(picks[0])) > 1
 
     def test_unknown_name_raises(self):
         loop = EventLoop()
@@ -325,7 +343,7 @@ class TestLiveSetCache:
     def test_no_catalogue_balancer_picks_a_dead_replica(self):
         loop = EventLoop()
         spec = high_bimodal()
-        for name in BALANCER_NAMES + ("jsq-k",):
+        for name in BALANCER_NAMES + EXTRA_BALANCER_NAMES:
             servers = make_servers(loop, 8, n_workers=2)
             views = QueueViews(loop, servers)
             balancer = make_balancer(name, servers, views, RngRegistry(seed=1), spec)

@@ -154,3 +154,42 @@ class TestOverlappingPartitions:
         assert any(index == 1 for t, index in decisions if t < 1000.0)
         assert any(index == 1 for t, index in decisions if t >= 5000.0)
         assert result.injector.partition_heals == 3
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_abutting_partitions_keep_the_replica_dark(self, reverse):
+        # One partition ends at the instant the next begins: the start is
+        # booked before the end, so the replica never reads reachable at
+        # the seam, whichever order the plan lists them in.
+        from repro.rack.balancers import make_balancer
+        from repro.rack.rack import run_rack
+        from repro.systems.persephone import PersephoneSystem
+        from repro.workload.presets import high_bimodal
+
+        decisions = []
+
+        def factory(servers, views, rngs, spec):
+            balancer = make_balancer("jsq-stale", servers, views, rngs, spec)
+            balancer.attach_decision_sink(
+                lambda request, index: decisions.append((views.loop.now, index))
+            )
+            return balancer
+
+        partitions = [
+            RackPartition(1000.0, 2000.0, [1]),
+            RackPartition(2000.0, 3000.0, [1]),
+        ]
+        if reverse:
+            partitions.reverse()
+        result = run_rack(
+            PersephoneSystem(n_workers=4), high_bimodal(), balancer=factory,
+            n_servers=4, n_requests=1500, seed=3, plan=RackFaultPlan(partitions),
+        )
+        assert [i for t, i in decisions if i == 1 and 1000.0 <= t < 3000.0] == []
+        assert any(i == 1 for t, i in decisions if t >= 3000.0)
+        assert result.injector.partition_heals == 2
+        assert [(t, kind) for t, kind, _ in result.injector.log] == [
+            (1000.0, "partition"),
+            (2000.0, "partition"),
+            (2000.0, "partition-heal"),
+            (3000.0, "partition-heal"),
+        ]

@@ -1,5 +1,8 @@
 """Tests for the top-level public API (`repro` package surface)."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -43,26 +46,12 @@ class TestSurface:
         assert repro.__version__ == "1.0.0"
 
     def test_subpackages_importable(self):
-        import repro.analysis
-        import repro.apps
-        import repro.cluster
-        import repro.core
-        import repro.experiments
-        import repro.metrics
-        import repro.net
-        import repro.policies
-        import repro.server
-        import repro.sim
-        import repro.systems
-        import repro.trace
-        import repro.workload
-
-        for module in (
-            repro.analysis, repro.apps, repro.cluster, repro.core,
-            repro.experiments, repro.metrics, repro.net, repro.policies,
-            repro.server, repro.sim, repro.systems, repro.trace,
-            repro.workload,
-        ):
+        names = [
+            info.name for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+        ]
+        assert "rack" in names
+        for name in names:
+            module = importlib.import_module(f"repro.{name}")
             assert module.__doc__, f"{module.__name__} lacks a docstring"
-            for name in getattr(module, "__all__", []):
-                assert hasattr(module, name), f"{module.__name__}.{name}"
+            for attr in getattr(module, "__all__", []):
+                assert hasattr(module, attr), f"{module.__name__}.{attr}"
