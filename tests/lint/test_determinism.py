@@ -330,6 +330,73 @@ class TestClusterParity:
         assert result.digest() == self.CLUSTER_DIGESTS[(balancer, backend, seed)]
 
 
+class TestDarcProfiledWindowPins:
+    """Profiled DARC past its first profiling window.  The 800-request
+    pins above never reach the 2,000-sample window, so they cannot see
+    the reservation-update path or the c-FCFS -> DARC handover.  These
+    runs do, and pin the CPU-waste integral too: it is not in the
+    digest, and DARC's O(1) pending counter and worker tally feed it.
+    Captured on the scanning implementation (per-event queue and worker
+    scans, an unconditional profile snapshot per completion)."""
+
+    #: seed -> (digest, measured_waste(), reservation_updates) for
+    #: PersephoneSystem(oracle=False), high bimodal, rho 0.85, n=12,000.
+    STEADY_PINS = {
+        1: ("7d238610f2876b3516a955d701ec737aaef242febdbc44e260a9ce772bf34da8",
+            0.41378874407496197, 1),
+        7: ("e29325c78dd7ad63dcd8fcd76591940611f30b3ee53c667ac173351e3ff01756",
+            0.41081059773071255, 1),
+        42: ("5f0ff1ffab9d969d84a234f42bc881263ff52ad4092acb934ad910d6fc06fbf8",
+             0.3928886974499404, 1),
+    }
+    #: Same config, seed 3, cores 0 and 5 crash at 20 ms (after the
+    #: first reservation) and recover at 30 ms, under the sanitizer.
+    CHAOS_PIN = (
+        "20039dee5a705a8b5c6e039acd148ee4f6f1315a570baee4b18fb2425373169e",
+        0.5481078725108718,
+        6,
+    )
+
+    @pytest.mark.parametrize("seed", sorted(STEADY_PINS))
+    def test_steady_run_matches_pin(self, seed):
+        from repro.lint.determinism import digest_outcome
+
+        result = run_once(
+            PersephoneSystem(oracle=False),
+            high_bimodal(),
+            0.85,
+            n_requests=12_000,
+            seed=seed,
+        )
+        scheduler = result.scheduler
+        digest = digest_outcome(result.server.recorder, result.server.loop)
+        got = (digest, scheduler.measured_waste(), scheduler.reservation_updates)
+        assert got == self.STEADY_PINS[seed]
+
+    def test_crash_recover_run_matches_pin(self):
+        from repro.faults.plan import FaultPlan
+        from repro.faults.runner import run_chaos
+        from repro.lint.determinism import digest_chaos_outcome
+
+        result = run_chaos(
+            PersephoneSystem(oracle=False),
+            high_bimodal(),
+            0.85,
+            FaultPlan.crash_recover([0, 5], crash_at=20_000.0, recover_at=30_000.0),
+            n_requests=12_000,
+            seed=3,
+            sanitize=True,
+        )
+        scheduler = result.scheduler
+        digest = digest_chaos_outcome(
+            result.recorder, result.server.loop, result.injector
+        )
+        first_install = scheduler.reservation_log[0][0]
+        assert first_install < 20_000.0
+        got = (digest, scheduler.measured_waste(), scheduler.reservation_updates)
+        assert got == self.CHAOS_PIN
+
+
 @pytest.fixture(scope="module")
 def sweep_plan():
     """One small real figure5 grid: 2 workloads × 3 systems × 2 seeds."""
