@@ -180,6 +180,9 @@ class DarcScheduler(Scheduler):
         #: and the sorted spillway dispatch list (orphans + UNKNOWN).
         self._orphan_dispatch: List[int] = [UNKNOWN_TYPE]
         self._startup_queue: Deque[Request] = deque()
+        #: Requests in the typed queues plus the startup queue, kept at
+        #: every append and pop so :meth:`pending_count` is O(1).
+        self._pending = 0
         self._slo_breached = False
         self.reservation_updates = 0
         #: (time, {type_id: reserved_count}) history for Fig. 7.
@@ -223,12 +226,12 @@ class DarcScheduler(Scheduler):
         now = self.loop.now
         dt = now - self._waste_last_t
         if dt > 0:
-            if self.pending_count() > 0:
-                idle = 0
-                for w in self.workers:
-                    if w.is_free:
-                        idle += 1
-                self._waste_area += dt * idle
+            if self._pending:
+                # A crashed core never holds a request (the sanitizer's
+                # worker-exclusivity check), so busy and failed cores are
+                # disjoint and the rest are exactly the free ones.
+                counts = self.counts
+                self._waste_area += dt * (counts.size - counts.busy - counts.failed)
             self._waste_last_t = now
 
     def measured_waste(self) -> float:
@@ -252,6 +255,7 @@ class DarcScheduler(Scheduler):
                 self.begin_service(worker, request)
             else:
                 self._startup_queue.append(request)
+                self._pending += 1
             return
         queue = self.queues.get(type_id)
         if queue is None:
@@ -263,6 +267,7 @@ class DarcScheduler(Scheduler):
             self.drop(request)
             return
         queue.append(request)
+        self._pending += 1
         self._dispatch_type(type_id)
 
     def _register_type(self, type_id: int) -> None:
@@ -356,11 +361,15 @@ class DarcScheduler(Scheduler):
                 best_queue = queue
         if best_queue is None:
             return None
+        self._pending -= 1
         return best_queue.popleft()
 
     def _dispatch_type(self, type_id: int) -> None:
         """Dispatch pending requests of ``type_id``'s group to free
         allowed workers (FCFS across the group's typed queues)."""
+        counts = self.counts
+        if counts.busy + counts.failed >= counts.size:
+            return  # no core is free
         siblings = self._sibling_types(type_id)
         queues = self.queues
         for tid in siblings:
@@ -385,6 +394,7 @@ class DarcScheduler(Scheduler):
             return
         if self.reservation is None:
             if self._startup_queue:
+                self._pending -= 1
                 self.begin_service(worker, self._startup_queue.popleft())
             return
         widx = worker.worker_id
@@ -435,6 +445,11 @@ class DarcScheduler(Scheduler):
                 self.begin_service(worker, request)
 
     def pending_count(self) -> int:
+        return self._pending
+
+    def pending_scan(self) -> int:
+        """Queued requests counted by walking the typed queues and the
+        startup queue: the sanitizer's reference for :meth:`pending_count`."""
         count = len(self._startup_queue)
         for queue in self.queues.values():
             count += len(queue)
@@ -470,6 +485,15 @@ class DarcScheduler(Scheduler):
         profiler = self.profiler
         window_samples = profiler.window_samples
         if window_samples < self.min_samples:
+            return
+        if (
+            self.reservation is not None
+            and not self._slo_breached
+            and window_samples < 4 * self.min_samples
+        ):
+            # Past the first install, every update below needs a pending
+            # breach or a window rollover; without either, the snapshot
+            # would be wasted.
             return
         snapshot = profiler.snapshot()
         if len(snapshot) == 0:
@@ -629,7 +653,7 @@ class DarcScheduler(Scheduler):
         """
         if self.reservation is None or self._last_entries is None:
             return
-        if all(w.failed for w in self.workers):
+        if self.counts.failed == self.counts.size:
             # Total outage: nothing to reserve over.  The stale
             # reservation stays; dispatch halts because no worker is
             # free, and the first recovery re-enters here.

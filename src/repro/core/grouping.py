@@ -21,14 +21,14 @@ TypeEntry = Tuple[int, float, float]
 class TypeGroup:
     """A set of similar request types treated as one reservation unit."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "type_ids")
 
     def __init__(self, entries: List[TypeEntry]):
         self.entries = entries
-
-    @property
-    def type_ids(self) -> List[int]:
-        return [tid for tid, _, _ in self.entries]
+        #: The group's type ids, in ``entries`` order.  Built once per
+        #: group (groups are made only when a reservation is computed),
+        #: so DARC's dispatch path reads it without allocating.
+        self.type_ids: List[int] = [tid for tid, _, _ in entries]  # repro-analyze: disable=A401
 
     @property
     def min_service(self) -> float:

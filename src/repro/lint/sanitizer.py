@@ -21,7 +21,9 @@ Invariants checked after every event
   of its workers; the drain check below reads them, so a desync must
   fail here rather than as a wrong conservation verdict.
 * **queue-depth** — ``Scheduler.pending_count()`` is never negative and
-  drop counters never decrease.
+  drop counters never decrease.  A scheduler that keeps an O(1) pending
+  counter and exposes ``pending_scan()`` (DARC: its typed queues plus
+  its startup queue) must report a count equal to that scan.
 * **request-conservation** (running form) — completions (including late
   completions of orphaned attempts) + drops never exceed arrivals.
 * **darc-reservation** — with a :class:`~repro.core.darc.DarcScheduler`
@@ -309,7 +311,8 @@ class SimSanitizer:
 
     def _check_queues(self, loop: "EventLoop") -> None:
         self.checks_run += 1
-        pending = self.server.scheduler.pending_count()
+        scheduler = self.server.scheduler
+        pending = scheduler.pending_count()
         if pending < 0:
             self._violate(
                 "queue-depth",
@@ -317,6 +320,16 @@ class SimSanitizer:
                 loop,
                 {"pending": pending},
             )
+        pending_scan = getattr(scheduler, "pending_scan", None)
+        if pending_scan is not None:
+            scanned = pending_scan()
+            if pending != scanned:
+                self._violate(
+                    "queue-depth",
+                    "pending counter disagrees with a scan of the queues",
+                    loop,
+                    {"pending": pending, "pending_scan": scanned},
+                )
         drops = self.server.recorder.dropped
         if drops < self._last_drops:
             self._violate(

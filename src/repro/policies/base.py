@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import SchedulingError
-from ..server.worker import Worker
+from ..server.worker import Worker, WorkerCounts, shared_counts
 from ..sim.engine import EventLoop
 from ..sim.events import Event
 from ..workload.request import Request
@@ -55,6 +55,9 @@ class Scheduler(ABC):
     def __init__(self) -> None:
         self.loop: Optional[EventLoop] = None
         self.workers: List[Worker] = []
+        #: Busy/crashed tally shared by the bound workers: the number of
+        #: free cores is ``size - busy - failed``, an O(1) read.
+        self.counts: Optional[WorkerCounts] = None
         self._on_complete: Optional[CompletionCallback] = None
         self._on_drop: Optional[DropCallback] = None
         self._bound = False
@@ -86,6 +89,7 @@ class Scheduler(ABC):
             raise SchedulingError("need at least one worker")
         self.loop = loop
         self.workers = workers
+        self.counts = shared_counts(workers)
         self._on_complete = on_complete
         self._on_drop = on_drop
         self._bound = True
@@ -124,8 +128,10 @@ class Scheduler(ABC):
     def pending_count(self) -> int:
         """Number of requests currently queued (not being served).
 
-        Subclasses with queues should override; used by idle detection
-        and CPU-waste accounting.
+        Subclasses with queues should override, keeping the read O(1)
+        (a counter kept at enqueue and dequeue, not a scan): rack views
+        read it on every routing decision and DARC's CPU-waste
+        accounting on every event.
         """
         return 0
 
@@ -251,6 +257,11 @@ class Scheduler(ABC):
         return [w for w in self.workers if w.is_free]
 
     def first_free_worker(self) -> Optional[Worker]:
+        counts = self.counts
+        # Busy and crashed cores are disjoint (the crash handler evicts
+        # before it fails a core), so a full tally means no free core.
+        if counts.busy + counts.failed >= counts.size:
+            return None
         for w in self.workers:
             if w.is_free:
                 return w

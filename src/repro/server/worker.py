@@ -8,14 +8,16 @@ utilization and CPU waste.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import SchedulingError
 from ..workload.request import Request
 
 
 class WorkerCounts:
-    """Busy and crashed core counts shared by one server's workers.
+    """Busy and crashed core counts shared by one set of workers: a
+    server's, or the standalone list a scheduler is bound to
+    (:func:`shared_counts`).
 
     :class:`Worker` updates these at its four state transitions
     (:meth:`~Worker.begin`, :meth:`~Worker.end`, :meth:`~Worker.fail`,
@@ -170,3 +172,31 @@ class Worker:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"busy(rid={self.current.rid})" if self.current else "idle"
         return f"Worker({self.worker_id}, {state}, done={self.completed})"
+
+
+def shared_counts(workers: Sequence[Worker]) -> WorkerCounts:
+    """The one tally ``workers`` share, so a scheduler reads its free
+    core count in O(1).
+
+    A server's workers already share its tally; that tally is returned
+    as is, so listeners registered through it keep firing.  Standalone
+    workers (``Worker(i)``, each with a private tally) are moved onto
+    one new tally whose busy and crashed counts are taken from their
+    current state.  Any other mix is an error: re-pointing workers that
+    belong to a larger tally would desync its owner's counters.
+    """
+    counts = workers[0].counts
+    if counts.size == len(workers) and all(w.counts is counts for w in workers):
+        return counts
+    if any(w.counts.size != 1 for w in workers):
+        raise SchedulingError(
+            "workers must share one tally or each keep a private one"
+        )
+    counts = WorkerCounts(len(workers))
+    for worker in workers:
+        if worker.current is not None:
+            counts.busy += 1
+        if worker.failed:
+            counts.failed += 1
+        worker.counts = counts
+    return counts

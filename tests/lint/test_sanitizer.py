@@ -148,6 +148,39 @@ class TestQueueDepth:
             loop.run()
         assert excinfo.value.invariant == "queue-depth"
 
+    def test_desynced_darc_pending_counter_is_caught(self):
+        specs = [
+            RequestTypeSpec(0, "short", 1.0, 0.5),
+            RequestTypeSpec(1, "long", 100.0, 0.5),
+        ]
+        scheduler = DarcScheduler(profile=False, type_specs=specs)
+        loop, server, _ = make_server(scheduler, n_workers=2)
+        feed(loop, server, requests(6, service=100.0, type_id=1))
+        loop.run(until=10.0)
+        assert scheduler.pending_count() == scheduler.pending_scan() > 0
+        scheduler._pending += 1  # the bug: a counter bumped off-queue
+        loop.call_at(10.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=11.0)
+        assert excinfo.value.invariant == "queue-depth"
+        context = excinfo.value.context
+        assert context["pending"] == context["pending_scan"] + 1
+
+    def test_darc_startup_queue_is_part_of_the_scan(self):
+        # Profiled DARC queues in c-FCFS until its first window closes.
+        scheduler = DarcScheduler()
+        loop, server, _ = make_server(scheduler, n_workers=1)
+        feed(loop, server, requests(3, service=100.0))
+        loop.run(until=5.0)
+        assert scheduler.reservation is None
+        assert scheduler.pending_count() == scheduler.pending_scan() == 2
+        scheduler._startup_queue.pop()  # the bug: dequeued behind the counter
+        loop.call_at(5.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=6.0)
+        assert excinfo.value.invariant == "queue-depth"
+        assert excinfo.value.context == {"pending": 2, "pending_scan": 1}
+
 
 class TestRequestConservation:
     def test_more_completions_than_arrivals_is_caught(self):

@@ -7,7 +7,7 @@ from repro.errors import SchedulingError
 from repro.policies.fcfs import CentralizedFCFS
 from repro.server.config import ServerConfig
 from repro.server.server import Server
-from repro.server.worker import Worker, WorkerCounts
+from repro.server.worker import Worker, WorkerCounts, shared_counts
 from repro.sim.engine import EventLoop
 from repro.workload.request import Request
 
@@ -114,6 +114,77 @@ class TestServerCounters:
         assert (server.in_flight, server.failed_workers) == (1, 1) == scanned(server)
         server.scheduler.on_worker_recover(server.workers[0])
         assert (server.in_flight, server.failed_workers) == (1, 0) == scanned(server)
+
+
+def bind(workers):
+    scheduler = CentralizedFCFS()
+    scheduler.bind(EventLoop(), workers, lambda request: None)
+    return scheduler
+
+
+class TestSchedulerTally:
+    def test_standalone_workers_adopt_one_shared_tally(self):
+        workers = [Worker(i) for i in range(3)]
+        scheduler = bind(workers)
+        assert scheduler.counts.size == 3
+        assert all(w.counts is scheduler.counts for w in workers)
+        workers[2].begin(req(), 0.0)
+        assert scheduler.counts.busy == 1
+
+    def test_server_tally_is_reused_and_listeners_survive(self):
+        server = make_server(2)
+        assert server.scheduler.counts is server.counts
+        flips = []
+        server.watch_alive(lambda: flips.append(server.alive))
+        for worker in server.workers:
+            server.scheduler.on_worker_crash(worker)
+        assert flips == [False]
+        server.scheduler.on_worker_recover(server.workers[1])
+        assert flips == [False, True]
+
+    def test_busy_and_failed_workers_are_counted_at_bind(self):
+        workers = [Worker(i) for i in range(4)]
+        workers[0].begin(req(0), 0.0)
+        workers[1].fail()
+        workers[2].begin(req(1), 0.0)
+        workers[2].end(1.0)  # busy once, idle now
+        scheduler = bind(workers)
+        counts = scheduler.counts
+        assert (counts.busy, counts.failed, counts.size) == (1, 1, 4)
+        workers[0].end(2.0)
+        workers[1].recover()
+        assert (counts.busy, counts.failed) == (0, 0)
+
+    def test_a_single_worker_keeps_its_own_tally(self):
+        worker = Worker(0)
+        private = worker.counts
+        assert bind([worker]).counts is private
+
+    def test_a_slice_of_a_server_is_refused(self):
+        server = make_server(3)
+        with pytest.raises(SchedulingError, match="tally"):
+            shared_counts(server.workers[:2])
+        assert all(w.counts is server.counts for w in server.workers)
+
+    def test_first_free_worker_is_none_exactly_when_the_tally_is_full(self):
+        workers = [Worker(i) for i in range(3)]
+        scheduler = bind(workers)
+        counts = scheduler.counts
+
+        def full():
+            return counts.busy + counts.failed >= counts.size
+
+        workers[0].fail()
+        workers[1].begin(req(0), 0.0)
+        assert not full() and scheduler.first_free_worker() is workers[2]
+        workers[2].begin(req(1), 0.0)
+        assert full() and scheduler.first_free_worker() is None
+        workers[1].end(1.0)
+        assert not full() and scheduler.first_free_worker() is workers[1]
+        workers[1].fail()
+        assert full() and scheduler.first_free_worker() is None
+        workers[0].recover()
+        assert not full() and scheduler.first_free_worker() is workers[0]
 
 
 class TestLivenessListeners:
