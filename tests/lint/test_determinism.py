@@ -546,3 +546,189 @@ class TestSweepPlacementIndependence:
 
     def test_pinned_cell_digest(self, serial_digests):
         assert serial_digests[self.PINNED_CELL] == self.PINNED_DIGEST
+
+
+def _request_sequence_digest(requests):
+    """SHA-256 over each request's exact (rid, type, arrival, service)."""
+    import hashlib
+    import struct
+
+    sha = hashlib.sha256()
+    for r in requests:
+        sha.update(struct.pack("<qqdd", r.rid, r.type_id, r.arrival_time, r.service_time))
+    return sha.hexdigest()
+
+
+def _stochastic_spec():
+    from repro.workload.distributions import Exponential, LogNormal
+    from repro.workload.spec import TypedClass, WorkloadSpec
+
+    return WorkloadSpec(
+        "stochastic",
+        [
+            TypedClass("SHORT", 0.5, Exponential(1.0)),
+            TypedClass("LONG", 0.5, LogNormal(100.0, sigma=0.5)),
+        ],
+    )
+
+
+class TestArrivalStreamPins:
+    """Client paths the high-bimodal pins above never exercise: a phased
+    run that swaps the spec and the rate mid-run with no request limit,
+    service times that really draw from the ``service`` stream, bursty
+    arrivals, closed-loop clients, and a run long enough to cross any
+    block boundary of a pre-drawn stream.  Captured on the scalar
+    generator (one numpy draw per value)."""
+
+    #: ShenangoSystem(n_workers=4, work_stealing=True), 4-server
+    #: jsq-stale rack, flash crowd of 10 ms / 5 ms / 10 ms phases
+    #: (about 5,500 requests, so the unlimited stream is refilled), seed 2.
+    FLASH_CROWD_DIGEST = (
+        "f3b8f80e3ae7f201d56937ead4d5f47c9beed21edfa1f2d6038ef2eaa10e3cfd"
+    )
+    #: Same rack, seed 3, phases alternating high bimodal and the
+    #: stochastic spec at different utilizations.
+    SPEC_SWAP_DIGEST = (
+        "25e94856ad64621b0d5d73a4f8e8053e8b1420054e78866e4c38104574667f26"
+    )
+    #: PersephoneSystem(n_workers=8, min_samples=200), stochastic spec,
+    #: rho 0.7, n=3,000, seed 4.
+    STOCHASTIC_SERVICE_DIGEST = (
+        "0f419501d0dd2d5b19216e912de5ea6b44a23783d8e7115ed8a2bef9eb00a710"
+    )
+    #: BurstyArrivals(rate=0.5, burst_factor=2.0), high bimodal, 3,000
+    #: requests, seed 5.
+    BURSTY_SEQUENCE_DIGEST = (
+        "e56c8870bc3780d9daf8be648e651c32fc63948a1e7f24782f36c5f47f004f8f"
+    )
+    #: 6 closed-loop clients, 5 us think, stochastic spec, c-FCFS on 2
+    #: workers, 2,000 requests, seed 6.
+    CLOSED_LOOP_DIGEST = (
+        "ac9344879e398920728b30e4f42895fff3c1caf7978187733a407d9b9d86288b"
+    )
+    #: PersephoneSystem(n_workers=8, min_samples=200), high bimodal,
+    #: rho 0.7, n=10,000 (not a multiple of 4,096), seed 8.
+    LONG_RUN_DIGEST = (
+        "0bce2ed523aeb4e8c34de6401fe0c78f02b5ea5dc380b77829c92b75f3bdb498"
+    )
+
+    def _rack(self, phases, seed):
+        from repro.rack.rack import run_rack
+
+        return run_rack(
+            ShenangoSystem(n_workers=4, work_stealing=True),
+            high_bimodal(),
+            balancer="jsq-stale",
+            n_servers=4,
+            seed=seed,
+            phases=phases,
+        ).digest()
+
+    def test_flash_crowd_rack_matches_pin(self):
+        from repro.rack.load import flash_crowd_phases
+
+        phases = flash_crowd_phases(
+            high_bimodal(),
+            base_duration_us=10_000.0,
+            spike_duration_us=5_000.0,
+        )
+        assert self._rack(phases, seed=2) == self.FLASH_CROWD_DIGEST
+
+    def test_spec_swapping_rack_matches_pin(self):
+        from repro.workload.phases import Phase
+
+        phases = [
+            Phase(high_bimodal(), 1_500.0, 0.5),
+            Phase(_stochastic_spec(), 1_500.0, 0.9),
+            Phase(high_bimodal(), 1_500.0, 0.6),
+            Phase(_stochastic_spec(), 1_500.0, None),
+        ]
+        assert self._rack(phases, seed=3) == self.SPEC_SWAP_DIGEST
+
+    def test_stochastic_service_run_matches_pin(self):
+        from repro.lint.determinism import digest_outcome
+
+        result = run_once(
+            PersephoneSystem(n_workers=8, min_samples=200),
+            _stochastic_spec(),
+            0.7,
+            n_requests=3_000,
+            seed=4,
+        )
+        digest = digest_outcome(result.server.recorder, result.server.loop)
+        assert digest == self.STOCHASTIC_SERVICE_DIGEST
+
+    def test_bursty_request_sequence_matches_pin(self):
+        from repro.sim.engine import EventLoop
+        from repro.sim.randomness import RngRegistry
+        from repro.workload.arrivals import BurstyArrivals
+        from repro.workload.generator import OpenLoopGenerator
+
+        loop = EventLoop()
+        rngs = RngRegistry(seed=5)
+        requests = []
+        OpenLoopGenerator(
+            loop,
+            high_bimodal(),
+            BurstyArrivals(0.5, burst_factor=2.0),
+            requests.append,
+            type_rng=rngs.stream("types"),
+            service_rng=rngs.stream("service"),
+            arrival_rng=rngs.stream("arrivals"),
+            limit=3_000,
+        ).start()
+        loop.run()
+        assert len(requests) == 3_000
+        assert _request_sequence_digest(requests) == self.BURSTY_SEQUENCE_DIGEST
+
+    def test_closed_loop_run_matches_pin(self):
+        from repro.lint.determinism import digest_outcome
+        from repro.metrics.recorder import Recorder
+        from repro.policies.fcfs import CentralizedFCFS
+        from repro.server.config import ServerConfig
+        from repro.server.server import Server
+        from repro.sim.engine import EventLoop
+        from repro.sim.randomness import RngRegistry
+        from repro.workload.closedloop import ClosedLoopClients
+
+        loop = EventLoop()
+        rngs = RngRegistry(seed=6)
+        recorder = Recorder()
+        scheduler = CentralizedFCFS()
+        server = Server(
+            loop, scheduler, config=ServerConfig(n_workers=2), recorder=recorder
+        )
+        clients = ClosedLoopClients(
+            loop,
+            _stochastic_spec(),
+            server.ingress,
+            n_clients=6,
+            think_time_us=5.0,
+            type_rng=rngs.stream("types"),
+            service_rng=rngs.stream("service"),
+            think_rng=rngs.stream("think"),
+            max_requests=2_000,
+        )
+
+        def on_complete(request):
+            recorder.on_complete(request)
+            clients.on_complete(request)
+
+        scheduler._on_complete = on_complete
+        clients.start()
+        loop.run()
+        assert recorder.completed == 2_000
+        assert digest_outcome(recorder, loop) == self.CLOSED_LOOP_DIGEST
+
+    def test_block_crossing_run_matches_pin(self):
+        from repro.lint.determinism import digest_outcome
+
+        result = run_once(
+            PersephoneSystem(n_workers=8, min_samples=200),
+            high_bimodal(),
+            0.7,
+            n_requests=10_000,
+            seed=8,
+        )
+        digest = digest_outcome(result.server.recorder, result.server.loop)
+        assert digest == self.LONG_RUN_DIGEST
