@@ -94,6 +94,9 @@ class TimeSharing(Scheduler):
 
         self.central: Deque[Request] = deque()
         self.typed: Dict[int, Deque[Request]] = {}
+        #: Requests in ``central`` and ``typed``, kept at every enqueue and
+        #: dequeue so :meth:`pending_count` is O(1).
+        self._pending = 0
         self.vtimes: Dict[int, float] = {}
         if type_specs:
             for spec in type_specs:
@@ -115,6 +118,7 @@ class TimeSharing(Scheduler):
             # Shinjuku single-queue: preempted requests go to the *tail*
             # too — that is what shares the processor.
             self.central.append(request)
+            self._pending += 1
             return True
         tid = request.effective_type()
         queue = self.typed.get(tid)
@@ -130,11 +134,15 @@ class TimeSharing(Scheduler):
             queue.appendleft(request)  # multi-queue: head of own queue
         else:
             queue.append(request)
+        self._pending += 1
         return True
 
     def _dequeue(self) -> Optional[Request]:
+        if not self._pending:
+            return None
+        self._pending -= 1
         if self.mode == "single":
-            return self.central.popleft() if self.central else None
+            return self.central.popleft()
         # BVT-like: serve the non-empty queue with the smallest virtual
         # time; charge it the expected slice normalized by its weight.
         best_tid = None
@@ -146,20 +154,21 @@ class TimeSharing(Scheduler):
             if best_v is None or v < best_v:
                 best_v = v
                 best_tid = tid
-        if best_tid is None:
-            return None
         request = self.typed[best_tid].popleft()
         expected = min(request.remaining_time, self.quantum_us)
         self.vtimes[best_tid] += expected / self.weights.get(best_tid, 1.0)
         return request
 
     def pending_count(self) -> int:
-        if self.mode == "single":
-            return len(self.central)
-        total = 0
-        for q in self.typed.values():
-            total += len(q)
-        return total
+        return self._pending
+
+    def pending_scan(self) -> int:
+        """Queued requests counted by walking the central and typed
+        queues: the sanitizer's reference for :meth:`pending_count`."""
+        count = len(self.central)
+        for queue in self.typed.values():
+            count += len(queue)
+        return count
 
     # ------------------------------------------------------------------
     # event handling

@@ -38,13 +38,15 @@ class PoissonArrivals(ArrivalProcess):
         if rate <= 0:
             raise WorkloadError(f"arrival rate must be > 0, got {rate}")
         self.rate = float(rate)
-        self._mean_gap = 1.0 / rate
+        #: Mean inter-arrival gap (us).  A gap is this times one unit
+        #: exponential, which is how numpy's ``exponential`` computes it.
+        self.mean_gap = 1.0 / rate
 
     def inter_arrival(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self._mean_gap))
+        return float(rng.exponential(self.mean_gap))
 
     def times(self, rng: np.random.Generator, n: int, start: float = 0.0) -> np.ndarray:
-        return start + np.cumsum(rng.exponential(self._mean_gap, size=n))
+        return start + np.cumsum(rng.exponential(self.mean_gap, size=n))
 
     def __repr__(self) -> str:
         return f"PoissonArrivals(rate={self.rate}/us)"

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..errors import WorkloadError
 from ..sim.engine import EventLoop
+from .generator import RequestDraws
 from .request import Request
 from .spec import WorkloadSpec
 
@@ -50,8 +51,7 @@ class ClosedLoopClients:
         self.sink = sink
         self.n_clients = n_clients
         self.think_time_us = think_time_us
-        self._type_rng = type_rng
-        self._service_rng = service_rng
+        self._draws = RequestDraws(spec, type_rng, service_rng, max_requests)
         self._think_rng = think_rng
         self.max_requests = max_requests
         self.generated = 0
@@ -85,8 +85,7 @@ class ClosedLoopClients:
             return
         if self.max_requests is not None and self.generated >= self.max_requests:
             return
-        type_id = self.spec.sample_type(self._type_rng)
-        service = self.spec.sample_service(type_id, self._service_rng)
+        type_id, service = self._draws.draw()
         request = Request(
             rid=self.generated,
             type_id=type_id,

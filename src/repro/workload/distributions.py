@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +22,12 @@ from ..errors import ConfigurationError
 
 class ServiceTimeDistribution(ABC):
     """Interface for per-type service-time samplers."""
+
+    #: The service time of a distribution whose :meth:`sample` draws
+    #: nothing from its rng, else None.  Request generators read it in
+    #: place of calling :meth:`sample`, so it must stay None for any
+    #: distribution that consumes randomness.
+    constant: Optional[float] = None
 
     @abstractmethod
     def mean(self) -> float:
@@ -42,6 +49,7 @@ class Fixed(ServiceTimeDistribution):
         if value <= 0:
             raise ConfigurationError(f"service time must be > 0, got {value}")
         self.value = float(value)
+        self.constant = self.value
 
     def mean(self) -> float:
         return self.value

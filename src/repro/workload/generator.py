@@ -8,11 +8,19 @@ server — which is exactly what makes tail latency blow up at overload.
 
 The generator supports live reconfiguration (``set_spec`` / ``set_rate``)
 so the Fig. 7 phase-change experiment can mutate the workload mid-run.
+
+Type uniforms and Poisson unit gaps are drawn :data:`BLOCK_SIZE` at a
+time instead of one numpy call per value.  numpy's block and scalar
+draws of ``random`` and ``standard_exponential`` return the same values
+in the same order, and each value is mapped to a type id or scaled to a
+gap only when it is used, so every request is bit-identical to one drawn
+value by value, ``set_spec`` and ``set_rate`` mid-block included.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from bisect import bisect_right
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +31,68 @@ from .request import Request
 from .spec import WorkloadSpec
 
 Sink = Callable[[Request], None]
+
+#: Values drawn per numpy call for a pre-drawn stream.  With no request
+#: limit a stream may read up to one block past its last use; nothing
+#: else draws from the client's streams, so no result can see it.
+BLOCK_SIZE = 4096
+
+
+def _draw_block(draw: Callable[[int], np.ndarray], remaining: Optional[int]) -> List[float]:
+    """One block of ``draw(n)`` as Python floats.  ``n`` is capped at the
+    ``remaining`` values a limited client can still use, so a run to its
+    limit leaves the stream exactly where value-by-value draws leave it."""
+    n = BLOCK_SIZE if remaining is None else min(BLOCK_SIZE, remaining)
+    return draw(n).tolist()
+
+
+class RequestDraws:
+    """Type ids and service times for at most ``limit`` requests.
+
+    Types come from pre-drawn blocks of ``type_rng`` uniforms, each
+    mapped at use by bisecting the spec's cumulative ratios.  A constant
+    service time is read from the spec's per-type table; any other is
+    one scalar draw from ``service_rng``: all types share that stream,
+    so a block cannot know whose distribution its next value belongs to.
+    """
+
+    __slots__ = ("_spec", "_cumulative", "_constants", "_type_rng", "_service_rng",
+                 "_uniforms", "_left")
+
+    def __init__(
+        self,
+        spec: WorkloadSpec,
+        type_rng: np.random.Generator,
+        service_rng: np.random.Generator,
+        limit: Optional[int] = None,
+    ):
+        self._type_rng = type_rng
+        self._service_rng = service_rng
+        #: Types not yet drawn into a block (None = unbounded).
+        self._left = limit
+        self._uniforms: Iterator[float] = iter(())
+        self.set_spec(spec)
+
+    def set_spec(self, spec: WorkloadSpec) -> None:
+        """Map the next (already drawn) uniforms through ``spec``."""
+        self._spec = spec
+        self._cumulative = spec.cumulative
+        self._constants = spec.constant_services
+
+    def draw(self) -> Tuple[int, float]:
+        """The next request's ``(type_id, service_time)``."""
+        u = next(self._uniforms, None)
+        if u is None:
+            block = _draw_block(self._type_rng.random, self._left)
+            if self._left is not None:
+                self._left -= len(block)
+            self._uniforms = iter(block)
+            u = next(self._uniforms)
+        type_id = bisect_right(self._cumulative, u)
+        service = self._constants[type_id]
+        if service is None:
+            service = self._spec.sample_service(type_id, self._service_rng)
+        return type_id, service
 
 
 class OpenLoopGenerator:
@@ -61,9 +131,13 @@ class OpenLoopGenerator:
         self.spec = spec
         self.process = process
         self.sink = sink
-        self._type_rng = type_rng
-        self._service_rng = service_rng
+        self._draws = RequestDraws(spec, type_rng, service_rng, limit)
         self._arrival_rng = arrival_rng
+        #: Pre-drawn unit exponentials, scaled at use by the current
+        #: ``process.mean_gap`` (Poisson only: other processes draw a
+        #: process-dependent number of values per gap).
+        self._unit_gaps: Iterator[float] = iter(())
+        self._poisson = type(process) is PoissonArrivals
         self.limit = limit
         self.generated = 0
         self._running = False
@@ -86,6 +160,7 @@ class OpenLoopGenerator:
     def set_spec(self, spec: WorkloadSpec) -> None:
         """Swap the workload mixture for subsequent arrivals (Fig. 7)."""
         self.spec = spec
+        self._draws.set_spec(spec)
 
     def set_rate(self, rate: float) -> None:
         """Change the arrival rate (req/us) for subsequent arrivals.
@@ -103,21 +178,24 @@ class OpenLoopGenerator:
         if self.limit is not None and self.generated >= self.limit:
             self._running = False
             return
-        gap = self.process.inter_arrival(self._arrival_rng)
+        if self._poisson:
+            unit = next(self._unit_gaps, None)
+            if unit is None:
+                remaining = None if self.limit is None else self.limit - self.generated
+                block = _draw_block(self._arrival_rng.standard_exponential, remaining)
+                self._unit_gaps = iter(block)
+                unit = next(self._unit_gaps)
+            gap = unit * self.process.mean_gap
+        else:
+            gap = self.process.inter_arrival(self._arrival_rng)
         self._next_event = self.loop.call_after(gap, self._emit)
 
     def _emit(self) -> None:
         self._next_event = None
         if not self._running:
             return
-        type_id = self.spec.sample_type(self._type_rng)
-        service = self.spec.sample_service(type_id, self._service_rng)
-        request = Request(
-            rid=self.generated,
-            type_id=type_id,
-            arrival_time=self.loop.now,
-            service_time=service,
-        )
+        type_id, service = self._draws.draw()
+        request = Request(self.generated, type_id, self.loop.now, service)
         self.generated += 1
         self.sink(request)
         self._schedule_next()

@@ -11,6 +11,7 @@ distributions.  From it, experiment drivers derive:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +55,18 @@ class WorkloadSpec:
         self.classes: List[TypedClass] = list(classes)
         self._ratios = np.array([c.ratio for c in classes])
         self._cumulative = np.cumsum(self._ratios)
+        # The ratios may sum to 1 only within 1e-9: a tail below 1 would
+        # map a uniform in the gap to the nonexistent type ``n_types``.
+        self._cumulative[-1] = 1.0
+        #: Cumulative ratios as floats: a uniform ``u`` in [0, 1) is type
+        #: ``bisect_right(cumulative, u)``, as in :meth:`sample_type`.
+        self.cumulative: List[float] = self._cumulative.tolist()
+        #: Per-type service time of types whose distribution is constant
+        #: (:attr:`~.distributions.ServiceTimeDistribution.constant`),
+        #: None where :meth:`sample_service` must draw.
+        self.constant_services: List[Optional[float]] = [
+            c.distribution.constant for c in classes
+        ]
 
     @property
     def n_types(self) -> int:
@@ -97,7 +110,7 @@ class WorkloadSpec:
 
     def sample_type(self, rng: np.random.Generator) -> int:
         """Draw a type id according to the occurrence ratios."""
-        return int(np.searchsorted(self._cumulative, rng.random(), side="right"))
+        return bisect_right(self.cumulative, rng.random())
 
     def sample_types(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Vectorized draw of ``n`` type ids."""

@@ -9,6 +9,7 @@ from repro.core.darc import DarcScheduler
 from repro.errors import SanitizerViolation, SimulationError
 from repro.lint.sanitizer import SimSanitizer
 from repro.policies.fcfs import CentralizedFCFS
+from repro.policies.timesharing import TimeSharing
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -180,6 +181,26 @@ class TestQueueDepth:
             loop.run(until=6.0)
         assert excinfo.value.invariant == "queue-depth"
         assert excinfo.value.context == {"pending": 2, "pending_scan": 1}
+
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_desynced_timesharing_pending_counter_is_caught(self, mode):
+        specs = [
+            RequestTypeSpec(0, "short", 1.0, 0.5),
+            RequestTypeSpec(1, "long", 100.0, 0.5),
+        ]
+        scheduler = TimeSharing(mode=mode, type_specs=specs)
+        loop, server, _ = make_server(scheduler, n_workers=1)
+        feed(loop, server, requests(4, service=100.0, type_id=1))
+        loop.run(until=10.0)
+        assert scheduler.pending_count() == scheduler.pending_scan() > 0
+        scheduler._pending -= 1  # the bug: a dequeue the counter missed
+        loop.call_at(10.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=11.0)
+        assert excinfo.value.invariant == "queue-depth"
+        context = excinfo.value.context
+        assert context["pending"] == context["pending_scan"] - 1
 
 
 class TestRequestConservation:

@@ -87,6 +87,51 @@ class TestWorkloadSpec:
             assert name in text
 
 
+class _StubUniform:
+    """An rng whose uniforms are all ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+class TestCumulativeTail:
+    """Ratios summing to 1 - 4e-10 pass the 1e-9 check; a uniform above
+    that sum must still map to the last type, not to ``n_types``."""
+
+    SHORT_SUM = [0.5, 0.4999999996]
+    U = 0.9999999998
+
+    def _spec(self):
+        a, b = self.SHORT_SUM
+        return nmodal_spec("short-sum", [("A", 1.0, a), ("B", 100.0, b)])
+
+    def test_uniform_past_the_ratio_sum_maps_to_last_type(self):
+        spec = self._spec()
+        assert sum(self.SHORT_SUM) < self.U
+        rng = _StubUniform(self.U)
+        assert spec.sample_type(rng) == 1
+        assert spec.sample_types(rng, 3).tolist() == [1, 1, 1]
+        assert spec.sample_service(spec.sample_type(rng), rng) == 100.0
+        assert spec.cumulative[-1] == 1.0
+
+    def test_generator_draws_the_last_type(self):
+        from repro.workload.generator import RequestDraws
+
+        draws = RequestDraws(self._spec(), _StubUniform(self.U), np.random.default_rng(0))
+        assert draws.draw() == (1, 100.0)
+
+    def test_presets_already_end_at_exactly_one(self):
+        # Pinning the tail to 1.0 moves no preset's type mapping.
+        from repro.workload.presets import PRESETS
+
+        for make in PRESETS.values():
+            spec = make()
+            assert float(np.cumsum([c.ratio for c in spec.classes])[-1]) == 1.0
+
+
 class TestConstructors:
     def test_bimodal_spec_names(self):
         spec = bimodal_spec("x", 1.0, 0.5, 100.0, short_name="GET", long_name="SCAN")
