@@ -8,7 +8,7 @@ long-running monitors where storing every sample is undesirable.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +59,15 @@ class P2Quantile:
         self._n: Optional[List[int]] = None
         self._np: Optional[List[float]] = None
         self._heights: Optional[List[float]] = None
+        #: Per-update moves of the three middle desired positions,
+        #: computed once the markers initialise.
+        self._dn: Tuple[float, float, float] = (0.0, 0.0, 0.0)
         self.count = 0
 
     def update(self, x: float) -> None:
         self.count += 1
-        if self._heights is None:
+        heights = self._heights
+        if heights is None:
             self._initial.append(x)
             if len(self._initial) == 5:
                 self._initial.sort()
@@ -71,39 +75,74 @@ class P2Quantile:
                 self._n = [0, 1, 2, 3, 4]
                 q = self.q
                 self._np = [0.0, 2 * q, 4 * q, 2 + 2 * q, 4.0]
+                self._dn = (q / 2, q, (1 + q) / 2)
             return
-        assert self._n is not None and self._np is not None
-        heights, n, n_desired = self._heights, self._n, self._np
-        # Find the cell k containing x and clamp the extremes.
+        n = self._n
+        n_desired = self._np
+        # Find the cell k containing x and clamp the extremes.  The
+        # comparisons run in the order the textbook loop makes them, so
+        # an unordered x (NaN) still lands in cell 0.
         if x < heights[0]:
             heights[0] = x
             k = 0
         elif x >= heights[4]:
             heights[4] = x
             k = 3
+        elif x < heights[1]:
+            k = 0
+        elif x < heights[2]:
+            k = 1
+        elif x < heights[3]:
+            k = 2
+        elif x < heights[4]:
+            k = 3
         else:
             k = 0
-            for i in range(1, 5):
-                if x < heights[i]:
-                    k = i - 1
-                    break
-        for i in range(k + 1, 5):
-            n[i] += 1
-        q = self.q
-        increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-        for i in range(5):
-            n_desired[i] += increments[i]
-        # Adjust the three middle markers with the parabolic formula.
-        for i in range(1, 4):
-            d = n_desired[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
-                sign = 1 if d >= 1 else -1
-                candidate = self._parabolic(i, sign)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, sign)
-                n[i] += sign
+        if k < 1:
+            n[1] += 1
+        if k < 2:
+            n[2] += 1
+        if k < 3:
+            n[3] += 1
+        n[4] += 1
+        # Desired positions move by (0, q/2, q, (1+q)/2, 1); marker 0's
+        # stays at exactly 0.0, so adding its zero increment is skipped.
+        dn1, dn2, dn3 = self._dn
+        n_desired[1] += dn1
+        n_desired[2] += dn2
+        n_desired[3] += dn3
+        n_desired[4] += 1.0
+        # Adjust the three middle markers with the parabolic formula, in
+        # order: each adjustment moves n[i], which the next one reads.
+        d = n_desired[1] - n[1]
+        if d >= 1:
+            if n[2] - n[1] > 1:
+                self._adjust(1, 1)
+        elif d <= -1 and n[0] - n[1] < -1:
+            self._adjust(1, -1)
+        d = n_desired[2] - n[2]
+        if d >= 1:
+            if n[3] - n[2] > 1:
+                self._adjust(2, 1)
+        elif d <= -1 and n[1] - n[2] < -1:
+            self._adjust(2, -1)
+        d = n_desired[3] - n[3]
+        if d >= 1:
+            if n[4] - n[3] > 1:
+                self._adjust(3, 1)
+        elif d <= -1 and n[2] - n[3] < -1:
+            self._adjust(3, -1)
+
+    def _adjust(self, i: int, sign: int) -> None:
+        """Move marker ``i`` one position toward its desired position."""
+        assert self._heights is not None and self._n is not None
+        heights = self._heights
+        candidate = self._parabolic(i, sign)
+        if heights[i - 1] < candidate < heights[i + 1]:
+            heights[i] = candidate
+        else:
+            heights[i] = self._linear(i, sign)
+        self._n[i] += sign
 
     def _parabolic(self, i: int, sign: int) -> float:
         assert self._heights is not None and self._n is not None

@@ -30,7 +30,8 @@ class TailMonitor:
             raise TraceError(f"pct must be in (0,100), got {pct}")
         self.pct = pct
         self._q = pct / 100.0
-        self._estimators: Dict[int, P2Quantile] = {OVERALL: P2Quantile(self._q)}
+        self._overall = P2Quantile(self._q)
+        self._estimators: Dict[int, P2Quantile] = {OVERALL: self._overall}
 
     def observe(self, type_id: int, latency_us: float) -> None:
         """Feed one completed request's latency."""
@@ -39,7 +40,7 @@ class TailMonitor:
             est = P2Quantile(self._q)
             self._estimators[type_id] = est
         est.update(latency_us)
-        self._estimators[OVERALL].update(latency_us)
+        self._overall.update(latency_us)
 
     def estimate(self, type_id: Optional[int] = None) -> float:
         """Current tail estimate for ``type_id`` (None = across all
