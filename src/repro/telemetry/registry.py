@@ -41,6 +41,21 @@ def _freeze_labels(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
     return tuple((key, str(labels[key])) for key in sorted(labels))
 
 
+def _call_key(kind: str, name: str, labels: Dict[str, object]) -> Optional[tuple]:
+    """The lookup-cache key of one get-or-create call, or None.
+
+    Only ``str`` and ``int`` label values are cached: they hash, and two
+    of them compare equal only when they print alike.  ``1``, ``1.0``
+    and ``True`` compare equal but freeze to different labels, and an
+    unhashable value cannot be a key at all, so those calls take the
+    uncached path every time.
+    """
+    for value in labels.values():
+        if type(value) is not str and type(value) is not int:
+            return None
+    return (kind, name, tuple(labels.items()))
+
+
 def log_spaced_bounds(
     lo_exp: int = -1, hi_exp: int = 7, per_decade: int = 3
 ) -> Tuple[float, ...]:
@@ -67,13 +82,15 @@ DEFAULT_BOUNDS = log_spaced_bounds()
 class Counter:
     """A monotonically non-decreasing total."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "key", "value")
 
     kind = COUNTER
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = ()):
         self.name = name
         self.labels = labels
+        #: The canonical series key, formatted once.
+        self.key = series_key(name, labels)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -95,10 +112,6 @@ class Counter:
             )
         self.value = value
 
-    @property
-    def key(self) -> str:
-        return series_key(self.name, self.labels)
-
     def sample_items(self) -> Iterator[Tuple[str, float]]:
         yield self.key, self.value
 
@@ -109,13 +122,14 @@ class Counter:
 class Gauge:
     """An instantaneous level; goes up and down."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "key", "value")
 
     kind = GAUGE
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = ()):
         self.name = name
         self.labels = labels
+        self.key = series_key(name, labels)
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -126,10 +140,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
-
-    @property
-    def key(self) -> str:
-        return series_key(self.name, self.labels)
 
     def sample_items(self) -> Iterator[Tuple[str, float]]:
         yield self.key, self.value
@@ -146,7 +156,17 @@ class Histogram:
     memory footprint is constant regardless of sample count.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum")
+    __slots__ = (
+        "name",
+        "labels",
+        "key",
+        "_count_key",
+        "_sum_key",
+        "bounds",
+        "bucket_counts",
+        "count",
+        "sum",
+    )
 
     kind = HISTOGRAM
 
@@ -165,6 +185,9 @@ class Histogram:
             raise TelemetryError(f"histogram {name} bounds must be ascending")
         self.name = name
         self.labels = labels
+        self.key = series_key(name, labels)
+        self._count_key = series_key(name + "_count", labels)
+        self._sum_key = series_key(name + "_sum", labels)
         self.bounds = bounds
         #: Per-bucket counts; the final slot is the overflow (+Inf) bucket.
         self.bucket_counts = [0] * (len(bounds) + 1)
@@ -186,14 +209,10 @@ class Histogram:
         out.append((float("inf"), self.count))
         return out
 
-    @property
-    def key(self) -> str:
-        return series_key(self.name, self.labels)
-
     def sample_items(self) -> Iterator[Tuple[str, float]]:
         """Timeline view: the derived ``_count`` and ``_sum`` series."""
-        yield series_key(self.name + "_count", self.labels), float(self.count)
-        yield series_key(self.name + "_sum", self.labels), self.sum
+        yield self._count_key, float(self.count)
+        yield self._sum_key, self.sum
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.key}, n={self.count}, sum={self.sum:.1f})"
@@ -218,6 +237,9 @@ class MetricsRegistry:
         self._series: Dict[str, object] = {}
         #: family name -> series keys in creation order
         self._family_series: Dict[str, List[str]] = {}
+        #: raw call (kind, name, label items as passed) -> series; see
+        #: :func:`_call_key`.
+        self._calls: Dict[tuple, object] = {}
         self._sources: List[SourceFn] = []
 
     # ------------------------------------------------------------------
@@ -237,29 +259,17 @@ class MetricsRegistry:
             self._families[name] = (kind, help_text)
 
     def counter(self, name: str, help: str = "", **labels: object) -> Counter:
-        frozen = _freeze_labels(labels)
-        key = series_key(name, frozen)
-        metric = self._series.get(key)
+        call = _call_key(COUNTER, name, labels)
+        metric = self._calls.get(call)
         if metric is None:
-            self._register_family(COUNTER, name, help)
-            metric = Counter(name, frozen)
-            self._series[key] = metric
-            self._family_series[name].append(key)
-        elif metric.kind != COUNTER:
-            raise TelemetryError(f"series {key} is a {metric.kind}, not a counter")
+            metric = self._get_or_create(call, Counter, name, help, labels)
         return metric
 
     def gauge(self, name: str, help: str = "", **labels: object) -> Gauge:
-        frozen = _freeze_labels(labels)
-        key = series_key(name, frozen)
-        metric = self._series.get(key)
+        call = _call_key(GAUGE, name, labels)
+        metric = self._calls.get(call)
         if metric is None:
-            self._register_family(GAUGE, name, help)
-            metric = Gauge(name, frozen)
-            self._series[key] = metric
-            self._family_series[name].append(key)
-        elif metric.kind != GAUGE:
-            raise TelemetryError(f"series {key} is a {metric.kind}, not a gauge")
+            metric = self._get_or_create(call, Gauge, name, help, labels)
         return metric
 
     def histogram(
@@ -269,16 +279,37 @@ class MetricsRegistry:
         bounds: Optional[Tuple[float, ...]] = None,
         **labels: object,
     ) -> Histogram:
+        call = _call_key(HISTOGRAM, name, labels)
+        metric = self._calls.get(call)
+        if metric is None:
+            metric = self._get_or_create(call, Histogram, name, help, labels, bounds)
+        return metric
+
+    def _get_or_create(
+        self,
+        call: Optional[tuple],
+        cls: type,
+        name: str,
+        help_text: str,
+        labels: Dict[str, object],
+        *extra: object,
+    ):
+        """The uncached lookup: freeze the labels, build the key, check
+        the kind, register the family on first use.  A series that
+        already exists keeps its help text and bounds, so a cache hit
+        that skips this path changes nothing."""
         frozen = _freeze_labels(labels)
         key = series_key(name, frozen)
         metric = self._series.get(key)
         if metric is None:
-            self._register_family(HISTOGRAM, name, help)
-            metric = Histogram(name, frozen, bounds=bounds)
+            self._register_family(cls.kind, name, help_text)
+            metric = cls(name, frozen, *extra)
             self._series[key] = metric
             self._family_series[name].append(key)
-        elif metric.kind != HISTOGRAM:
-            raise TelemetryError(f"series {key} is a {metric.kind}, not a histogram")
+        elif metric.kind != cls.kind:
+            raise TelemetryError(f"series {key} is a {metric.kind}, not a {cls.kind}")
+        if call is not None:
+            self._calls[call] = metric
         return metric
 
     # ------------------------------------------------------------------

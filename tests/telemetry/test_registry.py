@@ -117,3 +117,102 @@ class TestRegistry:
         reg.collect(42.0)
         assert seen == [42.0]
         assert reg.gauge("repro_pulled").value == 42.0
+
+
+class TestLookupCache:
+    """The registry caches get-or-create calls; a cached lookup must
+    resolve exactly as the uncached path would."""
+
+    def test_kind_conflict_still_raises_after_a_cache_hit(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("repro_x_total", type=1)
+        assert reg.counter("repro_x_total", type=1) is counter  # cache hit
+        with pytest.raises(TelemetryError, match="not a gauge"):
+            reg.gauge("repro_x_total", type=1)
+        with pytest.raises(TelemetryError, match="not a histogram"):
+            reg.histogram("repro_x_total", type=1)
+        with pytest.raises(TelemetryError, match="already registered as counter"):
+            reg.gauge("repro_x_total", type=2)
+        assert reg.counter("repro_x_total", type=1) is counter
+
+    def test_int_and_str_labels_resolve_to_one_series(self):
+        reg = MetricsRegistry()
+        as_int = reg.histogram("repro_lat_us", type=1)
+        assert reg.histogram("repro_lat_us", type="1") is as_int
+        assert reg.histogram("repro_lat_us", type=1) is as_int
+        assert len(reg) == 1
+
+    def test_keyword_order_resolves_to_one_series(self):
+        reg = MetricsRegistry()
+        first = reg.gauge("repro_depth", queue="central", server=3)
+        assert reg.gauge("repro_depth", server=3, queue="central") is first
+        assert reg.gauge("repro_depth", server="3", queue="central") is first
+        assert len(reg) == 1
+
+    def test_equal_values_that_print_differently_stay_apart(self):
+        # 1 == 1.0 == True, but each freezes to a different label value.
+        reg = MetricsRegistry()
+        as_int = reg.counter("repro_x_total", type=1)
+        as_float = reg.counter("repro_x_total", type=1.0)
+        as_bool = reg.counter("repro_x_total", type=True)
+        assert len({id(as_int), id(as_float), id(as_bool)}) == 3
+        assert [m.key for m in reg.series()] == [
+            'repro_x_total{type="1"}',
+            'repro_x_total{type="1.0"}',
+            'repro_x_total{type="True"}',
+        ]
+        assert reg.counter("repro_x_total", type=1.0) is as_float
+        assert reg.counter("repro_x_total", type=True) is as_bool
+
+    def test_unhashable_label_value_is_accepted(self):
+        reg = MetricsRegistry()
+        gauge = reg.gauge("repro_odd", tag=[1, 2])
+        assert gauge.labels == (("tag", "[1, 2]"),)
+        assert reg.gauge("repro_odd", tag=[1, 2]) is gauge
+        assert reg.gauge("repro_odd", tag="[1, 2]") is gauge
+        assert len(reg) == 1
+
+    def test_precomputed_keys_match_series_key(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("repro_x_total", type=1, a="z")
+        gauge = reg.gauge("repro_level")
+        hist = reg.histogram("repro_lat_us", type=0)
+        assert counter.key == series_key("repro_x_total", (("a", "z"), ("type", "1")))
+        assert gauge.key == series_key("repro_level", ())
+        assert hist.key == series_key("repro_lat_us", (("type", "0"),))
+        hist.observe(2.0)
+        assert list(hist.sample_items()) == [
+            (series_key("repro_lat_us_count", hist.labels), 1.0),
+            (series_key("repro_lat_us_sum", hist.labels), 2.0),
+        ]
+        assert [key for key, _, _ in reg.sample_items()] == [
+            'repro_x_total{a="z",type="1"}',
+            "repro_level",
+            'repro_lat_us_count{type="0"}',
+            'repro_lat_us_sum{type="0"}',
+        ]
+
+    def test_dump_round_trip_is_unchanged(self):
+        from repro.telemetry.export import (
+            prometheus_text,
+            registry_dump,
+            registry_from_dump,
+        )
+
+        reg = MetricsRegistry()
+        reg.counter("repro_x_total", "Things.", type=1).inc(2)
+        reg.counter("repro_x_total", "Things.", type="0").inc()
+        reg.gauge("repro_level", "Level.", server=4, queue="central").set(3)
+        reg.gauge("repro_odd", tag=[1]).set(-1)
+        reg.histogram("repro_lat_us", "Latency.", bounds=(1.0, 10.0), type=0).observe(5.0)
+        dump = registry_dump(reg)
+        rebuilt = registry_from_dump(dump)
+        assert registry_dump(rebuilt) == dump
+        assert prometheus_text(rebuilt) == prometheus_text(reg)
+        assert [m.key for m in rebuilt.series()] == [m.key for m in reg.series()]
+        assert dump[0]["series"] == [
+            {"labels": [["type", "1"]], "value": 2.0},
+            {"labels": [["type", "0"]], "value": 1.0},
+        ]
+        # The rebuilt registry resolves raw calls onto its restored series.
+        assert rebuilt.counter("repro_x_total", type=1) is rebuilt.get('repro_x_total{type="1"}')
