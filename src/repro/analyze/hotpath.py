@@ -31,7 +31,9 @@ slow idioms inside that set:
 the pass works on fixture trees as well as the shipped package: the
 event loop's ``run``/``Server.ingress`` by qualname, every scheduler
 contract method (classes providing both ``on_request`` and
-``on_worker_free``), classifier ``classify``/``_classify`` pairs, and —
+``on_worker_free``), classifier ``classify``/``_classify`` pairs, the
+loop hook and per-request push hooks of every observer (a class
+defining ``on_loop_event``), and —
 most importantly — **every callback passed to a scheduling call**
 (``call_at``/``call_after``/``schedule_service_event``) anywhere in the
 program: anything booked on the loop runs on the loop.  Reachability
@@ -68,6 +70,20 @@ SCHEDULER_HOT_METHODS = (
     "_complete",
     "completion_hook",
     "drop",
+)
+
+#: Methods treated as hot on every observer-shaped class (a class that
+#: defines ``on_loop_event``, which the event loop calls after every
+#: event): the loop hook itself plus the per-request push hooks.  Hook
+#: sites reach observers through attributes (``self.tracer``) that call
+#: resolution cannot follow, so the roots are named here.
+OBSERVER_HOT_METHODS = (
+    "on_loop_event",
+    "on_ingress",
+    "on_classified",
+    "on_dispatch",
+    "on_complete",
+    "on_drop",
 )
 
 #: Qualnames that are hot by construction.
@@ -147,6 +163,11 @@ def _structural_roots(program: Program) -> List[FunctionInfo]:
         on_free = program.resolve_method(cls, "on_worker_free")
         if on_request is not None and on_free is not None:
             for name in SCHEDULER_HOT_METHODS:
+                method = program.resolve_method(cls, name)
+                if method is not None:
+                    roots[method.key] = method
+        if "on_loop_event" in cls.methods:
+            for name in OBSERVER_HOT_METHODS:
                 method = program.resolve_method(cls, name)
                 if method is not None:
                     roots[method.key] = method

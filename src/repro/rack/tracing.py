@@ -1,11 +1,10 @@
-"""Rack-scale span tracing: a per-replica :class:`Tracer` tee.
+"""Rack-scale span tracing: one :class:`Tracer` per replica.
 
-A rack run has N full servers behind one balancer, but the event loop
-holds a single tracer slot and a :class:`~repro.trace.tracer.Tracer`
-samples exactly one server.  :class:`RackTracer` bridges the gap: it
-owns one plain tracer per replica (each wired to its server's hooks but
-*not* to the loop), occupies the loop's tracer slot itself, and fans
-:meth:`on_loop_event` out so every replica keeps its periodic samples.
+A rack run has N full servers behind one balancer, and a
+:class:`~repro.trace.tracer.Tracer` samples exactly one server.
+:class:`RackTracer` owns one plain tracer per replica, each wired to its
+server's hooks and attached to the shared loop as an observer of its
+own, so every replica keeps its periodic samples.
 
 On top of the per-replica spans it records the **balancer decision
 log**: one ``route`` entry per arriving request — replica chosen, the
@@ -57,7 +56,8 @@ class RackTracer:
     # wiring
     # ------------------------------------------------------------------
     def install(self, loop, servers, views, balancer) -> None:
-        """Attach to a rack: loop slot, per-replica tracers, route sink."""
+        """Attach to a rack: per-replica tracers (each a loop observer)
+        and the balancer's route sink."""
         if self._loop is not None:
             raise TraceError("rack tracer already installed; use one per run")
         if not servers:
@@ -66,13 +66,12 @@ class RackTracer:
         self._servers = list(servers)
         self._views = views
         self._n_workers = max(len(s.workers) for s in self._servers)
-        loop.attach_tracer(self)
         for server in self._servers:
             tracer = Tracer(
                 sample_interval_us=self.sample_interval_us,
                 tail_pct=self.tail_pct,
             )
-            tracer.install(loop, server, attach_loop=False)
+            tracer.install(loop, server)
             self.tracers.append(tracer)
         balancer.attach_decision_sink(self.on_route)
 
@@ -88,11 +87,6 @@ class RackTracer:
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
-    def on_loop_event(self, loop) -> None:
-        """Fan the loop's post-event notification out to every replica."""
-        for tracer in self.tracers:
-            tracer.on_loop_event(loop)
-
     def on_route(self, request, index: int) -> None:
         """One balancer routing decision (the balancer's sink)."""
         viewed, age = self._views.peek(index)

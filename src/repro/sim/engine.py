@@ -27,27 +27,26 @@ Design notes
   via :meth:`EventLoop.attach_sanitizer`; the loop then reports every
   executed event (and heap drain) to it.  With no sanitizer attached the
   cost is a single ``is None`` test per event.
-* An optional :class:`~repro.trace.tracer.Tracer` may be attached via
-  :meth:`EventLoop.attach_tracer`; the loop notifies it after every
-  executed event, which is how the tracer takes its periodic
-  queue-depth/worker-state samples *without scheduling events of its
-  own* — the heap contents, and therefore the simulated outcome, are
-  identical with tracing on or off.  When detached the cost is again a
-  single ``is None`` test per event.
-* The same piggyback contract powers :mod:`repro.telemetry`: an optional
-  :class:`~repro.telemetry.probe.TelemetryProbe`
-  (:meth:`EventLoop.attach_telemetry`) is notified after every executed
-  event and scrapes metrics on virtual time, and an optional
-  :class:`~repro.telemetry.profiler.SelfProfiler`
+* Read-only *observers* — a :class:`~repro.trace.tracer.Tracer`, a
+  :class:`~repro.telemetry.probe.TelemetryProbe`, one tracer per rack
+  replica — attach with :meth:`EventLoop.attach_observer` and are kept
+  in one ordered tuple.  After every executed event the loop calls each
+  observer's ``on_loop_event(loop)``, in attach order; that is how they
+  take periodic samples and scrapes *without scheduling events of their
+  own*, so the heap contents, and therefore the simulated outcome, are
+  identical with observers on or off.  With none attached the cost is a
+  single truthiness test per event.
+* An optional :class:`~repro.telemetry.profiler.SelfProfiler`
   (:meth:`EventLoop.attach_profiler`) wraps event execution to attribute
-  the simulator's own wall-clock cost per handler type.  Neither touches
-  the heap, so simulated outcomes stay bit-identical.
+  the simulator's own wall-clock cost per handler type.  Like the
+  observers it never touches the heap, so simulated outcomes stay
+  bit-identical.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from ..errors import SimulationError
 from .events import Event
@@ -77,8 +76,7 @@ class EventLoop:
         self._running = False
         self._stopped = False
         self._sanitizer = None
-        self._tracer = None
-        self._telemetry = None
+        self._observers: Tuple[Any, ...] = ()
         self._profiler = None
 
     @property
@@ -149,39 +147,24 @@ class EventLoop:
         self._sanitizer = sanitizer
 
     @property
-    def tracer(self):
-        """The attached :class:`~repro.trace.tracer.Tracer`, or None."""
-        return self._tracer
+    def observers(self) -> Tuple[Any, ...]:
+        """The attached observers, in the order they are notified."""
+        return self._observers
 
-    def attach_tracer(self, tracer) -> None:
+    def attach_observer(self, observer) -> None:
         """Install an observer notified after every executed event.
 
-        The tracer is strictly read-only: it samples queue depths and
-        worker states but never schedules events or mutates state, so
-        attaching one cannot change the simulated outcome.  Pass ``None``
-        to detach; attaching over a different tracer raises.
+        An observer defines ``on_loop_event(loop)`` and is strictly
+        read-only: it samples simulated state but never schedules events
+        or mutates state, so attaching one cannot change the simulated
+        outcome.  Observers are notified in attach order; attaching the
+        same observer twice raises.
         """
-        if tracer is not None and self._tracer is not None and tracer is not self._tracer:
-            raise SimulationError("a tracer is already attached to this loop")
-        self._tracer = tracer
-
-    @property
-    def telemetry(self):
-        """The attached :class:`~repro.telemetry.probe.TelemetryProbe`,
-        or None."""
-        return self._telemetry
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Install a metrics probe notified after every executed event.
-
-        Like the tracer, the probe is a pure observer — it scrapes
-        simulated state on virtual time but never schedules events, so
-        attaching one cannot change the simulated outcome.  Pass
-        ``None`` to detach; attaching over a different probe raises.
-        """
-        if telemetry is not None and self._telemetry is not None and telemetry is not self._telemetry:
-            raise SimulationError("a telemetry probe is already attached to this loop")
-        self._telemetry = telemetry
+        if not callable(getattr(observer, "on_loop_event", None)):
+            raise SimulationError(f"{observer!r} has no on_loop_event(loop) hook")
+        if any(attached is observer for attached in self._observers):
+            raise SimulationError(f"{observer!r} is already attached to this loop")
+        self._observers += (observer,)
 
     @property
     def profiler(self):
@@ -239,8 +222,7 @@ class EventLoop:
         heap = self._heap
         heappop = heapq.heappop
         sanitizer = self._sanitizer
-        tracer = self._tracer
-        telemetry = self._telemetry
+        observers = self._observers
         profiler = self._profiler
         executed = 0
         try:
@@ -267,10 +249,9 @@ class EventLoop:
                 executed += 1
                 if sanitizer is not None:
                     sanitizer.after_event(self, event)
-                if tracer is not None:
-                    tracer.on_loop_event(self)
-                if telemetry is not None:
-                    telemetry.on_loop_event(self)
+                if observers:
+                    for observer in observers:
+                        observer.on_loop_event(self)
                 if self._stopped:
                     break
             if sanitizer is not None:

@@ -75,6 +75,18 @@ class TelemetryProbe:
         self.evictions = 0
         self.steals = 0
         self.reservation_updates = 0
+        # Push-hook series, bound on first use so that series creation
+        # order (and with it export order) is the unbound order.
+        #: type id -> (completed counter, latency histogram)
+        self._completion_series: Dict[Any, Tuple[Any, Any]] = {}
+        #: type id -> dropped counter
+        self._drop_series: Dict[Any, Any] = {}
+        #: requeued flag -> eviction counter
+        self._evict_series: Dict[bool, Any] = {}
+        #: fault kind -> fault-event counter
+        self._fault_series: Dict[str, Any] = {}
+        self._preempt_series: Optional[Tuple[Any, Any]] = None
+        self._steal_series: Optional[Tuple[Any, Any]] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -93,7 +105,7 @@ class TelemetryProbe:
         self._server = server
         self._injector = injector
         self._last_scrape_at = loop.now
-        loop.attach_telemetry(self)
+        loop.attach_observer(self)
         if server is not None:
             server.attach_telemetry(self)
         self.tail_monitor.register_gauges(self.registry)
@@ -120,61 +132,99 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     def on_complete(self, request, worker) -> None:
         """``request`` finished application processing on ``worker``."""
+        loop = self._loop
+        if loop is None:
+            raise TelemetryError("probe not installed")
         tid = request.type_id
-        self.registry.counter(
-            "repro_requests_completed_total",
-            "Requests completed by the server, by type.",
-            type=tid,
-        ).inc()
-        latency = self.now - request.arrival_time
-        self.registry.histogram(
-            "repro_request_latency_us",
-            "End-to-end request latency (arrival to completion), by type.",
-            type=tid,
-        ).observe(latency)
+        series = self._completion_series.get(tid)
+        if series is None:
+            series = self._bind_completion(tid)
+        completed, latencies = series
+        completed.inc()
+        latency = loop.now - request.arrival_time
+        latencies.observe(latency)
         self.tail_monitor.observe(tid, latency)
         self.completions += 1
 
+    def _bind_completion(self, tid) -> Tuple[Any, Any]:
+        series = (
+            self.registry.counter(
+                "repro_requests_completed_total",
+                "Requests completed by the server, by type.",
+                type=tid,
+            ),
+            self.registry.histogram(
+                "repro_request_latency_us",
+                "End-to-end request latency (arrival to completion), by type.",
+                type=tid,
+            ),
+        )
+        self._completion_series[tid] = series
+        return series
+
     def on_drop(self, request) -> None:
         """A scheduling policy's flow control rejected ``request``."""
-        self.registry.counter(
-            "repro_requests_dropped_total",
-            "Requests rejected by policy flow control, by type.",
-            type=request.type_id,
-        ).inc()
+        tid = request.type_id
+        dropped = self._drop_series.get(tid)
+        if dropped is None:
+            dropped = self._drop_series[tid] = self.registry.counter(
+                "repro_requests_dropped_total",
+                "Requests rejected by policy flow control, by type.",
+                type=tid,
+            )
+        dropped.inc()
         self.drops += 1
 
     def on_preempt(self, request, worker, overhead_us: float) -> None:
         """A preemptive policy sliced ``request`` off ``worker``."""
-        self.registry.counter(
-            "repro_preemptions_total",
-            "Time-sharing quantum preemptions.",
-        ).inc()
-        self.registry.counter(
-            "repro_preempt_overhead_us_total",
-            "Cumulative worker time burned on preemption costs (us).",
-        ).inc(overhead_us)
+        series = self._preempt_series
+        if series is None:
+            registry = self.registry
+            series = self._preempt_series = (
+                registry.counter(
+                    "repro_preemptions_total",
+                    "Time-sharing quantum preemptions.",
+                ),
+                registry.counter(
+                    "repro_preempt_overhead_us_total",
+                    "Cumulative worker time burned on preemption costs (us).",
+                ),
+            )
+        preemptions, overhead = series
+        preemptions.inc()
+        overhead.inc(overhead_us)
         self.preemptions += 1
 
     def on_evict(self, request, worker, requeued: bool) -> None:
         """``worker`` crashed under ``request``; progress was lost."""
-        self.registry.counter(
-            "repro_evictions_total",
-            "In-flight requests evicted by worker crashes.",
-            requeued="true" if requeued else "false",
-        ).inc()
+        evictions = self._evict_series.get(requeued)
+        if evictions is None:
+            evictions = self._evict_series[requeued] = self.registry.counter(
+                "repro_evictions_total",
+                "In-flight requests evicted by worker crashes.",
+                requeued="true" if requeued else "false",
+            )
+        evictions.inc()
         self.evictions += 1
 
     def on_steal(self, request, thief, victim_worker_id: int, cost_us: float) -> None:
         """An idle worker stole the head of a victim's queue."""
-        self.registry.counter(
-            "repro_steals_total",
-            "Successful work-steal operations.",
-        ).inc()
-        self.registry.counter(
-            "repro_steal_cost_us_total",
-            "Cumulative cross-core coordination time spent stealing (us).",
-        ).inc(cost_us)
+        series = self._steal_series
+        if series is None:
+            registry = self.registry
+            series = self._steal_series = (
+                registry.counter(
+                    "repro_steals_total",
+                    "Successful work-steal operations.",
+                ),
+                registry.counter(
+                    "repro_steal_cost_us_total",
+                    "Cumulative cross-core coordination time spent stealing (us).",
+                ),
+            )
+        steals, cost = series
+        steals.inc()
+        cost.inc(cost_us)
         self.steals += 1
 
     def on_reservation(self, reservation, reserved_counts: Dict[int, int], n_alive: int) -> None:
@@ -219,11 +269,14 @@ class TelemetryProbe:
 
     def on_fault(self, kind: str, **payload: Any) -> None:
         """A fault-injection event fired (crash/recover/slowdown/...)."""
-        self.registry.counter(
-            "repro_fault_events_total",
-            "Fault-plan events executed, by kind.",
-            kind=kind,
-        ).inc()
+        events = self._fault_series.get(kind)
+        if events is None:
+            events = self._fault_series[kind] = self.registry.counter(
+                "repro_fault_events_total",
+                "Fault-plan events executed, by kind.",
+                kind=kind,
+            )
+        events.inc()
 
     # ------------------------------------------------------------------
     # the scrape loop (piggybacked on executed events)
@@ -231,10 +284,8 @@ class TelemetryProbe:
     def on_loop_event(self, loop) -> None:
         """Notified by the event loop after every executed event."""
         now = loop.now
-        if (
-            self._last_scrape_at is not None
-            and now - self._last_scrape_at < self.scrape_interval_us
-        ):
+        last = self._last_scrape_at
+        if last is not None and now - last < self.scrape_interval_us:
             return
         self._last_scrape_at = now
         self.scrape(now)
@@ -266,11 +317,12 @@ class TelemetryProbe:
         loop = self._loop
         if loop is None:
             return
-        self.registry.counter(
+        registry = self.registry
+        registry.counter(
             "repro_sim_events_processed_total",
             "Events executed by the discrete-event loop.",
         ).set_total(loop.events_processed)
-        self.registry.gauge(
+        registry.gauge(
             "repro_sim_pending_events",
             "Events in the loop heap (including lazily cancelled ones).",
         ).set(loop.pending_count)
@@ -279,11 +331,12 @@ class TelemetryProbe:
         server = self._server
         if server is None:
             return
-        self.registry.counter(
+        registry = self.registry
+        registry.counter(
             "repro_server_received_total",
             "Requests that reached Server.ingress.",
         ).set_total(server.received)
-        self.registry.counter(
+        registry.counter(
             "repro_dispatcher_drops_total",
             "Requests dropped by the dispatcher's inbound queue (NIC ring).",
         ).set_total(server.dispatcher_drops)
@@ -297,16 +350,16 @@ class TelemetryProbe:
                 free += 1
             if not w.failed and w.speed_factor != 1.0:
                 slowed += 1
-        self.registry.gauge(
+        registry.gauge(
             "repro_workers_busy", "Workers currently serving a request."
         ).set(busy)
-        self.registry.gauge(
+        registry.gauge(
             "repro_workers_free", "Workers currently idle."
         ).set(free)
-        self.registry.gauge(
+        registry.gauge(
             "repro_workers_failed", "Workers currently crashed."
         ).set(failed)
-        self.registry.gauge(
+        registry.gauge(
             "repro_workers_slowed",
             "Live workers currently running degraded (speed_factor != 1).",
         ).set(slowed)
@@ -316,15 +369,17 @@ class TelemetryProbe:
         if server is None:
             return
         scheduler = server.scheduler
-        self.registry.gauge(
+        registry = self.registry
+        registry.gauge(
             "repro_scheduler_pending",
             "Requests queued at the scheduler (not being served).",
         ).set(scheduler.pending_count())
         for label_key, label_value, depth in _queue_depths(scheduler):
-            self.registry.gauge(
+            registry.gauge(
                 "repro_queue_depth",
                 "Scheduler queue depth, by typed queue / worker queue.",
-                **{label_key: label_value},
+                # Once per queue per scrape interval, not once per event.
+                **{label_key: label_value},  # repro-analyze: disable=A401
             ).set(depth)
 
     def _pull_recorder(self, now: float) -> None:
@@ -332,16 +387,19 @@ class TelemetryProbe:
         if server is None:
             return
         recorder = server.recorder
-        self.registry.counter(
+        registry = self.registry
+        registry.counter(
             "repro_recorder_completions_total",
             "Completion rows booked by the Recorder.",
         ).set_total(recorder.completed)
-        self.registry.counter(
+        registry.counter(
             "repro_recorder_drops_total",
             "Drops booked by the Recorder (policy + dispatcher).",
         ).set_total(recorder.dropped)
-        for key, value in sorted(recorder.orphan_counters().items()):
-            self.registry.counter(
+        # Sorted once per scrape interval, not once per event.
+        orphans = sorted(recorder.orphan_counters().items())  # repro-analyze: disable=A401
+        for key, value in orphans:
+            registry.counter(
                 "repro_recorder_orphans_total",
                 "Orphan-request ledger (resilience layer), by kind.",
                 kind=key,
@@ -351,8 +409,11 @@ class TelemetryProbe:
         injector = self._injector
         if injector is None:
             return
-        for key, value in sorted(injector.counters().items()):
-            self.registry.counter(
+        registry = self.registry
+        # Sorted once per scrape interval, not once per event.
+        totals = sorted(injector.counters().items())  # repro-analyze: disable=A401
+        for key, value in totals:
+            registry.counter(
                 "repro_fault_injector_total",
                 "Fault-injector lifetime counters, by kind.",
                 kind=key,
@@ -490,7 +551,8 @@ def _queue_depths(scheduler) -> List[Tuple[str, str, int]]:
     out: List[Tuple[str, str, int]] = []
     queues = getattr(scheduler, "queues", None)
     if isinstance(queues, dict):
-        for tid in sorted(queues):
+        # Sorted once per scrape interval, not once per event.
+        for tid in sorted(queues):  # repro-analyze: disable=A401
             out.append(("type", str(tid), len(queues[tid])))
     elif isinstance(queues, list):
         for index, queue in enumerate(queues):

@@ -129,32 +129,29 @@ class Tracer:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def install(self, loop, server, injector=None, attach_loop: bool = True) -> None:
+    def install(self, loop, server, injector=None) -> None:
         """Attach this tracer to a loop + server (+ optional injector).
 
-        Idempotent per run; a tracer observes exactly one run.
-
-        ``attach_loop=False`` wires the server hooks but leaves the
-        loop's single tracer slot free — for multiplexers like
-        :class:`repro.rack.tracing.RackTracer` that occupy the slot
-        themselves and forward :meth:`on_loop_event` to each replica's
-        tracer.
+        Idempotent per run; a tracer observes exactly one run.  The
+        tracer joins the loop's observers, so several tracers (one per
+        rack replica) can share one loop.
         """
         if self._loop is not None:
             raise TraceError("tracer already installed; use one tracer per run")
         self._loop = loop
         self._server = server
         self._last_sample_at = loop.now
-        if attach_loop:
-            loop.attach_tracer(self)
+        loop.attach_observer(self)
         server.attach_tracer(self)
         if injector is not None:
             injector.attach_tracer(self)
 
     @property
     def now(self) -> float:
-        assert self._loop is not None, "tracer not installed"
-        return self._loop.now
+        loop = self._loop
+        if loop is None:
+            raise TraceError("tracer not installed")
+        return loop.now
 
     def _span(self, rid: int) -> Span:
         span = self.spans.get(rid)
@@ -232,7 +229,8 @@ class Tracer:
         span.overhead_us = request.overhead_time
         span.set_terminal(COMPLETE, now)
         self.completions += 1
-        self.tail_monitor.observe(span.type_id, span.latency)
+        # ``span.latency``, without re-checking the terminal just set.
+        self.tail_monitor.observe(span.type_id, now - span.arrival)
 
     def on_drop(self, request) -> None:
         """A scheduling policy's flow control rejected ``request``."""
@@ -282,10 +280,8 @@ class Tracer:
     def on_loop_event(self, loop) -> None:
         """Notified by the event loop after every executed event."""
         now = loop.now
-        if (
-            self._last_sample_at is not None
-            and now - self._last_sample_at < self.sample_interval_us
-        ):
+        last = self._last_sample_at
+        if last is not None and now - last < self.sample_interval_us:
             return
         self._last_sample_at = now
         self._take_sample(now)
@@ -306,8 +302,11 @@ class Tracer:
         depths: Optional[Dict[int, int]] = None
         queues = getattr(scheduler, "queues", None)
         if isinstance(queues, dict):
-            depths = {
-                int(tid): len(queues[tid]) for tid in sorted(queues) if queues[tid]
+            # Built once per sample interval, not once per event.
+            depths = {  # repro-analyze: disable=A401
+                int(tid): len(queues[tid])
+                for tid in sorted(queues)  # repro-analyze: disable=A401
+                if queues[tid]
             }
         self.samples.append(
             WorkerSample(now, scheduler.pending_count(), busy, free, failed, depths)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.analyze.hotpath import (
+    OBSERVER_HOT_METHODS,
     analyze_hotpath,
     function_weights,
     hot_functions,
@@ -139,6 +140,75 @@ class TestHotRoots:
         hot = hot_functions(program)
         assert "gen.Generator._emit" in hot
         assert "gen.Generator.start" not in hot
+
+    def test_observer_hooks_are_roots(self, build):
+        program = build(
+            {
+                "observe.py": """
+                class Probe:
+                    def on_loop_event(self, loop):
+                        return self._scrape(loop)
+
+                    def _scrape(self, loop):
+                        return loop
+
+                    def on_ingress(self, request, sched_at):
+                        return request
+
+                    def on_complete(self, request, worker):
+                        return self._book(request)
+
+                    def _book(self, request):
+                        return request
+
+                    def on_preempt(self, request, worker, overhead_us):
+                        return request
+
+                    def report(self):
+                        return [1, 2, 3]
+
+
+                class Sink:
+                    def on_complete(self, request, worker):
+                        return request
+                """
+            }
+        )
+        keys = {fn.key for fn in hot_roots(program)}
+        assert {
+            "observe.Probe.on_loop_event",
+            "observe.Probe.on_ingress",
+            "observe.Probe.on_complete",
+        } <= keys
+        hot = hot_functions(program)
+        assert "observe.Probe._scrape" in hot
+        assert "observe.Probe._book" in hot
+        # Rare hooks, cold helpers, and classes the loop never notifies
+        # are not roots.
+        assert "observe.Probe.on_preempt" not in hot
+        assert "observe.Probe.report" not in hot
+        assert "observe.Sink.on_complete" not in hot
+
+    def test_shipped_observers_are_roots(self):
+        import os
+
+        import repro
+        from repro.analyze.model import build_program
+        from repro.lint.runner import iter_python_files
+
+        package = os.path.dirname(repro.__file__)
+        root = os.path.dirname(package)
+        program = build_program(iter_python_files([package]), root=root)
+        keys = {fn.key for fn in hot_roots(program)}
+        tracer = "repro.trace.tracer.Tracer"
+        probe = "repro.telemetry.probe.TelemetryProbe"
+        for hook in OBSERVER_HOT_METHODS:
+            assert f"{tracer}.{hook}" in keys
+        for hook in ("on_loop_event", "on_complete", "on_drop"):
+            assert f"{probe}.{hook}" in keys
+        hot = hot_functions(program)
+        assert f"{probe}._pull_server" in hot
+        assert f"{tracer}._take_sample" in hot
 
     def test_half_scheduler_is_not_a_root(self, build):
         program = build(

@@ -182,11 +182,48 @@ class TestZeroInterference:
 
 
 class TestWiring:
-    def test_one_tracer_per_loop(self):
+    def test_same_observer_attached_twice_raises(self):
         loop = EventLoop()
-        loop.attach_tracer(Tracer())
+        tracer = Tracer()
+        loop.attach_observer(tracer)
         with pytest.raises(SimulationError, match="already attached"):
-            loop.attach_tracer(Tracer())
+            loop.attach_observer(tracer)
+        assert loop.observers == (tracer,)
+
+    def test_observer_without_loop_hook_raises(self):
+        with pytest.raises(SimulationError, match="on_loop_event"):
+            EventLoop().attach_observer(object())
+
+    def test_replica_tracers_both_get_loop_events(self):
+        from repro.rack.rack import run_rack
+        from repro.rack.tracing import RackTracer
+
+        rack_tracer = RackTracer(sample_interval_us=50.0)
+        result = run_rack(
+            PersephoneSystem(n_workers=4, oracle=True),
+            high_bimodal(),
+            balancer="pow2",
+            n_servers=2,
+            n_requests=1500,
+            seed=3,
+            tracer=rack_tracer,
+        )
+        first, second = rack_tracer.tracers
+        assert first._loop is second._loop
+        assert first._loop.observers[:2] == (first, second)
+        for tracer in (first, second):
+            times = [s.time for s in tracer.samples]
+            assert len(times) >= 10
+            assert all(b - a >= 50.0 for a, b in zip(times, times[1:]))
+        assert result.recorder.completed == 1500
+
+    def test_uninstalled_tracer_hook_raises_trace_error(self):
+        tracer = Tracer()
+        request = Request(rid=1, type_id=0, service_time=1.0, arrival_time=0.0)
+        with pytest.raises(TraceError, match="not installed"):
+            tracer.on_ingress(request, 0.0)
+        with pytest.raises(TraceError, match="not installed"):
+            _ = tracer.now
 
     def test_tracer_installs_once(self):
         _, tracer = traced_run(
