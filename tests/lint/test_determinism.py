@@ -10,6 +10,7 @@ from repro.lint.determinism import check_all, check_system, digest_run
 from repro.sweep.executor import execute_cells
 from repro.sweep.orchestrator import run_plan
 from repro.sweep.planner import plan_experiment
+from repro.systems.base import SystemModel
 from repro.systems.persephone import PersephoneSystem
 from repro.systems.shenango import ShenangoSystem
 from repro.systems.shinjuku import ShinjukuSystem
@@ -732,3 +733,289 @@ class TestArrivalStreamPins:
         )
         digest = digest_outcome(result.server.recorder, result.server.loop)
         assert digest == self.LONG_RUN_DIGEST
+
+
+def _rack_draw_outcome(result):
+    """What a rack run's draws can move: the digest, the views' read
+    counters and the balancer's per-replica routing counts."""
+    return (result.digest(), result.views.counters(), list(result.balancer.route_counts))
+
+
+class TestRackDrawPins:
+    """Rack runs long enough for every per-request rack draw (the
+    balancer's sampled replicas, the session keys) to cross several
+    4,096-value blocks, through pools that shrink below the sample size,
+    and under the session balancer, the only one whose routing reads the
+    session keys.  Captured with one numpy call per draw."""
+
+    #: name -> (digest, views.counters(), route_counts).
+    PINS = {
+        "pow2-steady": (
+            "964661f6e9dafa50dd6e7ce8f6f3512f0edbf555154a822b76cf59e9bafb6be2",
+            {"stale_reads": 18327, "fresh_reads": 1673,
+             "mean_view_error": 1.8772303159273203},
+            [299, 303, 316, 321, 325, 321, 302, 300, 315, 320, 334, 305, 305, 300, 312,
+             301, 328, 309, 329, 311, 297, 315, 312, 319, 289, 330, 308, 317, 291, 322,
+             325, 319],
+        ),
+        "pow2-shrink": (
+            "2099b6fac4c0fd536767be6a5d49f0c24778aafe29ff3aeaccd9bad21b2d53a1",
+            {"stale_reads": 18368, "fresh_reads": 1263,
+             "mean_view_error": 10.619827961672474},
+            [1043, 1001, 1047, 230, 249, 230, 254, 253, 255, 241, 232, 228, 252, 221,
+             234, 228, 243, 249, 234, 234, 229, 233, 244, 249, 243, 240, 234, 223, 231,
+             245, 230, 241],
+        ),
+        "jsq-k-steady": (
+            "50ac1d7f992061fbc1626468b3325fba2aede1a00da6e3ad5804735f426d55a7",
+            {"stale_reads": 78208, "fresh_reads": 1792,
+             "mean_view_error": 3.7097867225859247},
+            [329, 308, 335, 314, 306, 286, 265, 314, 289, 324, 302, 345, 307, 335, 316,
+             307, 292, 337, 349, 291, 324, 334, 328, 301, 301, 318, 341, 322, 318, 287,
+             302, 273],
+        ),
+        "jsq-k-shrink": (
+            "387535dac16bd6e3a55b314f3313199927405aea5e6efe2ba940ffdba28cbd5a",
+            {"stale_reads": 62885, "fresh_reads": 1339,
+             "mean_view_error": 7.192287508944899},
+            [1050, 996, 1033, 283, 271, 224, 223, 260, 258, 279, 229, 240, 258, 224,
+             193, 224, 220, 220, 234, 246, 224, 246, 241, 226, 246, 244, 259, 236, 232,
+             216, 227, 238],
+        ),
+        "random-steady": (
+            "410d6225922525645feba19a85e74c387364ac2afe4b1275cf1fb669c6f9bf43",
+            {"stale_reads": 0, "fresh_reads": 0,
+             "mean_view_error": 0.0},
+            [339, 292, 324, 346, 317, 331, 290, 304, 293, 313, 300, 313, 297, 315, 318,
+             318, 293, 316, 301, 316, 324, 319, 316, 322, 350, 306, 304, 301, 276, 320,
+             307, 319],
+        ),
+        "random-shrink": (
+            "cd7b9694ba481b18792962b5f475b719464128eabfb1e626b3f27d0c3ae6967e",
+            {"stale_reads": 0, "fresh_reads": 0,
+             "mean_view_error": 0.0},
+            [1592, 965, 993, 241, 227, 233, 201, 219, 190, 238, 212, 222, 202, 205, 229,
+             225, 200, 228, 228, 233, 232, 236, 231, 229, 254, 216, 222, 208, 208, 232,
+             224, 225],
+        ),
+        "session-steady": (
+            "78b9a856164a03d2a5827a314e3d627b9bbc32d8e31795ab34a2369b6766bab9",
+            {"stale_reads": 9917, "fresh_reads": 1555,
+             "mean_view_error": 1.599778158717354},
+            [314, 320, 334, 326, 332, 307, 305, 305, 306, 327, 300, 313, 340, 316, 299,
+             334, 308, 337, 310, 292, 311, 286, 349, 269, 288, 330, 312, 311, 299, 318,
+             277, 325],
+        ),
+        "session-7-users": (
+            "6210a116ce47f12ff719b32292614066bea32c2bf0f7dad5bb4d11aacc51641a",
+            {"stale_reads": 226153, "fresh_reads": 1799,
+             "mean_view_error": 5.59004744575575},
+            [462, 433, 443, 451, 449, 480, 475, 436, 402, 431, 438, 414, 398, 326, 367,
+             404, 370, 400, 439, 307, 410, 365, 343, 267, 156, 134, 0, 0, 0, 0, 0, 0],
+        ),
+        "session-phased": (
+            "70fc1b3b8bdd7765131c6ba73d20428a3ca59fd181d8cf15b37c15b7c8f5efab",
+            {"stale_reads": 50714, "fresh_reads": 2069,
+             "mean_view_error": 6.330165240367552},
+            [1598, 1537, 1608, 1640, 1605, 1584, 1669, 1654],
+        ),
+        "session-replay": (
+            "d7d08ec3e60125b7a2f99dd85c11a3dc0e77071f01bedef7f4a5bf6046182f55",
+            {"stale_reads": 4667, "fresh_reads": 697,
+             "mean_view_error": 1.842511249196486},
+            [1243, 1327, 1209, 1221],
+        ),
+    }
+
+    @staticmethod
+    def _shrink_plan():
+        """Pool of 3 from 600 us, 2 from 800 us, 1 from 900 us (replica
+        1 crashed), back to 2 at 1,000 us, 3 at 1,100 us and all 32
+        from 1,400 us."""
+        from repro.rack.faults import (
+            RackFaultPlan,
+            RackPartition,
+            ServerCrash,
+            ServerRecover,
+        )
+
+        return RackFaultPlan([
+            RackPartition(600.0, 1_400.0, list(range(3, 32))),
+            RackPartition(800.0, 1_000.0, [2]),
+            ServerCrash(900.0, 1),
+            ServerRecover(1_100.0, 1),
+        ])
+
+    @staticmethod
+    def _run(balancer, **kwargs):
+        from repro.rack.rack import run_rack
+
+        config = dict(
+            n_servers=32,
+            utilization=0.7,
+            n_requests=10_000,
+            seed=11,
+            staleness_us=50.0,
+        )
+        config.update(kwargs)
+        return run_rack(
+            PersephoneSystem(n_workers=8), high_bimodal(), balancer=balancer, **config
+        )
+
+    @classmethod
+    def _trace(cls):
+        from repro.sim.randomness import RngRegistry
+        from repro.workload.arrivals import PoissonArrivals
+        from repro.workload.trace import record_trace
+
+        rngs = RngRegistry(seed=12)
+        return record_trace(
+            high_bimodal(),
+            PoissonArrivals(0.5),
+            5_000,
+            type_rng=rngs.stream("types"),
+            service_rng=rngs.stream("service"),
+            arrival_rng=rngs.stream("arrivals"),
+        )
+
+    @classmethod
+    def outcome(cls, name):
+        from repro.rack.load import flash_crowd_phases
+
+        if name == "pow2-steady":
+            return _rack_draw_outcome(cls._run("pow2"))
+        if name == "pow2-shrink":
+            return _rack_draw_outcome(cls._run("pow2", plan=cls._shrink_plan()))
+        if name == "jsq-k-steady":
+            return _rack_draw_outcome(cls._run("jsq-k"))
+        if name == "jsq-k-shrink":
+            return _rack_draw_outcome(cls._run("jsq-k", plan=cls._shrink_plan()))
+        if name == "random-steady":
+            return _rack_draw_outcome(cls._run("random"))
+        if name == "random-shrink":
+            return _rack_draw_outcome(cls._run("random", plan=cls._shrink_plan()))
+        if name == "session-steady":
+            return _rack_draw_outcome(cls._run("session"))
+        if name == "session-7-users":
+            return _rack_draw_outcome(cls._run("session", n_users=7))
+        if name == "session-phased":
+            phases = flash_crowd_phases(
+                high_bimodal(), base_duration_us=6_000.0, spike_duration_us=3_000.0
+            )
+            return _rack_draw_outcome(
+                cls._run("session", n_servers=8, phases=phases, seed=13)
+            )
+        if name == "session-replay":
+            return _rack_draw_outcome(
+                cls._run("session", n_servers=4, trace=cls._trace(), seed=14)
+            )
+        raise KeyError(name)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_run_matches_pin(self, name):
+        assert self.outcome(name) == self.PINS[name]
+
+    @pytest.mark.parametrize("n_users", [7, 1_000_000])
+    def test_session_stream_ends_where_scalar_draws_end(self, n_users):
+        from repro.sim.randomness import RngRegistry
+
+        result = self._run("session", n_servers=4, n_requests=5_000, n_users=n_users)
+        scalar = RngRegistry(seed=11).stream("rack.sessions")
+        for _ in range(5_000):
+            scalar.integers(0, n_users)
+        got = result.rack._session_rng.bit_generator.state
+        assert got == scalar.bit_generator.state
+
+
+class _PolicySystem(SystemModel):
+    """A four-worker system running the scheduler ``factory(spec, rngs)``
+    builds, so policies no system preset wires up still run in a rack."""
+
+    name = "policy"
+
+    def __init__(self, factory):
+        super().__init__(n_workers=4)
+        self._factory = factory
+
+    def make_scheduler(self, spec, rngs):
+        return self._factory(spec, rngs)
+
+
+def _policy_factory(name):
+    from repro.core.static import DarcStatic
+    from repro.policies.fcfs import DecentralizedFCFS, WorkStealingFCFS
+    from repro.policies.typed import (
+        DeficitRoundRobin,
+        FixedPriority,
+        StaticPartitioning,
+    )
+
+    return {
+        "d-fcfs": lambda spec, rngs: DecentralizedFCFS(rng=rngs.stream("rss")),
+        "ws-fcfs": lambda spec, rngs: WorkStealingFCFS(
+            rng=rngs.stream("rss"), victim="random"
+        ),
+        "fixed-priority": lambda spec, rngs: FixedPriority(spec.type_specs()),
+        "drr": lambda spec, rngs: DeficitRoundRobin(
+            spec.type_specs(), weights={1: 10.0}
+        ),
+        "static-partitioning": lambda spec, rngs: StaticPartitioning(spec.type_specs()),
+        "darc-static": lambda spec, rngs: DarcStatic(spec.type_specs(), n_reserved=2),
+    }[name]
+
+
+class TestPendingCounterPins:
+    """Oracle-view rack runs whose every routing decision reads each
+    scanning policy's ``pending_count()``, steady and through the
+    crashes, recoveries and partitions of ``TestRackCounterParity``
+    (crash victims re-enter the scheduler's queues).  Captured with
+    ``pending_count()`` summing the queues."""
+
+    #: (policy, mode) -> digest.
+    PINS = {
+        ("d-fcfs", "steady"):
+            "b8a71f08411c5f0256c5ba2bed432f5d1cb489ec34b761e25ca891030aafb79a",
+        ("d-fcfs", "faults"):
+            "5362068e93ec1b885434cf31fa18ce5f78a91a6058a7ad5cd4b4a7a5d6ffa4db",
+        ("ws-fcfs", "steady"):
+            "56eecf1f78fe2e71879c0330df4434f359b04a800824289edefa2d455b4e07f2",
+        ("ws-fcfs", "faults"):
+            "8be643192deb90e18d7fd0432ebc17d2b14e8dcb8d6829625f3b39f31613105b",
+        ("fixed-priority", "steady"):
+            "8641403252981fd254aa5a285b349513585942b1e011246120cde058feb0a6b2",
+        ("fixed-priority", "faults"):
+            "ba1dfe5ac4a7616b25b0b5e0b1245c2c69668e998d05c754cfe8e58eaf960ae6",
+        ("drr", "steady"):
+            "a95b4ccd898d7ddf2493fe70aec47d0986efdbfef2265ddfcbc1eb00abd3a0a4",
+        ("drr", "faults"):
+            "91727a35eabad8831764b7e7cb3ed91da20f8ba554bbc0905dc0334faef5135c",
+        ("static-partitioning", "steady"):
+            "853e700084ec191baddca3ebcc1f07689a5913836eee0be5ea916eaef22e5f00",
+        ("static-partitioning", "faults"):
+            "d3eac1975e03815a32b91ee54c36e04fc8390a1335304721699fedbc9e3e3403",
+        ("darc-static", "steady"):
+            "ad44eab68e3ae2be6ee57a9597a8f3f0f61e8af2e456904ef8203d3b2e91a4bb",
+        ("darc-static", "faults"):
+            "042bc04856788ee1830495169ddafb6534fae0e8a797719d14dac276eadd516a",
+    }
+
+    @staticmethod
+    def outcome(policy, mode):
+        from repro.rack.rack import run_rack
+
+        result = run_rack(
+            _PolicySystem(_policy_factory(policy)),
+            high_bimodal(),
+            balancer="jsq-stale",
+            n_servers=4,
+            utilization=1.1,
+            n_requests=1_500,
+            seed=5,
+            staleness_us=0.0,
+            plan=TestRackCounterParity._fault_plan() if mode == "faults" else None,
+        )
+        return result.digest()
+
+    @pytest.mark.parametrize("policy,mode", sorted(PINS))
+    def test_digest_matches_scanning_pending_count(self, policy, mode):
+        assert self.outcome(policy, mode) == self.PINS[(policy, mode)]
