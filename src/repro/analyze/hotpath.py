@@ -86,8 +86,14 @@ OBSERVER_HOT_METHODS = (
     "on_drop",
 )
 
-#: Qualnames that are hot by construction.
-ROOT_QUALNAMES = {"EventLoop.run", "Server.ingress"}
+#: Qualnames that are hot by construction: the loop, server ingress,
+#: and the rack front door and balancer routing every arrival.
+ROOT_QUALNAMES = {
+    "EventLoop.run",
+    "Server.ingress",
+    "Rack.ingress",
+    "RackBalancer.ingress",
+}
 
 _ALLOC_BUILTINS = {"list", "dict", "set", "frozenset", "tuple"}
 _SET_METHODS = {"intersection", "union", "difference", "symmetric_difference"}

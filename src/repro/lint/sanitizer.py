@@ -23,8 +23,9 @@ Invariants checked after every event
 * **queue-depth** — ``Scheduler.pending_count()`` is never negative and
   drop counters never decrease.  A scheduler that keeps an O(1) pending
   counter and exposes ``pending_scan()`` (DARC: its typed queues plus
-  its startup queue; time sharing: its central and typed queues) must
-  report a count equal to that scan.
+  its startup queue; time sharing: its central and typed queues; d-FCFS,
+  work stealing, fixed priority, DRR, static partitioning and
+  DARC-static: their queues) must report a count equal to that scan.
 * **request-conservation** (running form) — completions (including late
   completions of orphaned attempts) + drops never exceed arrivals.
 * **darc-reservation** — with a :class:`~repro.core.darc.DarcScheduler`

@@ -101,6 +101,9 @@ class DecentralizedFCFS(Scheduler):
         self.rng = rng
         self.queue_capacity = queue_capacity
         self.queues: List[Deque[Request]] = []
+        #: Requests across all per-worker queues, kept at enqueue and
+        #: dequeue so rack views read it in O(1).
+        self._pending = 0
         self._rr_next = 0
 
     def on_bound(self) -> None:
@@ -128,13 +131,21 @@ class DecentralizedFCFS(Scheduler):
             self.drop(request)
             return
         self.queues[idx].append(request)
+        self._pending += 1
 
     def on_worker_free(self, worker: Worker) -> None:
         queue = self.queues[worker.worker_id - self.workers[0].worker_id]
         if queue:
-            self.begin_service(worker, queue.popleft())
+            request = queue.popleft()
+            self._pending -= 1
+            self.begin_service(worker, request)
 
     def pending_count(self) -> int:
+        return self._pending
+
+    def pending_scan(self) -> int:
+        """Queued requests counted by walking the queues: the
+        sanitizer's reference for :meth:`pending_count`."""
         return sum(len(q) for q in self.queues)
 
 
@@ -188,6 +199,7 @@ class WorkStealingFCFS(DecentralizedFCFS):
             self.drop(request)
             return
         self.queues[idx].append(request)
+        self._pending += 1
         # Stealing is also triggered by arrival: some *other* worker may be
         # idle while this queue just became non-empty.
         idle = self.first_free_worker()
@@ -219,12 +231,15 @@ class WorkStealingFCFS(DecentralizedFCFS):
     def on_worker_free(self, worker: Worker) -> None:
         my_idx = worker.worker_id - self.workers[0].worker_id
         if self.queues[my_idx]:
-            self.begin_service(worker, self.queues[my_idx].popleft())
+            request = self.queues[my_idx].popleft()
+            self._pending -= 1
+            self.begin_service(worker, request)
             return
         victim = self._pick_victim()
         if victim is None:
             return
         request = self.queues[victim].popleft()
+        self._pending -= 1
         self.steals += 1
         if self.tracer is not None:
             self.tracer.on_decision(

@@ -65,6 +65,8 @@ class FixedPriority(Scheduler):
         self.queues: Dict[int, Deque[Request]] = {
             tid: deque() for tid in self.priority_order
         }
+        #: Requests across the typed queues (O(1) ``pending_count``).
+        self._pending = 0
 
     def _queue_for(self, request: Request) -> Deque[Request]:
         tid = request.effective_type()
@@ -79,6 +81,7 @@ class FixedPriority(Scheduler):
             self.begin_service(worker, request)
             return
         self._queue_for(request).append(request)
+        self._pending += 1
         if worker is not None:
             self.on_worker_free(worker)
 
@@ -86,10 +89,17 @@ class FixedPriority(Scheduler):
         for tid in self.priority_order:
             queue = self.queues[tid]
             if queue:
-                self.begin_service(worker, queue.popleft())
+                request = queue.popleft()
+                self._pending -= 1
+                self.begin_service(worker, request)
                 return
 
     def pending_count(self) -> int:
+        return self._pending
+
+    def pending_scan(self) -> int:
+        """Queued requests counted by walking the queues: the
+        sanitizer's reference for :meth:`pending_count`."""
         total = 0
         for q in self.queues.values():
             total += len(q)
@@ -222,6 +232,8 @@ class DeficitRoundRobin(Scheduler):
         self.order = [s.type_id for s in type_specs]
         self.queues: Dict[int, Deque[Request]] = {tid: deque() for tid in self.order}
         self.deficits: Dict[int, float] = {tid: 0.0 for tid in self.order}
+        #: Requests across the typed queues (O(1) ``pending_count``).
+        self._pending = 0
         self._cursor = 0
 
     def on_request(self, request: Request) -> None:
@@ -230,12 +242,13 @@ class DeficitRoundRobin(Scheduler):
         if queue is None:
             raise SchedulingError(f"request {request.rid} has unregistered type {tid}")
         queue.append(request)
+        self._pending += 1
         worker = self.first_free_worker()
         if worker is not None:
             self.on_worker_free(worker)
 
     def on_worker_free(self, worker: Worker) -> None:
-        if not self.pending_count():
+        if not self._pending:
             return
         n = len(self.order)
         # At most two full rotations: one may only add deficit, the second
@@ -248,7 +261,9 @@ class DeficitRoundRobin(Scheduler):
                 head = queue[0]
                 if self.deficits[tid] >= head.service_time:
                     self.deficits[tid] -= head.service_time
-                    self.begin_service(worker, queue.popleft())
+                    queue.popleft()
+                    self._pending -= 1
+                    self.begin_service(worker, head)
                     return
                 self.deficits[tid] += self.quantum_us * weight
                 # A queue that still cannot afford its head keeps its
@@ -262,10 +277,17 @@ class DeficitRoundRobin(Scheduler):
         for tid in self.order:
             if self.queues[tid]:
                 self.deficits[tid] = 0.0
-                self.begin_service(worker, self.queues[tid].popleft())
+                request = self.queues[tid].popleft()
+                self._pending -= 1
+                self.begin_service(worker, request)
                 return
 
     def pending_count(self) -> int:
+        return self._pending
+
+    def pending_scan(self) -> int:
+        """Queued requests counted by walking the queues: the
+        sanitizer's reference for :meth:`pending_count`."""
         total = 0
         for q in self.queues.values():
             total += len(q)
@@ -306,6 +328,8 @@ class StaticPartitioning(Scheduler):
         }
         self.worker_sets: Dict[int, List[Worker]] = {}
         self._type_of_worker: Dict[int, int] = {}
+        #: Requests across the typed queues (O(1) ``pending_count``).
+        self._pending = 0
 
     def on_bound(self) -> None:
         n_workers = len(self.workers)
@@ -356,14 +380,22 @@ class StaticPartitioning(Scheduler):
                 self.begin_service(worker, request)
                 return
         self.queues[tid].append(request)
+        self._pending += 1
 
     def on_worker_free(self, worker: Worker) -> None:
         tid = self._type_of_worker[worker.worker_id]
         queue = self.queues[tid]
         if queue:
-            self.begin_service(worker, queue.popleft())
+            request = queue.popleft()
+            self._pending -= 1
+            self.begin_service(worker, request)
 
     def pending_count(self) -> int:
+        return self._pending
+
+    def pending_scan(self) -> int:
+        """Queued requests counted by walking the queues: the
+        sanitizer's reference for :meth:`pending_count`."""
         return sum(len(q) for q in self.queues.values())
 
 

@@ -21,12 +21,15 @@ determinism suite and the sweep executor use.
 Sessions: every arriving request is stamped with a session key drawn
 from ``rack.sessions`` over ``n_users`` (default one million) *before*
 routing — including for balancers that ignore it — so all balancers at
-one seed see byte-identical request streams (paired comparisons).
+one seed see byte-identical request streams (paired comparisons).  Keys
+are drawn a block at a time; numpy's block and scalar ``integers``
+return the same values in the same order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from numbers import Integral
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..metrics.degradation import DegradationReport
@@ -37,7 +40,7 @@ from ..sim.engine import EventLoop
 from ..sim.randomness import RngRegistry
 from ..systems.base import SystemModel
 from ..workload.arrivals import PoissonArrivals
-from ..workload.generator import OpenLoopGenerator
+from ..workload.generator import OpenLoopGenerator, draw_block
 from ..workload.phases import Phase, PhaseSchedule
 from ..workload.request import Request
 from ..workload.spec import WorkloadSpec
@@ -48,6 +51,9 @@ from .views import QueueViews
 #: Default user-population size for session keys — the "millions of
 #: users" scale the rack is meant to absorb.
 DEFAULT_N_USERS = 1_000_000
+
+#: Largest ``n_users``: numpy draws int64 session keys below it.
+MAX_N_USERS = 2**63 - 1
 
 
 def _tee(rack_sink: Callable, replica_sink: Callable) -> Callable:
@@ -63,7 +69,14 @@ def _tee(rack_sink: Callable, replica_sink: Callable) -> Callable:
 
 
 class Rack:
-    """The assembled rack: servers + views + balancer + session stamping."""
+    """The assembled rack: servers + views + balancer + session stamping.
+
+    ``limit`` is how many requests the run will route, when the load
+    source knows it (a steady run's ``n_requests``, a replay's trace
+    length): session-key blocks are capped at the keys still needed, so
+    a run to its limit leaves ``rack.sessions`` exactly where one draw
+    per request leaves it.
+    """
 
     def __init__(
         self,
@@ -73,15 +86,23 @@ class Rack:
         balancer: RackBalancer,
         session_rng,
         n_users: int = DEFAULT_N_USERS,
+        limit: Optional[int] = None,
     ):
-        if n_users < 1:
-            raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
+        if isinstance(n_users, bool) or not isinstance(n_users, Integral):
+            raise ConfigurationError(f"n_users must be an int, got {n_users!r}")
+        if not 1 <= n_users <= MAX_N_USERS:
+            raise ConfigurationError(
+                f"n_users must be in [1, {MAX_N_USERS}], got {n_users}"
+            )
         self.loop = loop
         self.servers = list(servers)
         self.views = views
         self.balancer = balancer
         self._session_rng = session_rng
-        self._n_users = n_users
+        self._n_users = int(n_users)
+        #: Keys not yet drawn into a block (None = unbounded).
+        self._keys_left = limit
+        self._keys: Iterator[int] = iter(())
 
     @property
     def n_servers(self) -> int:
@@ -94,8 +115,25 @@ class Rack:
         that never read it — so the RNG draw sequence, and therefore
         the request stream, is identical across balancer choices.
         """
-        request.session = int(self._session_rng.integers(0, self._n_users))
+        key = next(self._keys, None)
+        if key is None:
+            key = self._draw_keys()
+        request.session = key
         self.balancer.ingress(request)
+
+    def _draw_keys(self) -> int:
+        """Draw the next block of session keys and return its first.
+        Past its limit (more arrivals than announced) the rack keeps
+        drawing full blocks: the keys stay exact, only the stream's
+        final state moves."""
+        rng = self._session_rng
+        n_users = self._n_users
+        left = self._keys_left or None
+        block = draw_block(lambda n: rng.integers(0, n_users, size=n), left)
+        if left is not None:
+            self._keys_left = left - len(block)
+        self._keys = iter(block)
+        return next(self._keys)
 
 
 class RackResult:
@@ -320,6 +358,10 @@ def run_rack(
     else:
         rack_balancer = make_balancer(balancer, servers, views, rngs, spec)
         balancer_name = balancer
+    if trace is not None:
+        arrivals: Optional[int] = len(trace)
+    else:
+        arrivals = None if phases is not None else n_requests
     rack = Rack(
         loop,
         servers,
@@ -327,6 +369,7 @@ def run_rack(
         rack_balancer,
         session_rng=rngs.stream("rack.sessions"),
         n_users=n_users,
+        limit=arrivals,
     )
 
     rack_tracer = tracer

@@ -32,7 +32,8 @@ class QueueViews:
     def __init__(self, loop: EventLoop, servers: Sequence[Server], staleness_us: float = 0.0):
         if not servers:
             raise ConfigurationError("need at least one server")
-        if staleness_us < 0:
+        # Negated so NaN fails too: a NaN staleness would never refresh.
+        if not staleness_us >= 0:
             raise ConfigurationError(f"staleness_us must be >= 0, got {staleness_us}")
         self.loop = loop
         self.servers = list(servers)

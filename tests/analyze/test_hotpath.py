@@ -210,6 +210,60 @@ class TestHotRoots:
         assert f"{probe}._pull_server" in hot
         assert f"{tracer}._take_sample" in hot
 
+    def test_rack_ingress_is_a_root_by_qualname(self, build):
+        program = build(
+            {
+                "rack.py": """
+                class RackBalancer:
+                    def ingress(self, request):
+                        return self.pick(request)
+
+                    def pick(self, request):
+                        return 0
+
+
+                class PowerOfD(RackBalancer):
+                    def pick(self, request):
+                        return [i for i in (0, 1)][0]
+
+
+                class Rack:
+                    def __init__(self, balancer):
+                        self.balancer = balancer
+
+                    def ingress(self, request):
+                        return stamp(request)
+
+
+                def stamp(request):
+                    return request
+                """
+            }
+        )
+        keys = {fn.key for fn in hot_roots(program)}
+        assert {"rack.Rack.ingress", "rack.RackBalancer.ingress"} <= keys
+        hot = hot_functions(program)
+        assert "rack.stamp" in hot
+        assert "rack.PowerOfD.pick" in hot
+        assert "rack.Rack.__init__" not in hot
+
+    def test_shipped_rack_routing_is_hot(self):
+        import os
+
+        import repro
+        from repro.analyze.model import build_program
+        from repro.lint.runner import iter_python_files
+
+        package = os.path.dirname(repro.__file__)
+        root = os.path.dirname(package)
+        program = build_program(iter_python_files([package]), root=root)
+        keys = {fn.key for fn in hot_roots(program)}
+        assert "repro.rack.rack.Rack.ingress" in keys
+        assert "repro.rack.balancers.RackBalancer.ingress" in keys
+        hot = hot_functions(program)
+        for balancer in ("PowerOfD", "StaleJSQ", "RandomBalancer", "TypeAffinity"):
+            assert f"repro.rack.balancers.{balancer}.pick" in hot
+
     def test_half_scheduler_is_not_a_root(self, build):
         program = build(
             {

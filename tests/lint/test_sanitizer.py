@@ -6,10 +6,12 @@ import heapq
 import pytest
 
 from repro.core.darc import DarcScheduler
+from repro.core.static import DarcStatic
 from repro.errors import SanitizerViolation, SimulationError
 from repro.lint.sanitizer import SimSanitizer
-from repro.policies.fcfs import CentralizedFCFS
+from repro.policies.fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
 from repro.policies.timesharing import TimeSharing
+from repro.policies.typed import DeficitRoundRobin, FixedPriority, StaticPartitioning
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -31,6 +33,23 @@ def feed(loop, server, requests):
 
 def requests(n, service=5.0, gap=1.0, type_id=0):
     return [Request(i, type_id, i * gap, service) for i in range(n)]
+
+
+TWO_TYPES = [
+    RequestTypeSpec(0, "short", 1.0, 0.5),
+    RequestTypeSpec(1, "long", 100.0, 0.5),
+]
+
+#: Policies keeping an O(1) pending counter with a ``pending_scan()``
+#: reference, each built for a two-worker server.
+COUNTING_POLICIES = {
+    "d-fcfs": lambda: DecentralizedFCFS(steering="round_robin"),
+    "ws-fcfs": lambda: WorkStealingFCFS(steering="round_robin"),
+    "fixed-priority": lambda: FixedPriority(TWO_TYPES),
+    "drr": lambda: DeficitRoundRobin(TWO_TYPES),
+    "static-partitioning": lambda: StaticPartitioning(TWO_TYPES),
+    "darc-static": lambda: DarcStatic(TWO_TYPES, n_reserved=1),
+}
 
 
 class TestCleanRuns:
@@ -201,6 +220,21 @@ class TestQueueDepth:
         assert excinfo.value.invariant == "queue-depth"
         context = excinfo.value.context
         assert context["pending"] == context["pending_scan"] - 1
+
+    @pytest.mark.parametrize("policy", sorted(COUNTING_POLICIES))
+    def test_desynced_policy_pending_counter_is_caught(self, policy):
+        scheduler = COUNTING_POLICIES[policy]()
+        loop, server, _ = make_server(scheduler, n_workers=2)
+        feed(loop, server, requests(6, service=100.0, type_id=1))
+        loop.run(until=10.0)
+        assert scheduler.pending_count() == scheduler.pending_scan() > 0
+        scheduler._pending += 1  # the bug: a counter bumped off-queue
+        loop.call_at(10.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=11.0)
+        assert excinfo.value.invariant == "queue-depth"
+        context = excinfo.value.context
+        assert context["pending"] == context["pending_scan"] + 1
 
 
 class TestRequestConservation:

@@ -77,6 +77,68 @@ class TestPowerOfD:
             PowerOfD(servers, views, np.random.default_rng(0), d=0)
 
 
+class _NumpyReference:
+    """The sampled picks as they were written with one numpy call each."""
+
+    def __init__(self, kind, size, views, rng, n_servers):
+        self.kind, self.size, self.views, self.rng = kind, size, views, rng
+        self.n_servers = n_servers
+        self.start = 0
+
+    def pick(self, pool):
+        load = self.views.load
+        if self.kind == "random":
+            return pool[int(self.rng.integers(0, len(pool)))]
+        if len(pool) > self.size:
+            drawn = self.rng.choice(len(pool), size=self.size, replace=False)
+            pool = [pool[int(i)] for i in drawn]
+        n = len(pool)
+        start = 0
+        if self.kind == "jsq-k":
+            start = self.start % n
+            self.start = (self.start + 1) % self.n_servers
+        best, best_load = pool[start], None
+        for offset in range(n):
+            i = pool[(start + offset) % n]
+            value = load(i)
+            if best_load is None or value < best_load:
+                best, best_load = i, value
+        return best
+
+
+class TestNumpyReferenceParity:
+    """Sampled picks drawn through the raw-stream sampler equal the
+    picks of the numpy-call implementation, ties included, as the pool
+    shrinks below the sample size and grows back."""
+
+    @pytest.mark.parametrize(
+        "kind,size", [("pow-d", 2), ("pow-d", 3), ("jsq-k", 3), ("random", 1)]
+    )
+    def test_picks_match_numpy_calls(self, kind, size):
+        loop = EventLoop()
+        servers = make_servers(loop, 12)
+        for i, server in enumerate(servers):
+            for j in range((i * 7) % 5):
+                server.ingress(req(100 * i + j))
+        views = QueueViews(loop, servers, staleness_us=0.0)
+        rng = np.random.default_rng(size)
+        if kind == "pow-d":
+            balancer = PowerOfD(servers, views, rng, d=size)
+        elif kind == "random":
+            balancer = RandomBalancer(servers, views, rng)
+        else:
+            balancer = StaleJSQ(servers, views, k=size, rng=rng)
+        reference = _NumpyReference(kind, size, views, np.random.default_rng(size), 12)
+        for live in (12, 3, 2, 1, 12):
+            for i in range(12):
+                if (i in balancer.unreachable) == (i < live):
+                    balancer.set_reachable(i, i < live)
+            assert len(balancer.live_pool()) == live
+            for _ in range(300):
+                want = reference.pick(list(balancer.live_pool()))
+                assert balancer.pick(req(0)) == want
+
+
 class TestStaleJSQ:
     def test_full_scan_finds_emptiest(self):
         loop = EventLoop()

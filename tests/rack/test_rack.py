@@ -195,3 +195,69 @@ class TestValidation:
             darc.summary.per_type[0].tail_latency
             < shinjuku.summary.per_type[0].tail_latency
         )
+
+
+class _KeyLog:
+    """Balancer stand-in that records each request's session key."""
+
+    def __init__(self):
+        self.keys = []
+
+    def ingress(self, request):
+        self.keys.append(request.session)
+
+
+def _stamp(n_users, n, limit, seed=21):
+    """Session keys a rack stamps on ``n`` requests, and its stream."""
+    from repro.rack.rack import Rack
+    from repro.sim.randomness import RngRegistry
+    from repro.workload.request import Request
+
+    log = _KeyLog()
+    rng = RngRegistry(seed=seed).stream("rack.sessions")
+    rack = Rack(None, [], None, log, session_rng=rng, n_users=n_users, limit=limit)
+    for rid in range(n):
+        rack.ingress(Request(rid, 0, 0.0, 1.0))
+    return log.keys, rng
+
+
+def _scalar_keys(n_users, n, seed=21):
+    from repro.sim.randomness import RngRegistry
+
+    rng = RngRegistry(seed=seed).stream("rack.sessions")
+    return [int(rng.integers(0, n_users)) for _ in range(n)], rng
+
+
+class TestSessionKeys:
+    """Keys come from blocks of ``integers(0, n_users, size=...)``; they
+    must equal one scalar draw per request, and a run to its limit must
+    leave the stream where the scalar draws leave it."""
+
+    @pytest.mark.parametrize("n_users", [1, 7, 1_000_000, 2**32, 2**33, 2**63 - 1])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+    def test_limited_run_matches_scalar_draws_and_state(self, n_users, n):
+        keys, rng = _stamp(n_users, n, limit=n)
+        want, scalar = _scalar_keys(n_users, n)
+        assert keys == want
+        assert rng.bit_generator.state == scalar.bit_generator.state
+
+    def test_unlimited_run_matches_scalar_draws(self):
+        keys, _ = _stamp(1_000_000, 9000, limit=None)
+        assert keys == _scalar_keys(1_000_000, 9000)[0]
+
+    def test_arrivals_past_the_limit_keep_exact_keys(self):
+        keys, _ = _stamp(1_000, 5000, limit=10)
+        assert keys == _scalar_keys(1_000, 5000)[0]
+
+    @pytest.mark.parametrize(
+        "n_users", [2.5, 3.0, True, "7", 0, -1, 2**63, None]
+    )
+    def test_bad_n_users_is_refused_at_construction(self, n_users):
+        with pytest.raises(ConfigurationError):
+            run_rack(small_system(), high_bimodal(), balancer="session",
+                     n_users=n_users, **SMALL)
+
+    def test_largest_n_users_runs(self):
+        result = run_rack(small_system(), high_bimodal(), balancer="session",
+                          n_users=2**63 - 1, **SMALL)
+        assert result.recorder.completed + result.recorder.dropped == 2000

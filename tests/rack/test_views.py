@@ -45,6 +45,12 @@ class TestOracleMode:
         with pytest.raises(ConfigurationError):
             QueueViews(loop, make_servers(loop, 1), staleness_us=-1.0)
 
+    def test_nan_staleness_is_refused(self):
+        # `now - t >= nan` is never true: NaN views would never refresh.
+        loop = EventLoop()
+        with pytest.raises(ConfigurationError):
+            QueueViews(loop, make_servers(loop, 1), staleness_us=float("nan"))
+
 
 class TestStaleMode:
     def test_reads_within_window_return_snapshot(self):
