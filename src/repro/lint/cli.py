@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--determinism",
         action="store_true",
-        help="run the twice-run same-seed digest check over the three systems",
+        help="run the twice-run same-seed digest check over the three systems "
+        "(five configurations: Shinjuku in three)",
     )
     parser.add_argument(
         "--n-requests",

@@ -183,7 +183,11 @@ def check_system(
 
 
 def default_systems() -> List[SystemModel]:
-    """The paper's three systems, as checked by CI."""
+    """The paper's three systems, as checked by CI.  Shinjuku runs in
+    three configurations: multi-queue with timer preemption (the default),
+    single-queue (the paper's Extreme Bimodal setup) and demand-triggered
+    preemption (the Fig. 10 model), so every quantum-boundary path runs
+    under the sanitizer."""
     from ..systems.persephone import PersephoneSystem
     from ..systems.shenango import ShenangoSystem
     from ..systems.shinjuku import ShinjukuSystem
@@ -192,6 +196,10 @@ def default_systems() -> List[SystemModel]:
         PersephoneSystem(n_workers=8, min_samples=200),
         ShenangoSystem(n_workers=8),
         ShinjukuSystem(n_workers=8),
+        ShinjukuSystem(n_workers=8, mode="single"),
+        ShinjukuSystem(
+            n_workers=8, trigger="demand", name="Shinjuku (multi-queue, 5us, demand)"
+        ),
     ]
 
 

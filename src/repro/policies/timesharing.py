@@ -21,17 +21,44 @@ preemption *overhead*.  This module models:
 
 With ``preempt_overhead_us = preempt_delay_us = 0`` this is the ideal
 "TS 0 µs" system of Fig. 10.
+
+A quantum boundary whose discipline would re-pick the request it just
+preempted (single mode with an empty queue; multi mode when BVT picks the
+request's own type) hands the request straight back to its core: the
+preemption cost, counters and observer calls are those of the enqueue and
+dequeue round trip, without the round trip.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from numbers import Integral
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SchedulingError
 from ..server.worker import Worker
 from ..workload.request import Request, RequestTypeSpec
 from .base import PolicyTraits, Scheduler
+
+
+def check_quantum_and_costs(
+    quantum_us: float, preempt_overhead_us: float, preempt_delay_us: float
+) -> None:
+    """Refuse a quantum that is not a finite time > 0 and preemption
+    costs that are not finite times >= 0.  NaN fails every comparison, so
+    a NaN quantum would pass a plain ``<= 0`` check and then never
+    preempt: ``min(remaining, nan)`` is ``remaining``."""
+    if not 0.0 < quantum_us < math.inf:
+        raise ConfigurationError(
+            f"quantum_us must be finite and > 0, got {quantum_us}"
+        )
+    for name, cost in (
+        ("preempt_overhead_us", preempt_overhead_us),
+        ("preempt_delay_us", preempt_delay_us),
+    ):
+        if not 0.0 <= cost < math.inf:
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {cost}")
 
 
 class TimeSharing(Scheduler):
@@ -61,10 +88,7 @@ class TimeSharing(Scheduler):
         trigger: str = "timer",
     ):
         super().__init__()
-        if quantum_us <= 0:
-            raise ConfigurationError(f"quantum_us must be > 0, got {quantum_us}")
-        if preempt_overhead_us < 0 or preempt_delay_us < 0:
-            raise ConfigurationError("preemption costs must be >= 0")
+        check_quantum_and_costs(quantum_us, preempt_overhead_us, preempt_delay_us)
         if mode not in ("single", "multi"):
             raise ConfigurationError(f"mode must be 'single' or 'multi', got {mode!r}")
         if mode == "multi" and not type_specs:
@@ -85,8 +109,18 @@ class TimeSharing(Scheduler):
         #: is blocked in the queue").  Frequency stays capped at one
         #: preemption per quantum per worker.
         self.trigger = trigger
+        if queue_capacity is not None and (
+            isinstance(queue_capacity, bool)
+            or not isinstance(queue_capacity, Integral)
+            or queue_capacity < 1
+        ):
+            raise ConfigurationError(
+                f"queue_capacity must be an int >= 1, got {queue_capacity!r}"
+            )
         self.weights = weights or {}
         self.queue_capacity = queue_capacity
+        #: Core time one preemption holds past its slice.
+        self._preempt_cost = preempt_delay_us + preempt_overhead_us
         self.preemptions = 0
         #: worker_id -> (request, slice_start, completion_event) for
         #: requests running past their quantum in demand mode.
@@ -102,6 +136,15 @@ class TimeSharing(Scheduler):
             for spec in type_specs:
                 self.typed[spec.type_id] = deque()
                 self.vtimes[spec.type_id] = 0.0
+        for tid, weight in self.weights.items():
+            if tid not in self.typed:
+                raise ConfigurationError(f"weights name unregistered type {tid}")
+            # A zero weight divides by zero mid-run; a negative one makes
+            # its type's virtual time fall, so it wins BVT forever.
+            if not 0.0 < weight < math.inf:
+                raise ConfigurationError(
+                    f"weight of type {tid} must be finite and > 0, got {weight}"
+                )
 
     # ------------------------------------------------------------------
     # queue discipline
@@ -143,21 +186,34 @@ class TimeSharing(Scheduler):
         self._pending -= 1
         if self.mode == "single":
             return self.central.popleft()
-        # BVT-like: serve the non-empty queue with the smallest virtual
-        # time; charge it the expected slice normalized by its weight.
+        tid = self._bvt_pick()
+        request = self.typed[tid].popleft()
+        self._charge_vtime(tid, request)
+        return request
+
+    def _bvt_pick(self, own_tid: Optional[int] = None) -> Optional[int]:
+        """BVT-like choice: the non-empty queue with the smallest virtual
+        time, the earliest-registered type on a tie.  ``own_tid``'s queue
+        counts as non-empty: it is where a preempted request would go."""
         best_tid = None
         best_v = None
+        vtimes = self.vtimes
         for tid, queue in self.typed.items():
-            if not queue:
+            if not queue and tid != own_tid:
                 continue
-            v = self.vtimes[tid]
+            v = vtimes[tid]
             if best_v is None or v < best_v:
                 best_v = v
                 best_tid = tid
-        request = self.typed[best_tid].popleft()
-        expected = min(request.remaining_time, self.quantum_us)
-        self.vtimes[best_tid] += expected / self.weights.get(best_tid, 1.0)
-        return request
+        return best_tid
+
+    def _charge_vtime(self, tid: int, request: Request) -> None:
+        """Charge ``tid`` the expected slice, normalized by its weight."""
+        remaining = request.remaining_time
+        quantum = self.quantum_us
+        # min(remaining, quantum), by the one comparison min makes.
+        expected = quantum if quantum < remaining else remaining
+        self.vtimes[tid] += expected / self.weights.get(tid, 1.0)
 
     def pending_count(self) -> int:
         return self._pending
@@ -200,18 +256,27 @@ class TimeSharing(Scheduler):
         worker.begin(request, now)
         if self.tracer is not None:
             self.tracer.on_dispatch(request, worker)
-        slice_us = min(request.remaining_time, self.quantum_us)
+        self._book_slice(worker, request)
+
+    def _book_slice(self, worker: Worker, request: Request) -> None:
+        """Book the event that ends the slice ``request`` starts on
+        ``worker`` now: its completion, or its quantum boundary."""
+        remaining = request.remaining_time
+        quantum = self.quantum_us
+        # min(remaining, quantum) without a builtin call per slice: the
+        # same comparison min makes, so the same float either way.
+        slice_us = quantum if quantum < remaining else remaining
         # A straggling core executes the slice speed_factor times slower;
         # slice_us stays nominal (it is what remaining_time is charged).
         wall = slice_us * worker.speed_factor
-        if slice_us >= request.remaining_time:
+        if slice_us >= remaining:
             self.schedule_service_event(worker, wall, self._slice_finished, worker, request)
         elif self.trigger == "demand":
             self.schedule_service_event(
                 worker, wall, self._quantum_boundary, worker, request, slice_us
             )
         else:
-            cost = self.preempt_delay_us + self.preempt_overhead_us
+            cost = self._preempt_cost
             self.schedule_service_event(
                 worker, wall + cost, self._slice_preempted, worker, request, slice_us, cost
             )
@@ -223,7 +288,7 @@ class TimeSharing(Scheduler):
         """The quantum elapsed; preempt only if someone is waiting."""
         assert self.loop is not None
         if self.pending_count() > 0:
-            cost = self.preempt_delay_us + self.preempt_overhead_us
+            cost = self._preempt_cost
             self.schedule_service_event(
                 worker, cost, self._slice_preempted, worker, request, slice_us, cost
             )
@@ -263,7 +328,7 @@ class TimeSharing(Scheduler):
         completion.cancel()
         worker = self.workers[worker_id]
         consumed = (self.loop.now - slice_start) / factor
-        cost = self.preempt_delay_us + self.preempt_overhead_us
+        cost = self._preempt_cost
         self.schedule_service_event(
             worker, cost, self._slice_preempted, worker, request, consumed, cost
         )
@@ -296,8 +361,27 @@ class TimeSharing(Scheduler):
         self, worker: Worker, request: Request, slice_us: float, cost: float
     ) -> None:
         assert self.loop is not None
-        self._service_events.pop(worker.worker_id, None)
-        worker.end(self.loop.now, overhead=cost)
+        now = self.loop.now
+        # Would the discipline re-pick this request?  Single mode: only
+        # if the queue it goes to the tail of is empty.  Multi mode: if
+        # BVT picks its type, whose queue it goes to the head of.
+        if self.mode == "single":
+            tid = None
+            hand_back = not self._pending
+        else:
+            tid = request.effective_type()
+            queue = self.typed.get(tid)
+            if queue is None:
+                raise SchedulingError(
+                    f"request {request.rid} has unregistered type {tid}"
+                )
+            hand_back = self._pending == len(queue) or self._bvt_pick(tid) == tid
+        if hand_back:
+            # Keeps the core; the booking below replaces its service event.
+            worker.lap(now, cost)
+        else:
+            self._service_events.pop(worker.worker_id, None)
+            worker.end(now, overhead=cost)
         if self.tracer is not None:
             self.tracer.on_preempt(request, worker, cost)
         if self.telemetry is not None:
@@ -306,8 +390,17 @@ class TimeSharing(Scheduler):
         request.preemption_count += 1
         request.overhead_time += cost
         self.preemptions += 1
-        self._enqueue(request, preempted=True)
-        self.on_worker_free(worker)
+        if not hand_back:
+            self._enqueue(request, preempted=True)
+            self.on_worker_free(worker)
+            return
+        # The enqueue-and-dequeue round trip, less the queue and the
+        # core hand-over: the same vtime charge, dispatch and booking.
+        if tid is not None:
+            self._charge_vtime(tid, request)
+        if self.tracer is not None:
+            self.tracer.on_dispatch(request, worker)
+        self._book_slice(worker, request)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..policies.base import Scheduler
-from ..policies.timesharing import TimeSharing
+from ..policies.timesharing import TimeSharing, check_quantum_and_costs
 from ..sim.randomness import RngRegistry
 from ..workload.spec import WorkloadSpec
 from .base import SystemModel
@@ -47,6 +47,7 @@ class ShinjukuSystem(SystemModel):
         name: Optional[str] = None,
     ):
         super().__init__(n_workers=n_workers)
+        check_quantum_and_costs(quantum_us, preempt_overhead_us, preempt_delay_us)
         self.quantum_us = quantum_us
         self.preempt_overhead_us = preempt_overhead_us
         self.preempt_delay_us = preempt_delay_us

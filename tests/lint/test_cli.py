@@ -104,7 +104,8 @@ class TestDeterminismCommand:
     def test_determinism_reports_three_systems(self, capsys):
         assert main(["--determinism", "--n-requests", "300"]) == 0
         out = capsys.readouterr().out
-        assert "3/3 system(s) reproducible" in out
+        # Three systems, Shinjuku in three configurations.
+        assert "5/5 system(s) reproducible" in out
 
     def test_lint_and_determinism_combined(self, tmp_path, capsys):
         good = tmp_path / "good.py"

@@ -1,6 +1,8 @@
 """Tests for the worker model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.server.worker import Worker
@@ -71,3 +73,62 @@ class TestWorker:
         w.begin(req(), 0.0)
         w.end(7.0)
         assert w.idle_since == 7.0
+
+
+class TestLap:
+    """``lap`` is ``end`` then ``begin`` of the same request, as one step."""
+
+    @staticmethod
+    def slots(worker):
+        return {
+            slot: getattr(worker, slot)
+            for slot in Worker.__slots__
+            if slot not in ("current", "counts")
+        }
+
+    @given(
+        start=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        laps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        closing=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lap_matches_end_then_begin(self, start, laps, closing):
+        lapped, twin = Worker(3), Worker(3)
+        r_lap, r_twin = req(0), req(0)
+        lapped.begin(r_lap, start)
+        twin.begin(r_twin, start)
+        now = start
+        for step, overhead, forget_first_touch in laps:
+            now += step
+            if forget_first_touch:
+                r_lap.first_service_time = r_twin.first_service_time = None
+            lapped.lap(now, overhead)
+            twin.begin(twin.end(now, overhead=overhead), now)
+            assert self.slots(lapped) == self.slots(twin)
+            assert lapped.current is r_lap and twin.current is r_twin
+            assert lapped.counts.busy == twin.counts.busy == 1
+            assert lapped.counts.failed == twin.counts.failed == 0
+            assert r_lap.worker_id == r_twin.worker_id == 3
+            assert r_lap.first_service_time == r_twin.first_service_time
+        now += closing
+        assert lapped.end(now) is r_lap
+        twin.end(now)
+        assert self.slots(lapped) == self.slots(twin)
+        assert lapped.utilization(now + 1.0) == twin.utilization(now + 1.0)
+
+    def test_lap_while_idle_raises(self):
+        with pytest.raises(SchedulingError):
+            Worker(0).lap(1.0)
+        w = Worker(0)
+        w.begin(req(), 0.0)
+        w.end(2.0)
+        with pytest.raises(SchedulingError):
+            w.lap(3.0, 1.0)
