@@ -21,7 +21,9 @@ Two configurations:
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from numbers import Integral
 from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..errors import ConfigurationError, SchedulingError
@@ -30,7 +32,53 @@ from ..server.worker import Worker
 from ..workload.request import UNKNOWN_TYPE, Request, RequestTypeSpec
 from .classifier import OracleClassifier, RequestClassifier
 from .profiler import WorkloadProfiler
-from .reservation import Reservation, compute_reservation, demand_deviation
+from .reservation import (
+    ROUNDING_MODES,
+    Reservation,
+    assign_workers,
+    compute_reservation,
+    demand_deviation,
+    plan_grants,
+)
+
+
+def _is_count(value) -> bool:
+    """An int >= 1; ``True`` is an int in Python and is refused."""
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
+
+
+def check_darc_params(
+    delta: float = 2.0,
+    min_samples: int = 2000,
+    min_demand_deviation: float = 0.10,
+    slo_slowdown: float = 10.0,
+    queue_capacity: Optional[int] = None,
+    rounding: str = "round",
+) -> None:
+    """Refuse DARC parameters that would misbehave silently or fail only
+    at the first profiling window.  NaN fails every comparison, so each
+    check is written to reject it: a NaN deviation threshold, for one,
+    would turn every breach re-check into a no-op."""
+    if not delta >= 1.0:
+        raise ConfigurationError(f"delta must be >= 1.0, got {delta}")
+    if not _is_count(min_samples):
+        raise ConfigurationError(f"min_samples must be an int >= 1, got {min_samples!r}")
+    if not 0.0 <= min_demand_deviation < math.inf:
+        raise ConfigurationError(
+            f"min_demand_deviation must be finite and >= 0, got {min_demand_deviation}"
+        )
+    if not 0.0 < slo_slowdown < math.inf:
+        raise ConfigurationError(
+            f"slo_slowdown must be finite and > 0, got {slo_slowdown}"
+        )
+    if queue_capacity is not None and not _is_count(queue_capacity):
+        raise ConfigurationError(
+            f"queue_capacity must be an int >= 1, got {queue_capacity!r}"
+        )
+    if rounding not in ROUNDING_MODES:
+        raise ConfigurationError(
+            f"rounding must be one of {ROUNDING_MODES}, got {rounding!r}"
+        )
 
 
 class DarcScheduler(Scheduler):
@@ -128,12 +176,14 @@ class DarcScheduler(Scheduler):
             raise ConfigurationError(
                 f"reclaim must be 'priority', 'owner' or 'urgent', got {reclaim!r}"
             )
-        if min_samples < 1:
-            raise ConfigurationError(f"min_samples must be >= 1, got {min_samples}")
-        if min_demand_deviation < 0:
-            raise ConfigurationError("min_demand_deviation must be >= 0")
-        if slo_slowdown <= 0:
-            raise ConfigurationError("slo_slowdown must be > 0")
+        check_darc_params(
+            delta,
+            min_samples,
+            min_demand_deviation,
+            slo_slowdown,
+            queue_capacity,
+            rounding,
+        )
         if not profile and not type_specs:
             raise ConfigurationError("oracle mode (profile=False) requires type_specs")
         self.classifier = classifier if classifier is not None else OracleClassifier()
@@ -175,6 +225,8 @@ class DarcScheduler(Scheduler):
         self._allocs_for_worker: List[List] = []
         #: type id -> candidate worker indices (reserved then stealable),
         self._candidates: Dict[int, List[int]] = {}
+        #: type id -> the candidates' bits in ``counts.free``,
+        self._candidate_mask: Dict[int, int] = {}
         #: type id -> the group's type ids (the "single queue" siblings),
         self._siblings: Dict[int, List[int]] = {}
         #: and the sorted spillway dispatch list (orphans + UNKNOWN).
@@ -299,9 +351,10 @@ class DarcScheduler(Scheduler):
     def _workers_for_type(self, type_id: int) -> List[int]:
         """Algorithm 1's candidate list: reserved then stealable workers.
 
-        Computed once per (reservation, type) and cached — the list is a
-        pure function of the installed reservation, and rebuilding it
-        per dispatch was a measurable per-event allocation.
+        Computed once per (reservation, type) and cached, with its mask
+        of ``counts.free`` bits — both are pure functions of the
+        installed reservation, and rebuilding them per dispatch was a
+        measurable per-event allocation.
         """
         candidates = self._candidates.get(type_id)
         if candidates is None:
@@ -315,6 +368,11 @@ class DarcScheduler(Scheduler):
             else:
                 candidates = list(alloc.reserved)
             self._candidates[type_id] = candidates
+            mask = 0
+            workers = self.workers
+            for widx in candidates:
+                mask |= workers[widx].bit
+            self._candidate_mask[type_id] = mask
         return candidates
 
     def _sibling_types(self, type_id: int) -> List[int]:
@@ -367,27 +425,31 @@ class DarcScheduler(Scheduler):
     def _dispatch_type(self, type_id: int) -> None:
         """Dispatch pending requests of ``type_id``'s group to free
         allowed workers (FCFS across the group's typed queues)."""
-        counts = self.counts
-        if counts.busy + counts.failed >= counts.size:
-            return  # no core is free
+        mask = self._candidate_mask.get(type_id)
+        if mask is None:
+            self._workers_for_type(type_id)
+            mask = self._candidate_mask[type_id]
+        free = self.counts.free & mask
+        if not free:
+            return  # no candidate core is free
         siblings = self._sibling_types(type_id)
-        queues = self.queues
-        for tid in siblings:
-            if queues.get(tid):
-                break
-        else:
-            return
         workers = self.workers
-        for widx in self._workers_for_type(type_id):
+        # Algorithm 1's order; the walk ends at the last free candidate.
+        for widx in self._candidates[type_id]:
             worker = workers[widx]
-            if worker.is_free:
+            bit = worker.bit
+            if free & bit:
                 request = self._pop_earliest(siblings)
                 if request is None:
                     return
                 self.begin_service(worker, request)
+                free ^= bit
+                if not free:
+                    return
 
     def on_worker_free(self, worker: Worker) -> None:
-        self._tick_waste()
+        if not self._pending:
+            return  # every pop below would come back empty
         if not worker.is_free:
             # completion_hook may have installed a new reservation and
             # already re-dispatched onto this worker.
@@ -422,7 +484,7 @@ class DarcScheduler(Scheduler):
                     if alloc is owner:
                         break
                     head_wait = self._earliest_wait(alloc.type_ids)
-                    if head_wait is not None and head_wait >= alloc.group.mean_service():
+                    if head_wait is not None and head_wait >= alloc.mean_service:
                         request = self._pop_earliest(alloc.type_ids)
                         assert request is not None
                         self.begin_service(worker, request)
@@ -455,17 +517,26 @@ class DarcScheduler(Scheduler):
             count += len(queue)
         return count
 
+    # CPU waste is integrated once per entry point, before the entry
+    # changes any worker or queue: here, in on_request, and at crash and
+    # recovery.  completion_hook and on_worker_free run inside _complete,
+    # at the instant it has already ticked.
     def _complete(self, worker: Worker, request: Request) -> None:
-        # Integrate CPU-waste *before* the base class frees the worker so
-        # the elapsed busy interval is attributed correctly.
         self._tick_waste()
         super()._complete(worker, request)
+
+    def on_worker_crash(self, worker: Worker, requeue: bool = True) -> Optional[Request]:
+        self._tick_waste()
+        return super().on_worker_crash(worker, requeue)
+
+    def on_worker_recover(self, worker: Worker) -> None:
+        self._tick_waste()
+        super().on_worker_recover(worker)
 
     # ------------------------------------------------------------------
     # profiling & reservation updates
     # ------------------------------------------------------------------
     def completion_hook(self, worker: Worker, request: Request) -> None:
-        self._tick_waste()
         if not self.profile_enabled:
             return
         type_id = request.effective_type()
@@ -513,18 +584,25 @@ class DarcScheduler(Scheduler):
         # worker counts (profiling noise near a rounding boundary).  The
         # latter matters when a group is breaching its SLO: an allocation
         # that starves a group keeps signalling until a better one lands.
+        #
+        # Algorithm 2's grant step decides most re-checks alone: the
+        # installed plan's groups and grants over the same worker count
+        # give the same worker counts.  Only a differing plan is taken
+        # through worker assignment and compared count by count.
         allocation_changed = False
         if self._slo_breached and deviation < self.min_demand_deviation:
-            candidate = compute_reservation(
+            reservation = self.reservation
+            plan = plan_grants(
                 list(snapshot),
                 n_workers=len(self.workers),
                 delta=self.delta,
                 rounding=self.rounding,
-                use_spillway=self.use_spillway,
             )
-            allocation_changed = (
-                candidate.reserved_counts() != self.reservation.reserved_counts()
-            )
+            if not plan.same_grants(reservation.plan):
+                candidate = assign_workers(plan, use_spillway=self.use_spillway)
+                allocation_changed = (
+                    candidate.reserved_counts() != reservation.reserved_counts()
+                )
         if self._slo_breached and (
             deviation >= self.min_demand_deviation or allocation_changed
         ):
@@ -594,6 +672,7 @@ class DarcScheduler(Scheduler):
         self._owner_of_worker = {}
         self._allocs_for_worker = [[] for _ in self.workers]  # repro-analyze: disable=A401
         self._candidates = {}
+        self._candidate_mask = {}
         self._siblings = {}
         for alloc in self.reservation.allocations:
             workers = alloc.allowed_workers() if self.steal else alloc.reserved

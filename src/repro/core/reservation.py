@@ -26,7 +26,14 @@ ROUNDING_MODES = ("round", "ceil", "floor")
 class GroupAllocation:
     """One group's share of the machine."""
 
-    __slots__ = ("group", "demand_workers", "reserved", "stealable", "used_spillway")
+    __slots__ = (
+        "group",
+        "demand_workers",
+        "reserved",
+        "stealable",
+        "used_spillway",
+        "mean_service",
+    )
 
     def __init__(
         self,
@@ -44,6 +51,10 @@ class GroupAllocation:
         #: Worker ids this group may steal (reserved by longer groups).
         self.stealable = stealable
         self.used_spillway = used_spillway
+        #: The group's occurrence-weighted mean service time, summed once
+        #: here rather than on every completion that reads it (DARC's
+        #: urgent-reclaim threshold).
+        self.mean_service = group.mean_service()
 
     @property
     def type_ids(self) -> List[int]:
@@ -68,6 +79,7 @@ class Reservation:
         "n_workers",
         "spillway_worker",
         "demand_shares",
+        "plan",
         "_group_of_type",
     )
 
@@ -77,6 +89,7 @@ class Reservation:
         n_workers: int,
         spillway_worker: Optional[int],
         demand_shares: Dict[int, float],
+        plan: "GrantPlan",
     ):
         self.allocations = allocations
         self.n_workers = n_workers
@@ -84,6 +97,8 @@ class Reservation:
         self.spillway_worker = spillway_worker
         #: Per-type Δ_i at reservation time, kept for deviation checks.
         self.demand_shares = demand_shares
+        #: The groups and grants the workers were assigned from.
+        self.plan = plan
         self._group_of_type: Dict[int, GroupAllocation] = {}
         for alloc in allocations:
             for tid in alloc.type_ids:
@@ -159,6 +174,133 @@ def _round_demand(demand: float, mode: str) -> int:
     raise ConfigurationError(f"unknown rounding mode {mode!r}")
 
 
+class GrantPlan:
+    """Algorithm 2's first step: the δ-groups and each group's integral
+    worker grant, before any worker id is assigned.
+
+    Two plans for which :meth:`same_grants` holds assign equal worker
+    counts to every type: the assignment step reads only the grants, the
+    pool size and the spillway switch.
+    """
+
+    __slots__ = ("entries", "n_workers", "groups", "total_demand", "demands", "grants")
+
+    def __init__(
+        self,
+        entries: Sequence[TypeEntry],
+        n_workers: int,
+        groups: List[TypeGroup],
+        total_demand: float,
+        demands: List[float],
+        grants: List[int],
+    ):
+        self.entries = entries
+        self.n_workers = n_workers
+        self.groups = groups
+        #: S of Algorithm 2: Σ g.S over every group.
+        self.total_demand = total_demand
+        #: Per group, the fractional worker demand d = (g.S / S) * W.
+        self.demands = demands
+        #: Per group, the rounded grant max(1, round(d)).
+        self.grants = grants
+
+    def same_grants(self, other: "GrantPlan") -> bool:
+        """True when both plans group the same type ids, in the same
+        order, with the same grants over the same ``n_workers``."""
+        if self.n_workers != other.n_workers or self.grants != other.grants:
+            return False
+        for mine, theirs in zip(self.groups, other.groups):
+            if mine.type_ids != theirs.type_ids:
+                return False
+        return True
+
+
+def plan_grants(
+    entries: Sequence[TypeEntry],
+    n_workers: int,
+    delta: float = 2.0,
+    rounding: str = "round",
+) -> GrantPlan:
+    """Group ``(type_id, mean_service, ratio)`` entries and round each
+    group's worker demand to its grant: Algorithm 2 up to, not including,
+    the choice of worker ids."""
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+    if rounding not in ROUNDING_MODES:
+        raise ConfigurationError(f"rounding must be one of {ROUNDING_MODES}")
+    if not entries:
+        raise ConfigurationError("cannot reserve for an empty profile")
+
+    # This step runs at each reservation update and, while an SLO breach
+    # is pending, at each completion (DARC's re-check).  It allocates the
+    # groups and two grant lists once per call, no more.
+    groups = group_types(entries, delta)
+    total_demand = sum(  # repro-analyze: disable=A401
+        g.demand_contribution() for g in groups
+    )
+    if total_demand <= 0:
+        raise ConfigurationError("total CPU demand is zero")
+    demands: List[float] = []
+    grants: List[int] = []
+    for group in groups:
+        demand = group.demand_contribution() / total_demand * n_workers
+        demands.append(demand)
+        grants.append(max(1, _round_demand(demand, rounding)))
+    return GrantPlan(entries, n_workers, groups, total_demand, demands, grants)
+
+
+def assign_workers(
+    plan: GrantPlan,
+    use_spillway: bool = True,
+    worker_ids: Optional[Sequence[int]] = None,
+) -> Reservation:
+    """Algorithm 2's second step: hand each group of ``plan`` its granted
+    workers, in ascending service-time order, from the pool
+    ``worker_ids`` (default ``0 .. n_workers - 1``)."""
+    n_workers = plan.n_workers
+    if worker_ids is not None and len(worker_ids) != n_workers:
+        raise ConfigurationError(
+            f"worker_ids has {len(worker_ids)} entries for n_workers={n_workers}"
+        )
+    pool = list(worker_ids) if worker_ids is not None else list(range(n_workers))
+    spillway = pool[-1] if use_spillway else None
+    allocations: List[GroupAllocation] = []
+    start = 0  # pool[start:] is still unreserved
+
+    # Runs when a reservation is installed or a re-check's plan differs
+    # from the installed one; the slices are the allocations' own lists.
+    for group, demand, grant in zip(plan.groups, plan.demands, plan.grants):
+        reserved = pool[start:start + grant]  # repro-analyze: disable=A401
+        start += len(reserved)
+        used_spillway = False
+        if len(reserved) < grant and spillway is not None and spillway not in reserved:
+            # The pool ran dry: next_free_worker() falls back to the
+            # spillway core; one mention is enough (a worker id appears
+            # at most once).
+            reserved.append(spillway)
+            used_spillway = True
+        if not reserved:
+            # No pool, no spillway: the group shares the last reserved
+            # worker of the previous group rather than being denied.
+            reserved = (
+                [allocations[-1].reserved[-1]]  # repro-analyze: disable=A401
+                if allocations
+                else [pool[0]]
+            )
+        # Stealable workers are those not yet reserved at this point in
+        # the iteration — they will belong to longer groups (Algorithm 2).
+        stealable = pool[start:]
+        allocations.append(
+            GroupAllocation(group, demand, reserved, stealable, used_spillway)
+        )
+
+    total_demand = plan.total_demand
+    shares = {}
+    for tid, mean, ratio in plan.entries:
+        shares[tid] = mean * ratio / total_demand
+    return Reservation(allocations, n_workers, spillway, shares, plan)
+
+
 def compute_reservation(
     entries: Sequence[TypeEntry],
     n_workers: int,
@@ -167,7 +309,8 @@ def compute_reservation(
     use_spillway: bool = True,
     worker_ids: Optional[Sequence[int]] = None,
 ) -> Reservation:
-    """Run Algorithm 2 over ``(type_id, mean_service, ratio)`` entries.
+    """Run Algorithm 2 over ``(type_id, mean_service, ratio)`` entries:
+    :func:`plan_grants`, then :func:`assign_workers`.
 
     Returns a :class:`Reservation`.  Worker ids are 0-based indices into
     the server's worker list; the spillway is the last worker.
@@ -177,68 +320,8 @@ def compute_reservation(
     so a reservation never names a crashed worker.  When given, it must
     have exactly ``n_workers`` entries; the spillway is its last id.
     """
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    if rounding not in ROUNDING_MODES:
-        raise ConfigurationError(f"rounding must be one of {ROUNDING_MODES}")
-    if not entries:
-        raise ConfigurationError("cannot reserve for an empty profile")
-    if worker_ids is not None and len(worker_ids) != n_workers:
-        raise ConfigurationError(
-            f"worker_ids has {len(worker_ids)} entries for n_workers={n_workers}"
-        )
-
-    # Algorithm 2 runs once per reservation update, never per request;
-    # the comprehensions and copies below are off the per-event path even
-    # though DARC's update cycle makes this function hot-reachable.
-    groups = group_types(entries, delta)
-    total_demand = sum(  # repro-analyze: disable=A401
-        g.demand_contribution() for g in groups
-    )
-    if total_demand <= 0:
-        raise ConfigurationError("total CPU demand is zero")
-
-    pool = list(worker_ids) if worker_ids is not None else list(range(n_workers))
-    spillway = pool[-1] if use_spillway else None
-    first_worker = pool[0]
-    allocations: List[GroupAllocation] = []
-
-    for group in groups:
-        demand = group.demand_contribution() / total_demand * n_workers
-        grant = max(1, _round_demand(demand, rounding))
-        reserved: List[int] = []
-        used_spillway = False
-        for _ in range(grant):
-            if pool:
-                reserved.append(pool.pop(0))
-            elif use_spillway and spillway is not None:
-                # next_free_worker() falls back to the spillway core; one
-                # mention is enough (a worker id appears at most once).
-                if spillway not in reserved:
-                    reserved.append(spillway)
-                    used_spillway = True
-                break
-            else:
-                break
-        if not reserved:
-            # No pool, no spillway: the group shares the last reserved
-            # worker of the previous group rather than being denied.
-            reserved = (
-                [allocations[-1].reserved[-1]]  # repro-analyze: disable=A401
-                if allocations
-                else [first_worker]
-            )
-        # Stealable workers are those not yet reserved at this point in
-        # the iteration — they will belong to longer groups (Algorithm 2).
-        stealable = list(pool)  # repro-analyze: disable=A401
-        allocations.append(
-            GroupAllocation(group, demand, reserved, stealable, used_spillway)
-        )
-
-    shares = {}
-    for tid, mean, ratio in entries:
-        shares[tid] = mean * ratio / total_demand
-    return Reservation(allocations, n_workers, spillway, shares)
+    plan = plan_grants(entries, n_workers, delta=delta, rounding=rounding)
+    return assign_workers(plan, use_spillway=use_spillway, worker_ids=worker_ids)
 
 
 def demand_deviation(old_shares: Dict[int, float], new_shares: Dict[int, float]) -> float:

@@ -91,7 +91,13 @@ class FaultInjector:
             if isinstance(event, WorkerCrash):
                 loop.call_at(event.at, self._crash, event)
             elif isinstance(event, WorkerRecover):
-                loop.call_at(event.at, self._recover, event)
+                # Tie-break: every fault is booked here, before any load
+                # is offered, so at one instant faults run in plan order
+                # and ahead of every policy event booked later.  Against
+                # a completion, the only shared write is the free-core
+                # mask, and the two writes flip different cores' bits (a
+                # crashed core holds no request), so they commute.
+                loop.call_at(event.at, self._recover, event)  # repro-analyze: disable=A002
             elif isinstance(event, WorkerSlowdown):
                 loop.call_at(event.at, self._slowdown_start, event)
                 if event.until is not None:

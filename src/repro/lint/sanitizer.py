@@ -17,9 +17,11 @@ Invariants checked after every event
   no completed request is still occupying a core, and no *crashed* core
   holds a request (the crash handler must evict in-flight work).
 * **worker-counters** — the server's O(1) busy and crashed core
-  counters (:class:`~repro.server.worker.WorkerCounts`) equal a scan
-  of its workers; the drain check below reads them, so a desync must
-  fail here rather than as a wrong conservation verdict.
+  counters and its free-core bitmask
+  (:class:`~repro.server.worker.WorkerCounts`) equal a scan of its
+  workers; the drain check below reads the counters and DARC dispatches
+  from the mask, so a desync must fail here rather than as a wrong
+  conservation verdict or a dispatch to a busy core.
 * **queue-depth** — ``Scheduler.pending_count()`` is never negative and
   drop counters never decrease.  A scheduler that keeps an O(1) pending
   counter and exposes ``pending_scan()`` (DARC: its typed queues plus
@@ -302,13 +304,18 @@ class SimSanitizer:
         workers = self.server.workers
         busy = sum(1 for w in workers if w.current is not None)
         failed = sum(1 for w in workers if w.failed)
-        if counts.busy != busy or counts.failed != failed:
+        free = 0
+        for w in workers:
+            if w.is_free:
+                free |= 1 << w.worker_id
+        if counts.busy != busy or counts.failed != failed or counts.free != free:
             self._violate(
                 "worker-counters",
-                "busy/failed worker counters disagree with the workers",
+                "busy/failed/free worker counters disagree with the workers",
                 loop,
                 {"busy": counts.busy, "busy_scan": busy,
-                 "failed": counts.failed, "failed_scan": failed},
+                 "failed": counts.failed, "failed_scan": failed,
+                 "free": bin(counts.free), "free_scan": bin(free)},
             )
 
     def _check_queues(self, loop: "EventLoop") -> None:

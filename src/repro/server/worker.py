@@ -15,27 +15,33 @@ from ..workload.request import Request
 
 
 class WorkerCounts:
-    """Busy and crashed core counts shared by one set of workers: a
-    server's, or the standalone list a scheduler is bound to
-    (:func:`shared_counts`).
+    """Busy and crashed core counts, and the free-core bitmask, shared by
+    one set of workers: a server's, or the standalone list a scheduler is
+    bound to (:func:`shared_counts`).
 
     :class:`Worker` updates these at its four state transitions
     (:meth:`~Worker.begin`, :meth:`~Worker.end`, :meth:`~Worker.fail`,
     :meth:`~Worker.recover`), so a server's load and liveness are O(1)
     reads instead of scans over its cores.  A fifth transition,
     :meth:`~Worker.lap`, ends one slice and begins the next on the same
-    core at once; it leaves both tallies unchanged.  ``listeners`` are
-    called with no arguments whenever liveness flips: the last live core
-    crashes, or the first core of a dead set recovers.
+    core at once; it leaves every tally unchanged.  ``free`` has bit
+    ``worker_id`` set exactly while that worker :attr:`~Worker.is_free`,
+    so a policy can intersect it with the cores it may use and skip the
+    scan when nothing is left.  ``listeners`` are called with no
+    arguments whenever liveness flips: the last live core crashes, or the
+    first core of a dead set recovers.
     """
 
-    __slots__ = ("busy", "failed", "size", "listeners")
+    __slots__ = ("busy", "failed", "free", "size", "listeners")
 
     def __init__(self, size: int):
         #: Workers currently holding a request (crashed or not).
         self.busy = 0
         #: Workers currently crashed.
         self.failed = 0
+        #: Bit ``worker_id`` is set while that worker is free; each
+        #: :class:`Worker` sets its own bit when it is created.
+        self.free = 0
         #: Workers sharing this tally.
         self.size = size
         self.listeners: list = []
@@ -62,12 +68,16 @@ class Worker:
         "speed_factor",
         "crash_count",
         "counts",
+        "bit",
     )
 
     def __init__(self, worker_id: int, counts: Optional[WorkerCounts] = None):
         self.worker_id = worker_id
+        #: This worker's bit in :attr:`WorkerCounts.free`.
+        self.bit = 1 << worker_id
         #: The owning server's tally; a standalone worker keeps its own.
         self.counts = counts if counts is not None else WorkerCounts(1)
+        self.counts.free |= self.bit
         self.current: Optional[Request] = None
         self._busy_since: Optional[float] = None
         self.total_busy_time = 0.0
@@ -102,6 +112,7 @@ class Worker:
             self.failed = True
             counts = self.counts
             counts.failed += 1
+            counts.free &= ~self.bit
             if counts.failed == counts.size:
                 counts.alive_changed()
         self.crash_count += 1
@@ -112,6 +123,8 @@ class Worker:
             self.failed = False
             counts = self.counts
             counts.failed -= 1
+            if self.current is None:
+                counts.free |= self.bit
             if counts.failed == counts.size - 1:
                 counts.alive_changed()
         self.speed_factor = 1.0
@@ -138,7 +151,9 @@ class Worker:
                 f"while busy with {self.current.rid}"
             )
         self.current = request
-        self.counts.busy += 1
+        counts = self.counts
+        counts.busy += 1
+        counts.free &= ~self.bit
         self._busy_since = now
         request.worker_id = self.worker_id
         if request.first_service_time is None:
@@ -157,7 +172,10 @@ class Worker:
         self.total_overhead_time += overhead
         request = self.current
         self.current = None
-        self.counts.busy -= 1
+        counts = self.counts
+        counts.busy -= 1
+        if not self.failed:
+            counts.free |= self.bit
         self._busy_since = None
         self.idle_since = now
         return request
@@ -167,7 +185,8 @@ class Worker:
 
         The effect is :meth:`end` then :meth:`begin` with the request
         that was on the core, with the same float operations; the core
-        is never free in between, so ``counts.busy`` does not move.
+        is never free in between, so neither ``counts.busy`` nor
+        ``counts.free`` moves.
         """
         request = self.current
         if request is None or self._busy_since is None:
@@ -202,9 +221,10 @@ def shared_counts(workers: Sequence[Worker]) -> WorkerCounts:
     A server's workers already share its tally; that tally is returned
     as is, so listeners registered through it keep firing.  Standalone
     workers (``Worker(i)``, each with a private tally) are moved onto
-    one new tally whose busy and crashed counts are taken from their
-    current state.  Any other mix is an error: re-pointing workers that
-    belong to a larger tally would desync its owner's counters.
+    one new tally whose busy and crashed counts and free mask are taken
+    from their current state.  Any other mix is an error: re-pointing
+    workers that belong to a larger tally would desync its owner's
+    counters.
     """
     counts = workers[0].counts
     if counts.size == len(workers) and all(w.counts is counts for w in workers):
@@ -219,5 +239,7 @@ def shared_counts(workers: Sequence[Worker]) -> WorkerCounts:
             counts.busy += 1
         if worker.failed:
             counts.failed += 1
+        if worker.is_free:
+            counts.free |= worker.bit
         worker.counts = counts
     return counts

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..core.classifier import OracleClassifier, RequestClassifier
-from ..core.darc import DarcScheduler
+from ..core.darc import DarcScheduler, check_darc_params
 from ..core.static import DarcStatic
 from ..policies.base import Scheduler
 from ..policies.fcfs import CentralizedFCFS, DecentralizedFCFS
@@ -42,6 +42,7 @@ class PersephoneSystem(SystemModel):
         name: Optional[str] = None,
     ):
         super().__init__(n_workers=n_workers)
+        check_darc_params(delta, min_samples, min_demand_deviation, slo_slowdown)
         self.oracle = oracle
         self.delta = delta
         self.min_samples = min_samples

@@ -7,7 +7,7 @@ from repro.core.classifier import OracleClassifier, PartialClassifier
 from repro.core.darc import DarcScheduler
 from repro.errors import ConfigurationError
 from repro.workload.presets import high_bimodal, tpcc
-from repro.workload.request import UNKNOWN_TYPE
+from repro.workload.request import UNKNOWN_TYPE, Request
 
 from ..conftest import make_harness
 
@@ -199,3 +199,130 @@ class TestStealToggle:
         busy = [w for w in h.workers if w.completed > 0]
         assert len(busy) == 1
         assert h.loop.now >= 10.0
+
+
+class TestFreeMaskDispatch:
+    """Dispatch reads the free-core mask instead of asking each worker."""
+
+    @staticmethod
+    def occupy(h, worker_ids):
+        """Put a placeholder request on each core without booking its
+        completion, so the cores stay busy until the test ends them."""
+        for widx in worker_ids:
+            h.workers[widx].begin(Request(10_000 + widx, 1, 0.0, 1e9), 0.0)
+
+    def test_several_free_candidates_fill_in_candidate_order(self):
+        h = make_harness(oracle_darc(), n_workers=6)
+        sched = h.scheduler
+        assert sched._workers_for_type(0) == [0, 1, 2, 3, 4, 5]
+        self.occupy(h, range(6))
+        shorts = [h.submit(0, 1.0) for _ in range(4)]
+        assert sched.pending_count() == 4
+        for widx in (4, 0, 2):
+            h.workers[widx].end(0.0)
+        sched._dispatch_type(0)
+        assert [r.worker_id for r in shorts] == [0, 2, 4, None]
+        assert sched.pending_count() == 1
+        h.run()
+        assert all(r.completed for r in shorts)
+
+    def test_a_crashed_candidate_is_never_picked(self):
+        h = make_harness(oracle_darc(), n_workers=4)
+        sched = h.scheduler
+        reserved = sched.reservation.group_for_type(0).reserved
+        assert reserved == [0]
+        # Fail the short group's reserved core behind the scheduler's
+        # back: the reservation still names it, only its mask bit is off.
+        h.workers[0].fail()
+        first = h.submit(0, 1.0)
+        assert first.worker_id == 1
+        self.occupy(h, (2, 3))
+        queued = h.submit(0, 1.0)
+        assert queued.worker_id is None  # core 0 is idle but crashed
+        h.run()
+        assert queued.worker_id == 1
+        assert h.workers[0].completed == 0
+        h.workers[0].recover()
+        assert h.submit(0, 1.0).worker_id == 0
+
+    def test_worker_free_with_nothing_pending_is_a_no_op(self):
+        h = make_harness(oracle_darc(), n_workers=4)
+        sched = h.scheduler
+
+        def no_pop(type_ids):
+            raise AssertionError("on_worker_free walked the queues")
+
+        sched._pop_earliest = no_pop
+        before = (sched.counts.free, sched.counts.busy, sched._waste_last_t)
+        for worker in h.workers:
+            sched.on_worker_free(worker)
+        assert (sched.counts.free, sched.counts.busy, sched._waste_last_t) == before
+        assert sched.pending_count() == 0
+
+
+class TestWasteAtCrashAndRecover:
+    def test_integral_counts_the_interval_before_each_transition(self):
+        # Two cores: core 0 is reserved for shorts, core 1 for longs.
+        # Long A runs on core 1 over [0, 100) and long B waits for it.
+        # Core 0 is idle while B waits, except while it is crashed:
+        # waste = 1 core x [0, 10) + 0 x [10, 30) + 1 core x [30, 100).
+        h = make_harness(oracle_darc(), n_workers=2)
+        sched = h.scheduler
+        a = h.submit(1, 100.0)
+        b = h.submit(1, 100.0)
+        assert a.worker_id == 1 and sched.pending_count() == 1
+        h.loop.call_at(10.0, sched.on_worker_crash, h.workers[0])
+        h.loop.call_at(30.0, sched.on_worker_recover, h.workers[0])
+        h.run()
+        assert b.worker_id == 1 and h.loop.now == 200.0
+        assert h.workers[0].completed == 0
+        assert sched._waste_area == 80.0
+        assert sched.measured_waste() == 80.0 / 200.0
+
+
+#: (parameter, value) pairs DARC must refuse at construction.
+BAD_PARAMS = [
+    ("queue_capacity", 0),
+    ("queue_capacity", -1),
+    ("queue_capacity", 2.5),
+    ("queue_capacity", True),
+    ("min_demand_deviation", float("nan")),
+    ("min_demand_deviation", -0.1),
+    ("slo_slowdown", float("nan")),
+    ("slo_slowdown", float("inf")),
+    ("slo_slowdown", 0.0),
+    ("delta", 0.5),
+    ("delta", float("nan")),
+    ("rounding", "banker"),
+    ("min_samples", 2.5),
+    ("min_samples", True),
+    ("min_samples", 0),
+]
+#: The subset PersephoneSystem exposes.
+SYSTEM_PARAMS = ("delta", "min_samples", "min_demand_deviation", "slo_slowdown")
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("name,value", BAD_PARAMS)
+    def test_darc_scheduler_refuses(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            DarcScheduler(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name,value", [(n, v) for n, v in BAD_PARAMS if n in SYSTEM_PARAMS]
+    )
+    def test_persephone_system_refuses(self, name, value):
+        from repro.systems.persephone import PersephoneSystem
+
+        with pytest.raises(ConfigurationError, match=name):
+            PersephoneSystem(**{name: value})
+
+    def test_edge_values_are_accepted(self):
+        DarcScheduler(
+            queue_capacity=1,
+            min_samples=1,
+            min_demand_deviation=0.0,
+            delta=1.0,
+            rounding="floor",
+        )
+        DarcScheduler(delta=float("inf"))  # one group for every type

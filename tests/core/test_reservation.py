@@ -1,8 +1,15 @@
 """Tests for Algorithm 2 (worker reservation) against the paper's numbers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.reservation import compute_reservation, demand_deviation
+from repro.core.reservation import (
+    assign_workers,
+    compute_reservation,
+    demand_deviation,
+    plan_grants,
+)
 from repro.errors import ConfigurationError
 
 HIGH_BIMODAL = [(0, 1.0, 0.5), (1, 100.0, 0.5)]
@@ -174,3 +181,112 @@ class TestDemandDeviation:
 
     def test_empty(self):
         assert demand_deviation({}, {}) == 0.0
+
+
+def pop_front_assignment(plan, use_spillway=True, worker_ids=None):
+    """Worker assignment as one ``pool.pop(0)`` per granted worker: the
+    reference :func:`assign_workers` must reproduce exactly."""
+    pool = list(worker_ids) if worker_ids is not None else list(range(plan.n_workers))
+    spillway = pool[-1] if use_spillway else None
+    first_worker = pool[0]
+    out = []
+    for grant in plan.grants:
+        reserved = []
+        used_spillway = False
+        for _ in range(grant):
+            if pool:
+                reserved.append(pool.pop(0))
+            elif use_spillway and spillway is not None:
+                if spillway not in reserved:
+                    reserved.append(spillway)
+                    used_spillway = True
+                break
+            else:
+                break
+        if not reserved:
+            reserved = [out[-1][0][-1]] if out else [first_worker]
+        out.append((reserved, list(pool), used_spillway))
+    return out
+
+
+type_entries = st.lists(
+    st.tuples(
+        st.floats(min_value=0.1, max_value=1e4, allow_nan=False),
+        st.floats(min_value=1e-3, max_value=1.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda pairs: [(tid, mean, ratio) for tid, (mean, ratio) in enumerate(pairs)])
+
+
+class TestGrantPlan:
+    """Algorithm 2 split into a grant step and a worker-assignment step."""
+
+    @given(
+        entries=type_entries,
+        n_workers=st.integers(min_value=1, max_value=16),
+        delta=st.sampled_from([1.0, 1.5, 2.0, 10.0]),
+        rounding=st.sampled_from(["round", "ceil", "floor"]),
+        use_spillway=st.booleans(),
+        crashed=st.sets(st.integers(min_value=0, max_value=15), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_matches_pop_front_reference(
+        self, entries, n_workers, delta, rounding, use_spillway, crashed
+    ):
+        alive = [i for i in range(n_workers) if i not in crashed] or [0]
+        worker_ids = alive if len(alive) != n_workers else None
+        plan = plan_grants(entries, len(alive), delta=delta, rounding=rounding)
+        res = assign_workers(plan, use_spillway=use_spillway, worker_ids=worker_ids)
+        got = [(a.reserved, a.stealable, a.used_spillway) for a in res.allocations]
+        assert got == pop_front_assignment(plan, use_spillway, worker_ids)
+        assert res.plan is plan
+
+    def test_compute_reservation_is_the_two_steps(self):
+        plan = plan_grants(TPCC, 14)
+        assert plan.grants == [2, 6, 6]
+        assert [g.type_ids for g in plan.groups] == [[0, 1], [2], [3, 4]]
+        whole = compute_reservation(TPCC, n_workers=14)
+        split = assign_workers(plan)
+        assert whole.reserved_counts() == split.reserved_counts()
+        assert whole.demand_shares == split.demand_shares
+        assert whole.plan.same_grants(plan)
+
+    def test_same_grants_needs_equal_groups_grants_and_workers(self):
+        base = plan_grants(HIGH_BIMODAL, 14)
+        assert base.same_grants(plan_grants([(0, 1.1, 0.5), (1, 99.0, 0.5)], 14))
+        assert not base.same_grants(plan_grants(HIGH_BIMODAL, 13))
+        heavy_shorts = plan_grants([(0, 1.0, 20.0), (1, 100.0, 0.5)], 14)
+        assert heavy_shorts.grants == [4, 10]
+        assert not base.same_grants(heavy_shorts)
+        # Same grants, but type 2 joins the short group.
+        regrouped = plan_grants([(0, 1.0, 0.5), (2, 1.5, 0.001), (1, 100.0, 0.5)], 14)
+        assert regrouped.grants == base.grants
+        assert not base.same_grants(regrouped)
+
+    @given(
+        entries=type_entries,
+        noise=st.lists(
+            st.floats(min_value=0.9, max_value=1.1, allow_nan=False),
+            min_size=6,
+            max_size=6,
+        ),
+        n_workers=st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_grants_means_same_worker_counts(self, entries, noise, n_workers):
+        drifted = [
+            (tid, mean * k, ratio) for (tid, mean, ratio), k in zip(entries, noise)
+        ]
+        a = compute_reservation(entries, n_workers)
+        b = compute_reservation(drifted, n_workers)
+        if a.plan.same_grants(b.plan):
+            assert a.reserved_counts() == b.reserved_counts()
+
+    def test_errors_are_raised_by_the_step_that_owns_them(self):
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            plan_grants(HIGH_BIMODAL, 0)
+        with pytest.raises(ConfigurationError, match="rounding"):
+            plan_grants(HIGH_BIMODAL, 4, rounding="banker")
+        with pytest.raises(ConfigurationError, match="worker_ids"):
+            assign_workers(plan_grants(HIGH_BIMODAL, 4), worker_ids=[0, 1])

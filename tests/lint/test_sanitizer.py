@@ -146,6 +146,20 @@ class TestWorkerCounters:
             loop.run()
         assert excinfo.value.invariant == "worker-counters"
 
+    def test_desynced_free_mask_is_caught(self):
+        loop, server, _ = make_server(CentralizedFCFS(), n_workers=2)
+        feed(loop, server, [Request(0, 0, 0.0, 100.0)])
+        loop.run(until=1.0)
+        busy = server.workers[0]
+        assert busy.current is not None
+        server.counts.free |= busy.bit  # the bug: a busy core marked free
+        loop.call_at(1.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=2.0)
+        assert excinfo.value.invariant == "worker-counters"
+        assert excinfo.value.context["free"] == "0b11"
+        assert excinfo.value.context["free_scan"] == "0b10"
+
     def test_desync_at_drain_is_not_misread_as_lost_requests(self):
         # The drain-form conservation check reads server.in_flight; a
         # stale counter must surface as itself, not as a lost request.

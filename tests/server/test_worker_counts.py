@@ -1,7 +1,17 @@
-"""Busy/failed worker counters: every transition keeps them equal to a
-scan of the workers, and liveness listeners fire only on a flip."""
+"""Busy/failed worker counters and the free-core mask: every transition
+keeps them equal to a scan of the workers, and liveness listeners fire
+only on a flip."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.errors import SchedulingError
 from repro.policies.fcfs import CentralizedFCFS
@@ -212,3 +222,104 @@ class TestLivenessListeners:
         worker.fail()
         worker.recover()
         assert flips == [1, 0]
+
+
+def free_scan(workers):
+    mask = 0
+    for worker in workers:
+        if worker.is_free:
+            mask |= 1 << worker.worker_id
+    return mask
+
+
+class FreeMaskMachine(RuleBasedStateMachine):
+    """Random begin/end/lap/fail/recover sequences over standalone workers
+    that are merged onto one tally part-way: after every step each tally's
+    ``free`` mask equals a scan of ``is_free`` over its workers, whatever
+    the order (a crash of a busy core included)."""
+
+    @initialize(n=st.integers(min_value=1, max_value=6))
+    def create(self, n):
+        self.workers = [Worker(i) for i in range(n)]
+        self.merged = False
+        self.rid = 0
+        self.now = 0.0
+
+    def pick(self, i):
+        return self.workers[i % len(self.workers)]
+
+    @rule(i=st.integers(0, 5))
+    def begin(self, i):
+        worker = self.pick(i)
+        self.rid += 1
+        if worker.current is None:
+            worker.begin(req(self.rid), self.now)
+        else:
+            with pytest.raises(SchedulingError):
+                worker.begin(req(self.rid), self.now)
+
+    @rule(i=st.integers(0, 5))
+    def end(self, i):
+        worker = self.pick(i)
+        self.now += 1.0
+        if worker.current is None:
+            with pytest.raises(SchedulingError):
+                worker.end(self.now)
+        else:
+            worker.end(self.now)
+
+    @rule(i=st.integers(0, 5))
+    def lap(self, i):
+        worker = self.pick(i)
+        self.now += 1.0
+        if worker.current is None:
+            with pytest.raises(SchedulingError):
+                worker.lap(self.now)
+        else:
+            worker.lap(self.now)
+
+    @rule(i=st.integers(0, 5))
+    def fail(self, i):
+        self.pick(i).fail()
+
+    @rule(i=st.integers(0, 5))
+    def recover(self, i):
+        self.pick(i).recover()
+
+    @precondition(lambda self: not self.merged)
+    @rule()
+    def merge(self):
+        counts = shared_counts(self.workers)
+        assert all(w.counts is counts for w in self.workers)
+        self.merged = True
+
+    @invariant()
+    def masks_match_a_scan(self):
+        tallies = {}
+        for worker in self.workers:
+            tallies.setdefault(id(worker.counts), (worker.counts, []))[1].append(worker)
+        for counts, workers in tallies.values():
+            assert counts.free == free_scan(workers)
+            assert counts.busy == sum(1 for w in workers if w.current is not None)
+            assert counts.failed == sum(1 for w in workers if w.failed)
+
+
+TestFreeMask = FreeMaskMachine.TestCase
+TestFreeMask.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+
+
+class TestFreeMaskOnAServer:
+    def test_a_new_server_has_every_core_free(self):
+        server = make_server(3)
+        assert server.counts.free == 0b111
+
+    def test_crash_handler_keeps_the_mask_exact(self):
+        server = make_server(3)
+        scheduler = server.scheduler
+        workers = server.workers
+        workers[1].begin(req(0), 0.0)
+        assert server.counts.free == 0b101
+        scheduler.on_worker_crash(workers[1], requeue=False)
+        assert server.counts.free == 0b101 == free_scan(workers)
+        scheduler.on_worker_recover(workers[1])
+        assert server.counts.free == 0b111 == free_scan(workers)
