@@ -4,7 +4,7 @@ Times one full ``repro-analyze`` pass — parse every module under
 ``src/repro``, build the symbol table / class hierarchy / call graph,
 then run every analysis (event-flow races, RNG-stream escapes,
 contract checks, observer purity, hot-path idioms, units flow,
-fork-safety) — plus the dataflow engine's interprocedural summary
+fork-safety, single-module determinism rules) — plus the dataflow engine's interprocedural summary
 fixpoint on its own, since that is the analyzer's newest superlinear
 ingredient.  The finding counts land in extra_info so CI can archive
 them (``--benchmark-json=BENCH_analyze.json``) and trend both the
@@ -21,10 +21,10 @@ from repro.analyze import (
     build_program,
     compute_summaries,
     diff_baseline,
+    iter_python_files,
     load_baseline,
 )
 from repro.analyze.dataflow import SCALAR, TOP
-from repro.lint.runner import iter_python_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")

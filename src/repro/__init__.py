@@ -31,7 +31,7 @@ from .core.darc import DarcScheduler
 from .errors import SanitizerViolation
 from .experiments.common import RunResult, run_once, run_sweep
 from .faults import ChaosResult, FaultInjector, FaultPlan, run_chaos
-from .lint.sanitizer import SimSanitizer
+from .metrics.sanitizer import SimSanitizer
 from .metrics.summary import RunSummary
 from .policies.fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
 from .policies.timesharing import TimeSharing

@@ -1,9 +1,7 @@
-"""Whole-program static analysis for the Persephone reproduction.
+"""Static analysis for the Persephone reproduction.
 
-Where :mod:`repro.lint` checks one module at a time, this package parses
-the entire tree into a symbol table and call graph
-(:mod:`repro.analyze.model`) and runs seven interprocedural analyses
-over it:
+This package parses the entire tree once into a symbol table and call
+graph (:mod:`repro.analyze.model`) and runs eight analyses over it:
 
 * :mod:`repro.analyze.eventflow` — simulated-time race detection
   (A001/A002): same-timestamp event pairs whose handlers touch
@@ -15,9 +13,9 @@ over it:
   verification (A201–A203): required overrides, mandatory ``super()``
   chains, reserved engine-owned field writes.
 * :mod:`repro.analyze.purity` — observer-purity verification (A301):
-  wall-clock, entropy, RNG, and heap-tracking calls inside the trace
-  and telemetry observer packages, resolved through each module's
-  import table.
+  wall-clock, entropy, RNG, and heap-tracking calls inside the observer
+  packages (trace, telemetry, sweep, rack, forensics), resolved through
+  each module's import table.
 * :mod:`repro.analyze.hotpath` — profile-guided hot-path performance
   analysis (A401–A406): allocations, missing ``__slots__``, repeated
   attribute lookups, string formatting, exception-driven control flow,
@@ -37,13 +35,20 @@ over it:
   module-level state, unprefixed RNG streams in fork-adjacent
   packages, and checkpoint writes that bypass the single-writer
   store.
+* :mod:`repro.analyze.filerules` — single-module determinism rules
+  (A701–A708): direct RNG calls, wall clocks, mutable defaults, set
+  iteration, raw unit literals, handler global mutation, host entropy,
+  and builtin ``hash()``, all from one shared walk per module.
 
-Findings share :mod:`repro.lint`'s severity and pragma model
-(``# repro-analyze: disable=A102``), serialize to text, JSON and SARIF
-2.1.0 (:mod:`repro.analyze.sarif`), and gate in CI against a checked-in
-baseline (:mod:`repro.analyze.baseline`).  The CLI is ``repro-analyze``
-(:mod:`repro.analyze.cli`).  The runtime twin of the eventflow analysis
-is the tie-break shadow check in :class:`repro.lint.sanitizer.SimSanitizer`.
+Findings carry an error/warning severity, honour one pragma grammar
+(``# repro-analyze: disable=A102``, :mod:`repro.analyze.pragmas`),
+serialize to text, JSON and SARIF 2.1.0 (:mod:`repro.analyze.sarif`),
+and gate in CI against a checked-in baseline
+(:mod:`repro.analyze.baseline`).  The CLI is ``repro-analyze``
+(:mod:`repro.analyze.cli`); its ``determinism`` subcommand runs the
+twice-run same-seed digest check (:mod:`repro.analyze.determinism`).
+The runtime twin of the eventflow analysis is the tie-break shadow check
+in :class:`repro.metrics.sanitizer.SimSanitizer`.
 """
 
 from .baseline import BaselineDiff, diff_baseline, load_baseline, write_baseline
@@ -57,6 +62,7 @@ from .dataflow import (
     transfer_binop,
 )
 from .eventflow import analyze_eventflow, collect_schedule_sites
+from .filerules import analyze_filerules
 from .findings import ANALYSIS_RULES, AnalysisFinding, RuleMeta, fingerprint, make_finding
 from .forksafety import analyze_forksafety
 from .hotpath import (
@@ -67,7 +73,7 @@ from .hotpath import (
     load_profile,
     rank_findings,
 )
-from .model import Program, build_program
+from .model import Program, build_program, iter_python_files
 from .purity import analyze_purity
 from .rngflow import analyze_rngflow
 from .runner import analyze_paths, analyze_program, has_errors
@@ -84,6 +90,7 @@ __all__ = [
     "RuleMeta",
     "analyze_contracts",
     "analyze_eventflow",
+    "analyze_filerules",
     "analyze_forksafety",
     "analyze_function",
     "analyze_hotpath",
@@ -102,6 +109,7 @@ __all__ = [
     "has_errors",
     "hot_functions",
     "hot_roots",
+    "iter_python_files",
     "join",
     "load_baseline",
     "load_profile",

@@ -8,7 +8,7 @@ Usage::
     repro-analyze scan src/repro --baseline analyze-baseline.json
                                                       # gate: new findings fail
     repro-analyze scan src/repro --purity-audit       # + sanctioned-impurity
-                                                      # ledger (R009/A301)
+                                                      # ledger (A301)
     repro-analyze baseline src/repro -o analyze-baseline.json
                                                       # (re)write the baseline
     repro-analyze diff src/repro --baseline analyze-baseline.json
@@ -22,9 +22,14 @@ Usage::
     repro-analyze selfcheck                           # scan this package's
                                                       # own source tree
     repro-analyze list-rules                          # finding catalogue
+    repro-analyze determinism --sanitize --n-requests 12000
+                                                      # twice-run same-seed
+                                                      # digest check
+    repro-analyze determinism --chaos                 # + fault-injected runs
 
 Exit codes: 0 clean, 1 gate failure (unbaselined findings / severity
-errors / any finding with ``--strict``), 2 usage or internal errors.
+errors / any finding with ``--strict``) or a determinism mismatch, 2
+usage or internal errors.
 """
 
 from __future__ import annotations
@@ -39,9 +44,8 @@ from ..errors import ReproError
 from .baseline import diff_baseline, load_baseline, write_baseline
 from .findings import ANALYSIS_RULES, AnalysisFinding
 from .hotpath import load_profile, rank_findings
-from .model import build_program
+from .model import build_program, iter_python_files
 from .runner import analyze_paths, analyze_program, has_errors
-from ..lint.runner import iter_python_files
 from .sarif import sarif_text
 
 #: The rule ids the ``hotpath`` subcommand restricts itself to.
@@ -57,9 +61,10 @@ FORKSAFETY_SELECT = ["A000", "A601", "A602", "A603", "A604"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
-        description="Interprocedural static analyzer for the Persephone "
-        "reproduction: simulated-time races, RNG-stream escapes, and "
-        "Policy/System/Balancer contract violations.",
+        description="Static analyzer for the Persephone reproduction: "
+        "simulated-time races, RNG-stream escapes, contract violations, "
+        "observer purity, hot paths, units, fork safety and single-module "
+        "determinism rules, plus the twice-run same-seed digest check.",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--purity-audit",
         action="store_true",
-        help="also print the sanctioned-impurity ledger: every R009/A301 "
+        help="also print the sanctioned-impurity ledger: every A301 "
         "suppression pragma with its file:line and code",
     )
 
@@ -171,6 +176,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("list-rules", help="print the finding catalogue and exit")
+
+    det = sub.add_parser(
+        "determinism",
+        help="twice-run each system with the same seed and compare digests",
+    )
+    det.add_argument(
+        "--chaos",
+        action="store_true",
+        help="also twice-run each system through a fault-injected episode "
+        "(crash/recover, straggler, packet loss/dup, retries)",
+    )
+    det.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="attach the runtime SimSanitizer to every run",
+    )
+    det.add_argument(
+        "--n-requests",
+        type=int,
+        default=2000,
+        help="arrivals per run, at least 1 (default 2000)",
+    )
+    det.add_argument("--seed", type=int, default=1, help="root seed, at least 0")
     return parser
 
 
@@ -206,12 +234,9 @@ def _print_purity_audit(paths: Sequence[str]) -> None:
     from .purity import purity_pragma_ledger
 
     entries = purity_pragma_ledger(paths)
-    print("Sanctioned observer impurities (R009/A301 suppression pragmas):")
+    print("Sanctioned observer impurities (A301 suppression pragmas):")
     for entry in entries:
-        print(
-            f"  {entry['path']}:{entry['line']} "
-            f"[{entry['tool']}:{entry['rule']}] {entry['code']}"
-        )
+        print(f"  {entry['path']}:{entry['line']} {entry['code']}")
     print(f"repro-analyze: {len(entries)} sanctioned impurity pragma(s)")
 
 
@@ -221,6 +246,38 @@ def _print_rules() -> None:
         for line in meta.description.splitlines():
             print(f"    {line.strip()}")
         print()
+
+
+def _run_determinism(args: argparse.Namespace) -> int:
+    """``repro-analyze determinism``: one line per twice-run comparison.
+
+    Bad arguments are refused before any run; an error raised by a run
+    itself (a sanitizer violation, say) propagates as a crash."""
+    for flag, value, least in (
+        ("--n-requests", args.n_requests, 1),
+        ("--seed", args.seed, 0),
+    ):
+        if value < least:
+            print(
+                f"repro-analyze: {flag} must be at least {least}, got {value}",
+                file=sys.stderr,
+            )
+            return 2
+    from .determinism import check_all, check_chaos_all
+
+    reports = check_all(n_requests=args.n_requests, seed=args.seed, sanitize=args.sanitize)
+    if args.chaos:
+        reports += check_chaos_all(
+            n_requests=args.n_requests, seed=args.seed, sanitize=args.sanitize
+        )
+    for report in reports:
+        print(report.describe())
+    mismatches = [r for r in reports if not r.identical]
+    print(
+        f"repro-analyze: determinism {len(reports) - len(mismatches)}/{len(reports)} "
+        "system(s) reproducible"
+    )
+    return 1 if mismatches else 0
 
 
 def _read(path: str) -> str:
@@ -287,6 +344,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list-rules":
         _print_rules()
         return 0
+    if args.command == "determinism":
+        return _run_determinism(args)
     try:
         if args.command == "selfcheck":
             findings = analyze_paths([_package_root()])

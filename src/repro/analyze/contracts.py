@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..lint.rules import SIM_CRITICAL_PACKAGES
+from .filerules import SIM_CRITICAL_PACKAGES
 from .findings import AnalysisFinding, make_finding
 from .model import ClassInfo, FunctionInfo, Program
 

@@ -30,7 +30,7 @@ The analysis proceeds in three steps:
 Everything here is a *hazard* report (severity ``warning``): the run is
 still reproducible, but its outcome hangs on an undeclared ordering.
 The runtime twin of this analysis is the tie-break shadow check in
-:class:`repro.lint.sanitizer.SimSanitizer`.
+:class:`repro.metrics.sanitizer.SimSanitizer`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..lint.rules import SIM_CRITICAL_PACKAGES
+from .filerules import SIM_CRITICAL_PACKAGES
 from .findings import AnalysisFinding, make_finding
 from .model import ClassInfo, FunctionInfo, Program
 

@@ -1,8 +1,7 @@
 """Finding model for the whole-program analyzer.
 
-``repro-analyze`` findings mirror ``repro-lint``'s shape (path, line,
-rule id, severity, message) and add two things the whole-program setting
-needs:
+A ``repro-analyze`` finding is a path, line, rule id, severity and
+message, plus two things a baseline ratchet needs:
 
 * a **symbol** — the dotted program entity the finding is about (a
   handler pair, a stream name, a class) — so a finding survives the file
@@ -13,7 +12,7 @@ needs:
   behaviour does.
 
 This module is deliberately standalone (no imports from the rest of
-``repro``) so ``repro.lint`` can import the rule registry without
+``repro``) so every analysis can import the rule registry without
 creating an import cycle.
 """
 
@@ -37,7 +36,8 @@ class RuleMeta(NamedTuple):
 #: The finding-id catalogue.  A0xx — analyzer hygiene; A1xx — RNG-stream
 #: flow; A2xx — policy/system/balancer contracts; A3xx — observer
 #: purity; A4xx — hot-path performance; A5xx — units flow; A6xx —
-#: fork safety; A001/A002 — event-flow.
+#: fork safety; A7xx — single-module determinism rules; A001/A002 —
+#: event-flow.
 ANALYSIS_RULES: Dict[str, RuleMeta] = {
     meta.id: meta
     for meta in (
@@ -147,13 +147,19 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "observer-impurity",
             "error",
             "purity",
-            "An observer module (repro/trace/, repro/telemetry/) calls a "
-            "wall clock, host-entropy source, direct RNG constructor, or "
-            "tracemalloc heap-tracking function.  Observers promise that "
-            "attaching them cannot change a run and that their output is "
-            "a pure function of simulated events; the self-profiler is "
-            "the one sanctioned exception and must pragma-tag every such "
-            "line so each impurity stays individually justified.",
+            "A module in an observer package (repro/trace/, "
+            "repro/telemetry/, repro/sweep/, repro/rack/, "
+            "repro/forensics/) calls a wall clock, host-entropy source, "
+            "direct RNG function, or tracemalloc heap-tracking function.  "
+            "Observers promise that attaching them cannot change a run "
+            "and that their output is a pure function of simulated "
+            "events.  Two exceptions are sanctioned: the self-profiler, "
+            "which measures the simulator's own cost, and the sweep "
+            "executor's worker-management lines (pool timeouts, the "
+            "latency selftest's sleep), which steer processes, never "
+            "results.  Each such line carries its own pragma so every "
+            "impurity stays individually justified (scan "
+            "--purity-audit lists them).",
         ),
         RuleMeta(
             "A401",
@@ -327,6 +333,101 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "written anywhere outside the single-writer store.  Every "
             "resumable byte must go through write_json_atomic so a "
             "crash mid-write cannot corrupt a sweep.",
+        ),
+        RuleMeta(
+            "A701",
+            "direct-random",
+            "error",
+            "filerules",
+            "A direct random.* / numpy.random.* call bypasses the seeded "
+            "stream registry.  All randomness must flow through "
+            "repro.sim.randomness.RngRegistry so that a single root seed "
+            "reproduces the whole run and one component's draws never "
+            "perturb another's.  Any randomness.py module is exempt (it "
+            "is the sanctioned wrapper); observer packages are A301's.",
+        ),
+        RuleMeta(
+            "A702",
+            "wall-clock",
+            "error",
+            "filerules",
+            "A wall-clock read inside simulation code leaks host time "
+            "into simulated time: results stop depending only on the "
+            "seed, and two same-seed runs diverge.  Simulation "
+            "components must read EventLoop.now; only driver code (CLI, "
+            "experiments, metrics, analysis) may time itself with the "
+            "host clock.  Observer packages are A301's.",
+        ),
+        RuleMeta(
+            "A703",
+            "mutable-default",
+            "error",
+            "filerules",
+            "A mutable default argument is created once at function "
+            "definition and shared across every call — hidden global "
+            "state.  In a simulator it also couples runs: state from run "
+            "N leaks into run N+1 through the default object, silently "
+            "breaking seed reproducibility.",
+        ),
+        RuleMeta(
+            "A704",
+            "unordered-iteration",
+            "error",
+            "filerules",
+            "Iterating a set in simulation code makes dispatch order "
+            "depend on hash order.  Integer hashing is stable today, but "
+            "one refactor to string keys (hash-salted per process) "
+            "silently breaks cross-run determinism.  Iterate a sorted() "
+            "view or an explicitly ordered structure (list, deque, "
+            "dict).",
+        ),
+        RuleMeta(
+            "A705",
+            "raw-unit-literal",
+            "error",
+            "filerules",
+            "Multiplying or dividing by a bare 1e6 / 1e9 style constant "
+            "is almost always a hand-rolled seconds/microseconds/"
+            "nanoseconds conversion.  Unit bugs are invisible in "
+            "queueing output (everything just shifts); conversions must "
+            "go through repro.sim.units helpers, which name the units at "
+            "the call site.  Any units.py module is exempt.",
+        ),
+        RuleMeta(
+            "A706",
+            "handler-global-mutation",
+            "error",
+            "filerules",
+            "Event handlers that mutate module-level state make "
+            "behaviour depend on what ran earlier in the process, not "
+            "earlier in the simulation: back-to-back runs in one process "
+            "diverge from fresh runs.  Flags a global declaration in any "
+            "function, and in-place mutation of module-level names "
+            "(STATE[...] = ..., STATE.append(...)) inside on_* / "
+            "handle_* handlers.  Per-run state belongs on the "
+            "scheduler or server object.",
+        ),
+        RuleMeta(
+            "A707",
+            "nondeterministic-source",
+            "error",
+            "filerules",
+            "Host entropy sources (uuid.uuid4, os.urandom, secrets.*, "
+            "os.getpid) can never be replayed from a seed.  Any "
+            "identifier or sample a simulation needs must be derived "
+            "from the run's RngRegistry or a deterministic counter.  "
+            "Observer packages are A301's.",
+        ),
+        RuleMeta(
+            "A708",
+            "builtin-hash-order",
+            "warning",
+            "filerules",
+            "hash() of str/bytes is salted per process (PYTHONHASHSEED), "
+            "so anything ordered or steered by it — RSS-style request "
+            "steering, sort keys, bucket choice — differs between "
+            "processes with the same seed.  Use an explicit stable "
+            "digest (e.g. zlib.crc32) or integer keys.",
         ),
     )
 }

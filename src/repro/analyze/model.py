@@ -1,10 +1,10 @@
 """Whole-program model: symbol table, class hierarchy, and call graph.
 
-The single-file linter (:mod:`repro.lint`) sees one module at a time;
-everything in this package needs the *cross-module* picture: which class
-extends which, which handler calls which helper, which constructor a
-stream object is passed into.  :func:`build_program` parses a file set
-once into a :class:`Program` that the three analyses share.
+The single-module rules (:mod:`repro.analyze.filerules`) read one
+module at a time; the other analyses need the *cross-module* picture:
+which class extends which, which handler calls which helper, which
+constructor a stream object is passed into.  :func:`build_program` parses a file set
+once into a :class:`Program` that every analysis shares.
 
 Resolution is deliberately best-effort and *static*: attribute chains
 rooted at ``self`` resolve through the class hierarchy, bare names
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import AnalysisError
 
@@ -418,6 +418,23 @@ class Program:
             f"Program(modules={len(self.modules)}, classes={len(self.classes)}, "
             f"functions={len(self.functions)})"
         )
+
+
+def iter_python_files(paths: Iterable[str]) -> List[str]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    collected: List[str] = []
+    for path in paths:
+        if os.path.isfile(path):
+            collected.append(path)
+        elif os.path.isdir(path):
+            for root, dirs, files in os.walk(path):
+                dirs[:] = sorted(d for d in dirs if not d.startswith((".", "__pycache__")))
+                for name in sorted(files):
+                    if name.endswith(".py"):
+                        collected.append(os.path.join(root, name))
+        else:
+            raise AnalysisError(f"no such file or directory: {path!r}")
+    return sorted(dict.fromkeys(collected))
 
 
 def build_program(paths: Sequence[str], root: Optional[str] = None) -> Program:

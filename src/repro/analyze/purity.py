@@ -1,48 +1,49 @@
 """Observer-purity analysis (finding A301).
 
-The trace, telemetry, and sweep packages are *observers*: attaching
-them must not change a run, and their output must be a pure function of
-simulated events.  :class:`repro.lint.rules.TracePurityRule` (R009)
-enforces the per-file half of that contract; this analysis is the
-whole-program twin that also covers heap-tracking calls and resolves
-names through each module's import table, so ``from time import
-perf_counter as clock`` does not slip past a textual check.
+The trace, telemetry, sweep, rack and forensics packages are held to
+the observer contract: attaching an observer must not change a run,
+and observer output must be a pure function of simulated events.  This
+analysis resolves every call through the module's import table, so
+``from time import perf_counter as clock`` does not slip past a textual
+check.
 
 One finding:
 
-* **A301** — an observer module (``repro/trace/``, ``repro/telemetry/``,
-  ``repro/sweep/``, ``repro/rack/``, ``repro/forensics/``) calls a wall
-  clock, a host-entropy source, a direct RNG constructor, or a
-  ``tracemalloc`` heap-tracking function.
+* **A301** — a module in an observer package (``repro/trace/``,
+  ``repro/telemetry/``, ``repro/sweep/``, ``repro/rack/``,
+  ``repro/forensics/``) calls a wall clock, a host-entropy source, a
+  direct RNG function, or a ``tracemalloc`` heap-tracking function.
 
-The self-profiler (:mod:`repro.telemetry.profiler`) is one sanctioned
-exception — it deliberately measures the simulator's own wall time and
-heap; the sweep executor's worker-management lines (pool timeouts, the
-latency selftest's sleep) are the other, since they steer worker
-processes without touching any recorded result.  Each such line carries
-an explicit ``# repro-analyze: disable=A301`` pragma, so every
-allowlisted impurity stays visible and individually justified.
-``tracemalloc.is_tracing()`` is not flagged: it is a pure query used to
-guard start/stop, not a measurement.
+There are two sanctioned exceptions.  The self-profiler
+(:mod:`repro.telemetry.profiler`) deliberately measures the simulator's
+own wall time and heap.  The sweep executor's worker-management lines
+(pool timeouts, the latency selftest's sleep) steer worker processes
+without touching any recorded result.  Each such line carries its own
+``# repro-analyze: disable=A301`` pragma, so every allowlisted impurity
+stays visible and individually justified; ``scan --purity-audit``
+lists them.  ``tracemalloc.is_tracing()`` is not flagged: it is a pure
+query used to guard start/stop, not a measurement.
 
-The forbidden-name sets are imported from the lint rules rather than
-duplicated, so the two layers can never drift apart.
+The forbidden-name sets are the A701/A702/A707 rules' own
+(:mod:`repro.analyze.filerules`), which leave observer modules to this
+analysis, so each impure call is reported once.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from ..lint.rules import NondeterministicSourceRule, TracePurityRule, WallClockRule
+from .filerules import (
+    ENTROPY,
+    ENTROPY_PREFIXES,
+    RNG_PREFIXES,
+    WALL_CLOCK,
+    ModuleNodes,
+    observer_package,
+)
 from .findings import AnalysisFinding, make_finding
-from .model import ModuleInfo, Program
-
-_WALL_CLOCK = WallClockRule._FORBIDDEN
-_ENTROPY = NondeterministicSourceRule._FORBIDDEN
-_ENTROPY_PREFIXES = NondeterministicSourceRule._FORBIDDEN_PREFIXES
-_RNG_PREFIXES = TracePurityRule._RNG_PREFIXES
-_OBSERVER_PACKAGES = TracePurityRule._OBSERVER_PACKAGES
+from .model import Program, iter_python_files
+from .pragmas import iter_comments, pragma_ids
 
 #: ``tracemalloc`` calls that start, stop, or read a heap measurement.
 #: ``is_tracing`` is deliberately absent (pure guard query).
@@ -58,57 +59,28 @@ _HEAP_TRACKING = frozenset(
 )
 
 
-def _observer_package(module: ModuleInfo) -> str:
-    """The observer package ``module`` belongs to, or ``""``."""
-    posix = module.path.replace("\\", "/")
-    for package in _OBSERVER_PACKAGES:
-        if module.package == package or f"/{package}/" in posix:
-            return package
-    return ""
-
-
 def _classify(dotted: str) -> str:
     """Impurity kind for a resolved dotted callee name, or ``""``."""
-    if dotted in _WALL_CLOCK:
+    if dotted in WALL_CLOCK:
         return "wall-clock read"
-    if dotted in _ENTROPY or dotted.startswith(_ENTROPY_PREFIXES):
+    if dotted in ENTROPY or dotted.startswith(ENTROPY_PREFIXES):
         return "host-entropy source"
-    if dotted.startswith(_RNG_PREFIXES):
+    if dotted.startswith(RNG_PREFIXES):
         return "direct RNG draw"
     if dotted in _HEAP_TRACKING:
         return "heap-tracking call"
     return ""
 
 
-def _scoped_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-    """Every call in ``tree`` with its enclosing scope's dotted name."""
-
-    def visit(node: ast.AST, scope: Tuple[str, ...]) -> Iterator[Tuple[ast.Call, str]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                yield from visit(child, scope + (child.name,))
-            else:
-                if isinstance(child, ast.Call):
-                    yield child, ".".join(scope) or "<module>"
-                yield from visit(child, scope)
-
-    yield from visit(tree, ())
-
-
 def analyze_purity(program: Program) -> List[AnalysisFinding]:
-    """Flag impure calls in observer (trace/telemetry) modules."""
+    """Flag impure calls in observer-package modules."""
     findings: List[AnalysisFinding] = []
     for module in program.modules.values():
-        package = _observer_package(module)
+        package = observer_package(module)
         if not package:
             continue
-        for call, scope in _scoped_calls(module.tree):
-            dotted = module.dotted_name(call.func)
-            if dotted is None:
-                continue
-            kind = _classify(dotted)
+        for call, scope, dotted in ModuleNodes(module).calls:
+            kind = _classify(dotted) if dotted is not None else ""
             if not kind:
                 continue
             findings.append(
@@ -119,61 +91,35 @@ def analyze_purity(program: Program) -> List[AnalysisFinding]:
                     call.col_offset,
                     f"{kind} {dotted}() in observer package "
                     f"'repro/{package}/'; observers must be pure functions "
-                    "of simulated time — every sanctioned exception (the "
-                    "self-profiler) must carry its own A301 pragma",
-                    symbol=f"{module.name}.{scope}:{dotted}",
+                    "of simulated time — every sanctioned exception must "
+                    "carry its own A301 pragma",
+                    symbol=f"{module.name}.{scope.name}:{dotted}",
                 )
             )
     return findings
 
 
-#: (pragma tool token, purity rule id) pairs the audit looks for.
-_PURITY_PRAGMAS = (("repro-lint", "R009"), ("repro-analyze", "A301"))
-
-
 def purity_pragma_ledger(paths: Sequence[str]) -> List[Dict[str, object]]:
     """Every sanctioned observer impurity, as an auditable ledger.
 
-    Walks the given trees for ``R009`` (lint) and ``A301`` (analyzer)
-    suppression pragmas — each one a line where an observer module is
-    *allowed* to touch the wall clock or host entropy — and returns
-    ``{path, line, tool, rule, code}`` entries sorted by location.  The
-    point is visibility: the purity contract is only as strong as its
-    exception list, so ``repro-analyze scan --purity-audit`` prints the
-    full list instead of letting exceptions hide in comments.
+    Walks the given trees for ``A301`` suppression pragmas — each one a
+    line where an observer module is *allowed* to touch the wall clock,
+    host entropy or the heap tracker — and returns ``{path, line, code}``
+    entries sorted by location.  The point is visibility: the purity
+    contract is only as strong as its exception list, so
+    ``repro-analyze scan --purity-audit`` prints the full list instead
+    of letting exceptions hide in comments.
     """
-    from ..lint.pragmas import _pragma_re, iter_comments
-    from ..lint.runner import iter_python_files
-
-    patterns = [(tool, rule, _pragma_re(tool)) for tool, rule in _PURITY_PRAGMAS]
     entries: List[Dict[str, object]] = []
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as fp:
             source = fp.read()
         lines = source.splitlines()
         for lineno, comment in iter_comments(source):
-            for tool, rule, pattern in patterns:
-                match = pattern.search(comment)
-                if match is None:
-                    continue
-                ids = {
-                    part.strip().upper()
-                    for part in match.group("ids").split(",")
-                    if part.strip()
-                }
-                if rule not in ids:
-                    continue
-                code = ""
-                if 1 <= lineno <= len(lines):
-                    code = lines[lineno - 1].split("#", 1)[0].strip()
-                entries.append(
-                    {
-                        "path": path,
-                        "line": lineno,
-                        "tool": tool,
-                        "rule": rule,
-                        "code": code,
-                    }
-                )
-    entries.sort(key=lambda e: (e["path"], e["line"], e["tool"]))
+            parsed = pragma_ids(comment)
+            if parsed is None or "A301" not in parsed[1]:
+                continue
+            code = lines[lineno - 1].split("#", 1)[0].strip()
+            entries.append({"path": path, "line": lineno, "code": code})
+    entries.sort(key=lambda e: (e["path"], e["line"]))
     return entries

@@ -1,10 +1,9 @@
 """Analysis driver: build the program, run analyses, honour pragmas.
 
-Mirrors :mod:`repro.lint.runner` one level up: where the linter loops
-*rules over one file*, this runner loops *whole-program analyses over
-one file set*.  Suppression comments use the shared pragma grammar with
-the ``repro-analyze`` token; unknown-id and misplaced pragmas are not
-fatal here (the tree under analysis may be broken in exactly the ways
+The runner loops the analyses over one parsed file set, then applies
+each file's ``# repro-analyze:`` suppression pragmas
+(:mod:`repro.analyze.pragmas`).  Unknown-id and misplaced pragmas are
+not fatal (the tree under analysis may be broken in exactly the ways
 we are reporting) — they surface as A000 findings instead, as do stale
 pragmas that absorb no finding.
 """
@@ -14,14 +13,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import AnalysisError
-from ..lint.pragmas import PragmaSuppressions
-from ..lint.runner import iter_python_files
 from .contracts import analyze_contracts
 from .eventflow import analyze_eventflow
+from .filerules import analyze_filerules
 from .findings import ANALYSIS_RULES, AnalysisFinding, make_finding
 from .forksafety import analyze_forksafety
 from .hotpath import analyze_hotpath
-from .model import Program, build_program
+from .model import Program, build_program, iter_python_files
+from .pragmas import PragmaSuppressions
 from .purity import analyze_purity
 from .rngflow import analyze_rngflow
 from .unitsflow import analyze_unitsflow
@@ -37,6 +36,7 @@ ANALYSES = {
     "hotpath": analyze_hotpath,
     "unitsflow": analyze_unitsflow,
     "forksafety": analyze_forksafety,
+    "filerules": analyze_filerules,
 }
 
 
@@ -80,9 +80,7 @@ def analyze_program(
     kept: List[AnalysisFinding] = []
     for module in program.modules.values():
         path = module.path
-        pragmas = PragmaSuppressions(
-            module.source, "repro-analyze", known_ids, on_unknown="collect"
-        )
+        pragmas = PragmaSuppressions(module.source, known_ids)
         for finding in by_path.pop(path, []):
             if not pragmas.is_suppressed(finding.line, finding.rule_id):
                 kept.append(finding)

@@ -67,12 +67,6 @@ class UsageError(ReproError):
     map it to an exit-code-2 usage failure instead of a crash."""
 
 
-class LintError(ReproError):
-    """Raised for fatal problems inside the ``repro.lint`` analyzer itself
-    (unparseable source, unknown rule ids, bad suppression syntax) — *not*
-    for lint findings, which are reported as data, never raised."""
-
-
 class AnalysisError(ReproError):
     """Raised for fatal problems inside the ``repro.analyze`` whole-program
     analyzer (unparseable source, malformed baseline files, impossible
@@ -83,7 +77,7 @@ class AnalysisError(ReproError):
 class SanitizerViolation(ReproError):
     """A simulation invariant was broken at runtime.
 
-    Raised by :class:`repro.lint.sanitizer.SimSanitizer` the moment an
+    Raised by :class:`repro.metrics.sanitizer.SimSanitizer` the moment an
     invariant check fails.  Carries structured context so test harnesses
     and CI logs can pinpoint the offending event:
 

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..metrics.recorder import Recorder
+from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..metrics.utilization import UtilizationReport
 from ..server.server import Server
@@ -69,7 +70,7 @@ class RunResult:
         self.tracer = tracer
         #: Where the trace document was written, when requested.
         self.trace_path = trace_path
-        #: The run's :class:`~repro.lint.sanitizer.SimSanitizer`, when
+        #: The run's :class:`~repro.metrics.sanitizer.SimSanitizer`, when
         #: sanitized — carries ``tiebreak_hazards`` in shadow mode.
         self.sanitizer = sanitizer
         #: The run's :class:`~repro.telemetry.probe.TelemetryProbe`,
@@ -112,7 +113,7 @@ def run_once(
     overloaded configurations.
 
     ``sanitize=True`` attaches a
-    :class:`~repro.lint.sanitizer.SimSanitizer` that asserts simulation
+    :class:`~repro.metrics.sanitizer.SimSanitizer` that asserts simulation
     invariants (time monotonicity, request conservation, worker
     exclusivity, DARC reservation rules) after every event, raising
     :class:`~repro.errors.SanitizerViolation` on the first breakage.
@@ -159,8 +160,6 @@ def run_once(
     server = Server(loop, scheduler, config=config, recorder=recorder)
     sanitizer = None
     if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
         sanitizer = SimSanitizer(shadow_tiebreaks=(sanitize == "shadow"))
         sanitizer.attach(loop, server)
     if tracer is not None:

@@ -27,6 +27,7 @@ import numpy as np
 from ..analysis.tables import render_series
 from ..sweep.stats import mean_ci
 from ..metrics.recorder import Recorder
+from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..metrics.timeseries import AllocationTimeline, WindowedStats
 from ..server.config import ServerConfig
@@ -143,8 +144,6 @@ def _run_system(
     recorder = Recorder()
     server = Server(loop, scheduler, config=system.make_config(), recorder=recorder)
     if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
         SimSanitizer().attach(loop, server)
     tracer = None
     if trace_path is not None:

@@ -19,6 +19,7 @@ from typing import Any, Dict, Optional
 from ..errors import ConfigurationError
 from ..metrics.degradation import DegradationReport
 from ..metrics.recorder import Recorder
+from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..server.server import Server
 from ..sim.engine import EventLoop
@@ -76,7 +77,7 @@ class ChaosResult:
         #: The episode's :class:`~repro.trace.tracer.Tracer`, when traced.
         self.tracer = tracer
         self.trace_path = trace_path
-        #: The episode's :class:`~repro.lint.sanitizer.SimSanitizer`,
+        #: The episode's :class:`~repro.metrics.sanitizer.SimSanitizer`,
         #: when sanitized — carries ``tiebreak_hazards`` in shadow mode.
         self.sanitizer = sanitizer
         #: The episode's :class:`~repro.telemetry.probe.TelemetryProbe`,
@@ -195,8 +196,6 @@ def run_chaos(
     )
     sanitizer = None
     if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
         sanitizer = SimSanitizer(shadow_tiebreaks=(sanitize == "shadow"))
         sanitizer.attach(loop, server)
 

@@ -15,7 +15,7 @@ Determinism contract: all randomness flows through the run's
 balancer and session keys, the standard workload streams for arrivals,
 per-replica forks for schedulers), so one ``(seed, config)`` pair is one
 exact outcome; :meth:`RackResult.digest` fingerprints it with the same
-:func:`~repro.lint.determinism.digest_outcome` the single-server
+:func:`~repro.metrics.digest.digest_outcome` the single-server
 determinism suite and the sweep executor use.
 
 Sessions: every arriving request is stamped with a session key drawn
@@ -33,7 +33,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..metrics.degradation import DegradationReport
+from ..metrics.digest import digest_outcome
 from ..metrics.recorder import Recorder
+from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..server.server import Server
 from ..sim.engine import EventLoop
@@ -219,8 +221,6 @@ class RackResult:
     def digest(self) -> str:
         """The run's determinism fingerprint (same scheme as the
         single-server suite and the sweep executor)."""
-        from ..lint.determinism import digest_outcome
-
         return digest_outcome(self.recorder, self.loop)
 
     def degradation(
@@ -385,8 +385,6 @@ def run_rack(
         injector = RackFaultInjector(plan)
         injector.arm(loop, servers, rack_balancer)
     if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
         # Loop-only attachment: per-server invariants (worker
         # exclusivity, reservation rules) assume a single server, but
         # time monotonicity and the shadow tie-break check still apply.

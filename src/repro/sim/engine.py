@@ -23,7 +23,7 @@ Design notes
 * The loop never moves time backwards; scheduling in the past raises
   :class:`~repro.errors.SimulationError` instead of silently reordering
   history.
-* An optional :class:`~repro.lint.sanitizer.SimSanitizer` may be attached
+* An optional :class:`~repro.metrics.sanitizer.SimSanitizer` may be attached
   via :meth:`EventLoop.attach_sanitizer`; the loop then reports every
   executed event (and heap drain) to it.  With no sanitizer attached the
   cost is a single ``is None`` test per event.

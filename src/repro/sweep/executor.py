@@ -18,9 +18,9 @@ Design constraints, in order:
 
 This module is worker management, not simulation or aggregation: the
 wall-clock reads below (pool deadlines, progress pacing) never touch a
-simulated result, and each carries the purity pragmas with that
+simulated result, and each carries an A301 pragma with that
 justification.  Merged *results* stay bound by the observer-purity
-contract (lint R009 / analyzer A301) enforced over this package.
+contract (analyzer A301) enforced over this package.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _execute_pool(
         child_conn.close()
         deadline = None
         if timeout_s is not None:
-            deadline = time.monotonic() + timeout_s  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+            deadline = time.monotonic() + timeout_s  # repro-analyze: disable=A301
         return _LiveWorker(index, cell, process, parent_conn, deadline)
 
     def settle(worker: _LiveWorker, outcome: CellOutcome) -> None:
@@ -177,7 +177,7 @@ def _execute_pool(
                 [w.conn for w in live], timeout=_POLL_S
             )
             ready_set = set(ready)
-            now = time.monotonic()  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+            now = time.monotonic()  # repro-analyze: disable=A301
             still: List[_LiveWorker] = []
             for worker in live:
                 if worker.conn in ready_set:

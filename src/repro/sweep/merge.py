@@ -3,8 +3,8 @@
 Aggregation here is a **pure function** of the cell results: grouping is
 by parameter binding, statistics come from :mod:`repro.sweep.stats`, and
 nothing reads the clock, the pid, or an RNG — the observer-purity
-contract (lint R009 / analyzer A301) is enforced over this package, so a
-merged document depends only on the cells that went in, never on how or
+contract (analyzer A301) is enforced over this package, so a merged
+document depends only on the cells that went in, never on how or
 when they were executed.
 
 Grouping model: cells that differ only in ``replicate`` are replicates

@@ -7,7 +7,7 @@ pool executor ships cell documents, not live objects, and stays
 compatible with every ``multiprocessing`` start method.
 
 Every cell's digest comes from
-:func:`repro.lint.determinism.digest_outcome` (or its chaos variant) —
+:func:`repro.metrics.digest.digest_outcome` (or its chaos variant) —
 the same fingerprint the determinism checker uses — which is what lets
 the determinism tests pin that serial, pooled and resumed executions of
 one cell are bit-identical.
@@ -22,6 +22,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..metrics.digest import digest_chaos_outcome, digest_outcome
 from ..sim.units import US_PER_MS
 from .cells import Cell, CellResult
 from .planner import SELFTEST, experiment_spec
@@ -75,7 +76,6 @@ def _run_simulated_cell(
 ) -> CellResult:
     """The common load-point path: ``run_once`` + outcome digest."""
     from ..experiments.common import run_once
-    from ..lint.determinism import digest_outcome
 
     params = cell.params_dict
     trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
@@ -141,7 +141,6 @@ def _run_reserved_cell(cell, spec, artifact_dir, observe) -> CellResult:
 
 def _run_phased_cell(cell, spec, artifact_dir, observe) -> CellResult:
     from ..experiments import figure7
-    from ..lint.determinism import digest_outcome
     from ..metrics.summary import RunSummary
 
     params = cell.params_dict
@@ -178,7 +177,6 @@ def _run_phased_cell(cell, spec, artifact_dir, observe) -> CellResult:
 def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
     from ..experiments import chaos
     from ..faults.runner import run_chaos
-    from ..lint.determinism import digest_chaos_outcome
 
     params = cell.params_dict
     workload = params["workload"]
@@ -235,7 +233,6 @@ def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
 
 
 def _run_rack_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    from ..lint.determinism import digest_outcome
     from ..rack.rack import run_rack
 
     params = cell.params_dict
@@ -291,9 +288,9 @@ def _run_selftest_cell(cell: Cell) -> CellResult:
     if mode == "crash":
         raise RuntimeError(f"selftest cell {cell.cell_id} crashed on request")
     if mode == "hang":
-        time.sleep(3600.0)  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        time.sleep(3600.0)  # repro-analyze: disable=A301
     if mode == "sleep" and duration_ms > 0:
-        time.sleep(duration_ms / 1e3)  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        time.sleep(duration_ms / 1e3)  # repro-analyze: disable=A301
     elif mode not in ("ok", "sleep"):
         raise ConfigurationError(f"unknown selftest mode {mode!r}")
     value = float((cell.seed % 1_000) + params["index"])

@@ -12,7 +12,7 @@ decimals), falling back to the normal quantile beyond — where the t
 distribution is within ~2% of normal anyway.  The tables make the math
 a pure, dependency-free function of its inputs, which matters because
 this code runs inside the sweep *aggregation* layer and is bound by the
-observer-purity contract (lint R009 / analyzer A301).
+observer-purity contract (analyzer A301).
 """
 
 from __future__ import annotations

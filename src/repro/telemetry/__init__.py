@@ -11,8 +11,8 @@ Prometheus text / JSONL / a static HTML dashboard
 (:mod:`~repro.telemetry.cli`).
 
 Everything except the explicitly-allowlisted self-profiler runs on
-**virtual time** only — the purity rules in :mod:`repro.lint` (R009)
-and :mod:`repro.analyze` (A301) enforce it statically, and
+**virtual time** only — the observer-purity analysis in
+:mod:`repro.analyze` (A301) enforces it statically, and
 ``tests/telemetry/test_determinism.py`` enforces it dynamically
 (bit-identical run digests with metrics on or off).
 """

@@ -11,8 +11,8 @@ It is opt-in, wraps event execution from the outside
 a profiled run still produces the exact same virtual-time results; it
 just runs a little slower while being measured.  The wall-clock and
 allocation-tracking calls below are the *only* allowlisted impurity in
-the telemetry package — every line is pragma-tagged for ``repro-lint``
-(R002/R009) and ``repro-analyze`` (A301).
+the telemetry package — every line is pragma-tagged for
+``repro-analyze`` (A301).
 
 Output is ``BENCH_profile.json`` (same ``BENCH_*`` family the chaos and
 analyze benchmarks use, aggregated by ``repro-metrics bench``).
@@ -99,7 +99,7 @@ class SelfProfiler:
             tracemalloc.start()  # repro-analyze: disable=A301
             self._tracing_heap = True
         self._heap_live = self.track_heap and tracemalloc.is_tracing()
-        self._started_at = time.perf_counter()  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        self._started_at = time.perf_counter()  # repro-analyze: disable=A301
 
     def run_event(self, event) -> None:
         """Execute one event under timing (called by the event loop)."""
@@ -112,11 +112,11 @@ class SelfProfiler:
         heap_live = self._heap_live
         if heap_live:
             heap_before = tracemalloc.get_traced_memory()[0]  # repro-analyze: disable=A301
-        t0 = time.perf_counter()  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        t0 = time.perf_counter()  # repro-analyze: disable=A301
         try:
             fn(*event.args)
         finally:
-            stats.cum_s += time.perf_counter() - t0  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+            stats.cum_s += time.perf_counter() - t0  # repro-analyze: disable=A301
             stats.calls += 1
             self._events += 1
             if heap_live:
@@ -128,7 +128,7 @@ class SelfProfiler:
         """Finish timing and return the report dict."""
         if self._started_at is None:
             raise TelemetryError("profiler not started")
-        self._wall_s = time.perf_counter() - self._started_at  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        self._wall_s = time.perf_counter() - self._started_at  # repro-analyze: disable=A301
         self._started_at = None
         if self.track_heap and tracemalloc.is_tracing():
             _, self._peak_heap = tracemalloc.get_traced_memory()  # repro-analyze: disable=A301

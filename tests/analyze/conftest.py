@@ -15,7 +15,7 @@ import pytest
 
 from repro.analyze.model import build_program
 from repro.analyze.runner import analyze_paths
-from repro.lint.runner import iter_python_files
+from repro.analyze.model import iter_python_files
 
 
 @pytest.fixture

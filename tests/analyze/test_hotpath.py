@@ -194,7 +194,7 @@ class TestHotRoots:
 
         import repro
         from repro.analyze.model import build_program
-        from repro.lint.runner import iter_python_files
+        from repro.analyze.model import iter_python_files
 
         package = os.path.dirname(repro.__file__)
         root = os.path.dirname(package)
@@ -252,7 +252,7 @@ class TestHotRoots:
 
         import repro
         from repro.analyze.model import build_program
-        from repro.lint.runner import iter_python_files
+        from repro.analyze.model import iter_python_files
 
         package = os.path.dirname(repro.__file__)
         root = os.path.dirname(package)

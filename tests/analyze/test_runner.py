@@ -120,14 +120,14 @@ class TestHygiene:
         assert analyze(files) == []
 
     def test_lint_pragmas_do_not_leak_into_analyze(self, analyze):
-        """A repro-lint pragma neither suppresses analyzer findings nor
-        trips analyzer hygiene."""
+        """Another linter's pragma neither suppresses analyzer findings
+        nor trips analyzer hygiene: only ``repro-analyze:`` is read."""
         files = dict(
             ESCAPE,
             **{
                 "faults/run.py": ESCAPE["faults/run.py"].replace(
                     'Client(rngs.stream("faults.retry"))',
-                    'Client(rngs.stream("faults.retry"))  # repro-lint: disable=R001',
+                    'Client(rngs.stream("faults.retry"))  # pylint: disable=A102',
                 )
             },
         )

@@ -1,8 +1,8 @@
 """The runtime tie-break shadow check (SimSanitizer shadow mode) and
 its EventLoop support (peek_event)."""
 
-from repro.lint.determinism import default_systems, digest_run
-from repro.lint.sanitizer import SimSanitizer
+from repro.analyze.determinism import default_systems, digest_run
+from repro.metrics.sanitizer import SimSanitizer
 from repro.sim.engine import EventLoop
 from repro.workload.presets import high_bimodal
 

@@ -8,7 +8,7 @@ import pytest
 from repro.experiments.common import run_once
 from repro.faults.plan import FaultPlan, PacketDrop, PacketDup
 from repro.faults.runner import run_chaos
-from repro.lint.determinism import digest_chaos_run
+from repro.analyze.determinism import digest_chaos_run
 from repro.systems.persephone import PersephoneSystem
 from repro.systems.shenango import ShenangoSystem
 from repro.systems.shinjuku import ShinjukuSystem

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from repro.experiments.common import run_once
-from repro.lint.determinism import check_all, check_system, digest_run
+from repro.analyze.determinism import check_all, check_system, digest_run
 from repro.sweep.executor import execute_cells
 from repro.sweep.orchestrator import run_plan
 from repro.sweep.planner import plan_experiment
@@ -164,7 +164,7 @@ class TestForensicsNeutrality:
     )
 
     def _run_once_digest(self, trace_path=None):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
 
         result = run_once(
             PersephoneSystem(n_workers=8, min_samples=200),
@@ -363,7 +363,7 @@ class TestDarcProfiledWindowPins:
 
     @pytest.mark.parametrize("seed", sorted(STEADY_PINS))
     def test_steady_run_matches_pin(self, seed):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
 
         result = run_once(
             PersephoneSystem(oracle=False),
@@ -380,7 +380,7 @@ class TestDarcProfiledWindowPins:
     def test_crash_recover_run_matches_pin(self):
         from repro.faults.plan import FaultPlan
         from repro.faults.runner import run_chaos
-        from repro.lint.determinism import digest_chaos_outcome
+        from repro.metrics.digest import digest_chaos_outcome
 
         result = run_chaos(
             PersephoneSystem(oracle=False),
@@ -490,7 +490,7 @@ class TestDarcBreachPins:
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_run_matches_pin(self, name):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
         from repro.workload import presets
 
         workload, rho, kwargs = self.RUNS[name]
@@ -507,7 +507,7 @@ class TestDarcBreachPins:
     def test_crash_recover_while_pending_matches_pin(self):
         from repro.faults.plan import FaultPlan
         from repro.faults.runner import run_chaos
-        from repro.lint.determinism import digest_chaos_outcome
+        from repro.metrics.digest import digest_chaos_outcome
 
         result = run_chaos(
             PersephoneSystem(oracle=False),
@@ -773,7 +773,7 @@ class TestArrivalStreamPins:
         assert self._rack(phases, seed=3) == self.SPEC_SWAP_DIGEST
 
     def test_stochastic_service_run_matches_pin(self):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
 
         result = run_once(
             PersephoneSystem(n_workers=8, min_samples=200),
@@ -809,7 +809,7 @@ class TestArrivalStreamPins:
         assert _request_sequence_digest(requests) == self.BURSTY_SEQUENCE_DIGEST
 
     def test_closed_loop_run_matches_pin(self):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
         from repro.metrics.recorder import Recorder
         from repro.policies.fcfs import CentralizedFCFS
         from repro.server.config import ServerConfig
@@ -848,7 +848,7 @@ class TestArrivalStreamPins:
         assert digest_outcome(recorder, loop) == self.CLOSED_LOOP_DIGEST
 
     def test_block_crossing_run_matches_pin(self):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
 
         result = run_once(
             PersephoneSystem(n_workers=8, min_samples=200),
@@ -1254,7 +1254,7 @@ class TestTimeSharingPins:
 
     @classmethod
     def run(cls, name, tracer=None):
-        from repro.lint.determinism import digest_outcome
+        from repro.metrics.digest import digest_outcome
         from repro.workload import presets
 
         factory, workload, rho = cls.RUNS[name]
@@ -1278,7 +1278,7 @@ class TestTimeSharingPins:
             WorkerSlowdown,
         )
         from repro.faults.runner import run_chaos
-        from repro.lint.determinism import digest_chaos_outcome
+        from repro.metrics.digest import digest_chaos_outcome
 
         plan = FaultPlan(
             [

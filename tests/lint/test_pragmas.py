@@ -1,69 +1,59 @@
-"""The shared suppression-pragma grammar (:mod:`repro.lint.pragmas`) and
-its R010 stale-suppression surface in the linter."""
+"""The suppression-pragma grammar (:mod:`repro.analyze.pragmas`) and its
+A000 surface in the single-module rules (formerly R010)."""
 
 import textwrap
 
-import pytest
+from repro.analyze.model import Program
+from repro.analyze.pragmas import FILE_PRAGMA_WINDOW, PragmaSuppressions, iter_comments
+from repro.analyze.runner import analyze_program
 
-from repro.errors import LintError
-from repro.lint.pragmas import (
-    FILE_PRAGMA_WINDOW,
-    PragmaSuppressions,
-    iter_comments,
-    scan_foreign_pragmas,
-)
-from repro.lint.runner import lint_source
-
-KNOWN = ["R001", "R002", "A102"]
+KNOWN = ["A701", "A702", "A102"]
 
 
-def parse(source, tool="repro-lint", known=KNOWN, on_unknown="raise"):
-    return PragmaSuppressions(
-        textwrap.dedent(source), tool, known, on_unknown=on_unknown
-    )
+def parse(source, known=KNOWN):
+    return PragmaSuppressions(textwrap.dedent(source), known)
 
 
 class TestParsing:
     def test_line_pragma(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        assert p.is_suppressed(1, "R001")
-        assert not p.is_suppressed(1, "R002")
-        assert not p.is_suppressed(2, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A701\n")
+        assert p.is_suppressed(1, "A701")
+        assert not p.is_suppressed(1, "A702")
+        assert not p.is_suppressed(2, "A701")
 
     def test_multiple_ids_one_pragma(self):
-        p = parse("x = 1  # repro-lint: disable=R001,R002\n")
-        assert p.is_suppressed(1, "R001")
-        assert p.is_suppressed(1, "R002")
+        p = parse("x = 1  # repro-analyze: disable=A701,A702\n")
+        assert p.is_suppressed(1, "A701")
+        assert p.is_suppressed(1, "A702")
 
     def test_case_insensitive_ids(self):
-        p = parse("x = 1  # repro-lint: disable=r001\n")
-        assert p.is_suppressed(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=a701\n")
+        assert p.is_suppressed(1, "A701")
 
     def test_file_wide_pragma(self):
-        p = parse("# repro-lint: disable-file=R001\nx = 1\n")
-        assert p.is_suppressed(40, "R001")
+        p = parse("# repro-analyze: disable-file=A701\nx = 1\n")
+        assert p.is_suppressed(40, "A701")
 
     def test_disable_all(self):
-        p = parse("x = 1  # repro-lint: disable=all\n")
-        assert p.is_suppressed(1, "R001")
-        assert p.is_suppressed(1, "R002")
+        p = parse("x = 1  # repro-analyze: disable=all\n")
+        assert p.is_suppressed(1, "A701")
+        assert p.is_suppressed(1, "A702")
 
     def test_tool_token_is_namespaced(self):
-        """A repro-analyze pragma does not suppress repro-lint findings."""
-        p = parse("x = 1  # repro-analyze: disable=R001\n")
-        assert not p.is_suppressed(1, "R001")
+        """Only the ``repro-analyze`` token is read: another tool's
+        pragma suppresses nothing and is not an error."""
+        p = parse("x = 1  # other-tool: disable=A701\n")
+        assert not p.is_suppressed(1, "A701")
+        assert p.errors == []
 
     def test_analyze_tool_parses_its_own(self):
-        p = parse(
-            "x = 1  # repro-analyze: disable=A102\n",
-            tool="repro-analyze",
-        )
+        p = parse("x = 1  # repro-analyze: disable=A102\n")
         assert p.is_suppressed(1, "A102")
 
     def test_pragma_in_docstring_is_inert(self):
-        p = parse('"""# repro-lint: disable=R001"""\nx = 1\n')
-        assert not p.is_suppressed(1, "R001")
-        assert not p.is_suppressed(2, "R001")
+        p = parse('"""# repro-analyze: disable=A701"""\nx = 1\n')
+        assert not p.is_suppressed(1, "A701")
+        assert not p.is_suppressed(2, "A701")
 
     def test_iter_comments_skips_strings(self):
         comments = list(iter_comments('s = "# not a comment"\n# yes\n'))
@@ -71,87 +61,67 @@ class TestParsing:
 
 
 class TestUnknownIds:
-    def test_raise_mode(self):
-        with pytest.raises(LintError, match="unknown rule id"):
-            parse("x = 1  # repro-lint: disable=R999\n")
+    """Bad pragmas are collected (the runner reports them as A000),
+    never raised."""
 
     def test_collect_mode_records_error(self):
-        p = parse("x = 1  # repro-lint: disable=R999\n", on_unknown="collect")
+        p = parse("x = 1  # repro-analyze: disable=A999\n")
         assert len(p.errors) == 1
-        assert "R999" in p.errors[0].message
+        assert "A999" in p.errors[0].message
         assert p.errors[0].line == 1
 
     def test_collect_mode_keeps_valid_ids(self):
-        p = parse(
-            "x = 1  # repro-lint: disable=R999,R001\n", on_unknown="collect"
-        )
-        assert p.is_suppressed(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A999,A701\n")
+        assert p.is_suppressed(1, "A701")
         assert len(p.errors) == 1
-
-    def test_late_file_pragma_raise(self):
-        src = "\n" * (FILE_PRAGMA_WINDOW + 5) + "# repro-lint: disable-file=R001\n"
-        with pytest.raises(LintError, match="first 10 lines"):
-            parse(src)
 
     def test_late_file_pragma_collect(self):
-        src = "\n" * (FILE_PRAGMA_WINDOW + 5) + "# repro-lint: disable-file=R001\n"
-        p = parse(src, on_unknown="collect")
+        src = "\n" * (FILE_PRAGMA_WINDOW + 5) + "# repro-analyze: disable-file=A701\n"
+        p = parse(src)
         assert len(p.errors) == 1
-        assert not p.is_suppressed(1, "R001")
+        assert "first 10 lines" in p.errors[0].message
+        assert not p.is_suppressed(1, "A701")
 
 
 class TestUsageLedger:
     def test_unused_line_pragma_is_stale(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        assert p.unused() == [(1, "R001")]
+        p = parse("x = 1  # repro-analyze: disable=A701\n")
+        assert p.unused() == [(1, "A701")]
 
     def test_used_pragma_is_not_stale(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        p.is_suppressed(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A701\n")
+        p.is_suppressed(1, "A701")
         assert p.unused() == []
 
     def test_file_wide_stale_reports_line_zero(self):
-        p = parse("# repro-lint: disable-file=R002\nx = 1\n")
-        assert p.unused() == [(0, "R002")]
+        p = parse("# repro-analyze: disable-file=A702\nx = 1\n")
+        assert p.unused() == [(0, "A702")]
 
     def test_checked_ids_limit_staleness(self):
         """A pragma for a rule that never ran is not judged stale."""
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        assert p.unused(checked_ids=["R002"]) == []
-        assert p.unused(checked_ids=["R001"]) == [(1, "R001")]
+        p = parse("x = 1  # repro-analyze: disable=A701\n")
+        assert p.unused(checked_ids=["A702"]) == []
+        assert p.unused(checked_ids=["A701"]) == [(1, "A701")]
 
     def test_mark_used_explicit(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        p.mark_used(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A701\n")
+        p.mark_used(1, "A701")
         assert p.unused() == []
 
 
-class TestScanForeignPragmas:
-    def test_unknown_foreign_id(self):
-        errors = scan_foreign_pragmas(
-            "x = 1  # repro-analyze: disable=A999\n", "repro-analyze", ["A102"]
-        )
-        assert len(errors) == 1
-        assert "A999" in errors[0].message
-
-    def test_valid_foreign_pragma_is_clean(self):
-        errors = scan_foreign_pragmas(
-            "x = 1  # repro-analyze: disable=A102\n", "repro-analyze", ["A102"]
-        )
-        assert errors == []
-
-
 class TestStaleSuppressionRule:
-    """R010: the linter's stale/unknown-suppression surface."""
+    """R010's cases, now A000's: stale and unknown-id pragmas."""
 
-    def lint(self, source, **kw):
-        return lint_source(
-            textwrap.dedent(source), path="src/repro/sim/fixture.py", **kw
-        )
+    FILE_RULES = ["A000"] + [f"A70{i}" for i in range(1, 9)]
+
+    def lint(self, source, select=None):
+        program = Program()
+        program.add_module("src/repro/sim/fixture.py", textwrap.dedent(source))
+        return analyze_program(program, select=select or self.FILE_RULES)
 
     def test_stale_pragma_fires_r010(self):
-        findings = self.lint("x = 1  # repro-lint: disable=R001\n")
-        assert [f.rule_id for f in findings] == ["R010"]
+        findings = self.lint("x = 1  # repro-analyze: disable=A701\n")
+        assert [f.rule_id for f in findings] == ["A000"]
         assert "stale suppression" in findings[0].message
 
     def test_live_pragma_is_clean(self):
@@ -159,36 +129,34 @@ class TestStaleSuppressionRule:
             """
             import random
             def pick():
-                return random.random()  # repro-lint: disable=R001
+                return random.random()  # repro-analyze: disable=A701
             """
         )
         assert findings == []
 
     def test_unknown_analyze_pragma_fires_r010(self):
         findings = self.lint("x = 1  # repro-analyze: disable=A999\n")
-        assert [f.rule_id for f in findings] == ["R010"]
+        assert [f.rule_id for f in findings] == ["A000"]
         assert "A999" in findings[0].message
 
     def test_valid_analyze_pragma_not_judged_by_lint(self):
-        """Staleness of repro-analyze pragmas is the analyzer's call (it
-        needs the whole-program run); the linter only checks the ids."""
+        """A pragma for a rule outside the run's selection (A102 is a
+        whole-program rule) is valid and never judged stale."""
         findings = self.lint("x = 1  # repro-analyze: disable=A102\n")
         assert findings == []
 
     def test_select_excludes_staleness_of_unran_rules(self):
         findings = self.lint(
-            "x = 1  # repro-lint: disable=R001\n", select=["R002", "R010"]
+            "x = 1  # repro-analyze: disable=A701\n", select=["A702", "A000"]
         )
         assert findings == []
 
     def test_r010_suppressible(self):
-        findings = self.lint(
-            "x = 1  # repro-lint: disable=R001,R010\n"
-        )
+        findings = self.lint("x = 1  # repro-analyze: disable=A701,A000\n")
         assert findings == []
 
     def test_file_wide_stale_anchors_line_one(self):
-        findings = self.lint("# repro-lint: disable-file=R002\nx = 1\n")
-        assert [f.rule_id for f in findings] == ["R010"]
+        findings = self.lint("# repro-analyze: disable-file=A702\nx = 1\n")
+        assert [f.rule_id for f in findings] == ["A000"]
         assert findings[0].line == 1
         assert "file-wide" in findings[0].message

@@ -1,22 +1,30 @@
-"""Positive + negative fixtures for every AST lint rule, plus the
-suppression machinery."""
+"""Positive + negative fixtures for every single-module rule (A701–A708,
+formerly R001–R008), the observer-purity analysis (A301, which absorbed
+R009) on the same fixtures, plus the suppression machinery."""
 
 import textwrap
 
 import pytest
 
-from repro.errors import LintError
-from repro.lint.rules import ALL_RULES, RULES_BY_ID
-from repro.lint.runner import has_errors, lint_source
+from repro.analyze.filerules import RULES
+from repro.analyze.findings import ANALYSIS_RULES
+from repro.analyze.model import Program
+from repro.analyze.runner import analyze_program, has_errors
+from repro.errors import AnalysisError
 
 #: Path prefixes that put a fixture inside / outside the sim-critical scope.
 CRITICAL = "src/repro/sim/fixture.py"
 CRITICAL_CORE = "src/repro/core/fixture.py"
 DRIVER = "src/repro/experiments/fixture.py"
 
+#: The single-module rule family plus suppression hygiene.
+FILE_RULES = sorted(RULES) + ["A000"]
+
 
 def lint(source: str, path: str = CRITICAL, select=None):
-    return lint_source(textwrap.dedent(source), path=path, select=select)
+    program = Program()
+    program.add_module(path, textwrap.dedent(source))
+    return analyze_program(program, select=select or FILE_RULES)
 
 
 def rule_ids(findings):
@@ -32,7 +40,7 @@ class TestDirectRandom:
                 return random.random()
             """
         )
-        assert rule_ids(findings) == ["R001"]
+        assert rule_ids(findings) == ["A701"]
 
     def test_numpy_global_rng_flagged(self):
         findings = lint(
@@ -42,7 +50,7 @@ class TestDirectRandom:
                 return np.random.default_rng().integers(0, 4)
             """
         )
-        assert "R001" in rule_ids(findings)
+        assert "A701" in rule_ids(findings)
 
     def test_from_import_alias_flagged(self):
         findings = lint(
@@ -52,7 +60,7 @@ class TestDirectRandom:
                 return randint(0, 3)
             """
         )
-        assert rule_ids(findings) == ["R001"]
+        assert rule_ids(findings) == ["A701"]
 
     def test_registry_stream_ok(self):
         findings = lint(
@@ -92,7 +100,7 @@ class TestWallClock:
     )
     def test_time_module_flagged_in_sim(self, call):
         findings = lint(f"import time\nnow = lambda: {call}\n")
-        assert rule_ids(findings) == ["R002"]
+        assert rule_ids(findings) == ["A702"]
 
     def test_datetime_now_flagged(self):
         findings = lint(
@@ -102,7 +110,7 @@ class TestWallClock:
                 return datetime.now()
             """
         )
-        assert rule_ids(findings) == ["R002"]
+        assert rule_ids(findings) == ["A702"]
 
     def test_driver_code_exempt(self):
         findings = lint("import time\nstart = time.time()\n", path=DRIVER)
@@ -121,7 +129,7 @@ class TestWallClock:
 class TestMutableDefault:
     def test_list_default_flagged(self):
         findings = lint("def f(acc=[]):\n    return acc\n")
-        assert rule_ids(findings) == ["R003"]
+        assert rule_ids(findings) == ["A703"]
 
     def test_dict_set_call_defaults_flagged(self):
         findings = lint(
@@ -130,15 +138,15 @@ class TestMutableDefault:
                 return a, b, c
             """
         )
-        assert rule_ids(findings) == ["R003", "R003", "R003"]
+        assert rule_ids(findings) == ["A703", "A703", "A703"]
 
     def test_kwonly_default_flagged(self):
         findings = lint("def f(*, acc=[]):\n    return acc\n")
-        assert rule_ids(findings) == ["R003"]
+        assert rule_ids(findings) == ["A703"]
 
     def test_flagged_outside_critical_scope_too(self):
         findings = lint("def f(acc=[]):\n    return acc\n", path=DRIVER)
-        assert rule_ids(findings) == ["R003"]
+        assert rule_ids(findings) == ["A703"]
 
     def test_none_default_ok(self):
         findings = lint(
@@ -160,7 +168,7 @@ class TestUnorderedIteration:
             """,
             path=CRITICAL_CORE,
         )
-        assert rule_ids(findings) == ["R004"]
+        assert rule_ids(findings) == ["A704"]
 
     def test_set_call_iteration_flagged(self):
         findings = lint(
@@ -171,7 +179,7 @@ class TestUnorderedIteration:
             """,
             path=CRITICAL_CORE,
         )
-        assert rule_ids(findings) == ["R004"]
+        assert rule_ids(findings) == ["A704"]
 
     def test_set_typed_attribute_iteration_flagged(self):
         findings = lint(
@@ -185,7 +193,7 @@ class TestUnorderedIteration:
             """,
             path=CRITICAL_CORE,
         )
-        assert rule_ids(findings) == ["R004"]
+        assert rule_ids(findings) == ["A704"]
 
     def test_sorted_set_ok(self):
         findings = lint(
@@ -213,11 +221,11 @@ class TestUnorderedIteration:
 class TestRawUnitLiteral:
     def test_mult_by_1e6_flagged(self):
         findings = lint("def conv(s):\n    return s * 1e6\n")
-        assert rule_ids(findings) == ["R005"]
+        assert rule_ids(findings) == ["A705"]
 
     def test_div_by_billion_flagged(self):
         findings = lint("def conv(ns):\n    return ns / 1_000_000_000\n")
-        assert rule_ids(findings) == ["R005"]
+        assert rule_ids(findings) == ["A705"]
 
     def test_units_module_exempt(self):
         findings = lint(
@@ -251,7 +259,7 @@ class TestHandlerGlobalMutation:
                 COUNT += 1
             """
         )
-        assert rule_ids(findings) == ["R006"]
+        assert rule_ids(findings) == ["A706"]
 
     def test_handler_subscript_mutation_flagged(self):
         findings = lint(
@@ -261,7 +269,7 @@ class TestHandlerGlobalMutation:
                 CACHE[request.rid] = request
             """
         )
-        assert rule_ids(findings) == ["R006"]
+        assert rule_ids(findings) == ["A706"]
 
     def test_handler_method_mutation_flagged(self):
         findings = lint(
@@ -271,7 +279,7 @@ class TestHandlerGlobalMutation:
                 PENDING.append(request)
             """
         )
-        assert rule_ids(findings) == ["R006"]
+        assert rule_ids(findings) == ["A706"]
 
     def test_instance_state_ok(self):
         findings = lint(
@@ -305,7 +313,7 @@ class TestNondeterministicSource:
         ],
     )
     def test_entropy_sources_flagged(self, snippet):
-        assert rule_ids(lint(snippet)) == ["R007"]
+        assert rule_ids(lint(snippet)) == ["A707"]
 
     def test_counter_ok(self):
         findings = lint(
@@ -325,7 +333,7 @@ class TestBuiltinHashOrder:
                 return hash(key) % n
             """
         )
-        assert rule_ids(findings) == ["R008"]
+        assert rule_ids(findings) == ["A708"]
         assert findings[0].severity == "warning"
 
     def test_warning_does_not_fail_unless_strict(self):
@@ -350,7 +358,7 @@ class TestSuppression:
             """
             import random
             def pick():
-                return random.random()  # repro-lint: disable=R001
+                return random.random()  # repro-analyze: disable=A701
             """
         )
         assert findings == []
@@ -360,17 +368,17 @@ class TestSuppression:
             """
             import time
             def f(acc=[]):
-                return time.time(), acc  # repro-lint: disable=R002,R003
+                return time.time(), acc  # repro-analyze: disable=A702,A703
             """
         )
-        # R003 fires on the default's line (the def line), so it survives —
-        # and the R003 half of the pragma is therefore stale (R010).
-        assert rule_ids(findings) == ["R003", "R010"]
+        # A703 fires on the default's line (the def line), so it survives —
+        # and the A703 half of the pragma is therefore stale (A000).
+        assert rule_ids(findings) == ["A703", "A000"]
 
     def test_file_suppression(self):
         findings = lint(
             """
-            # repro-lint: disable-file=R001
+            # repro-analyze: disable-file=A701
             import random
             def pick():
                 return random.random()
@@ -381,7 +389,7 @@ class TestSuppression:
     def test_disable_all(self):
         findings = lint(
             """
-            # repro-lint: disable-file=all
+            # repro-analyze: disable-file=all
             import random, time
             def f(acc=[]):
                 return random.random() + time.time()
@@ -389,20 +397,22 @@ class TestSuppression:
         )
         assert findings == []
 
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(LintError, match="unknown rule id"):
-            lint("x = 1  # repro-lint: disable=R999\n")
+    def test_unknown_rule_id_is_a000(self):
+        findings = lint("x = 1  # repro-analyze: disable=R999\n")
+        assert rule_ids(findings) == ["A000"]
+        assert "unknown rule id 'R999'" in findings[0].message
 
-    def test_late_file_pragma_raises(self):
-        source = "\n" * 30 + "# repro-lint: disable-file=R001\n"
-        with pytest.raises(LintError, match="first 10 lines"):
-            lint(source)
+    def test_late_file_pragma_is_a000(self):
+        source = "\n" * 30 + "# repro-analyze: disable-file=A701\n"
+        findings = lint(source)
+        assert rule_ids(findings) == ["A000"]
+        assert "first 10 lines" in findings[0].message
 
     def test_pragma_inside_docstring_ignored(self):
         findings = lint(
             '''
             def doc():
-                """Example: # repro-lint: disable-file=R001"""
+                """Example: # repro-analyze: disable-file=A701"""
                 return 1
             '''
         )
@@ -411,30 +421,46 @@ class TestSuppression:
 
 class TestRegistry:
     def test_at_least_six_rules(self):
-        assert len(ALL_RULES) >= 6
+        assert len(RULES) >= 6
 
     def test_ids_unique_and_documented(self):
-        assert len(RULES_BY_ID) == len(ALL_RULES)
-        for rule in ALL_RULES:
-            assert rule.id.startswith("R")
-            assert rule.severity in ("error", "warning")
-            assert rule.describe(), f"{rule.id} has no docstring"
+        family = [rid for rid, meta in ANALYSIS_RULES.items() if meta.analysis == "filerules"]
+        assert family == sorted(RULES)
+        for rule_id in family:
+            meta = ANALYSIS_RULES[rule_id]
+            assert rule_id.startswith("A7")
+            assert meta.severity in ("error", "warning")
+            assert meta.description, f"{rule_id} has no description"
 
     def test_select_subset(self):
         source = "import random\ndef f(acc=[]):\n    return random.random()\n"
-        only_defaults = lint(source, select=["R003"])
-        assert rule_ids(only_defaults) == ["R003"]
+        only_defaults = lint(source, select=["A703"])
+        assert rule_ids(only_defaults) == ["A703"]
 
     def test_select_unknown_raises(self):
-        with pytest.raises(LintError, match="unknown rule id"):
+        with pytest.raises(AnalysisError, match="unknown analysis rule id"):
             lint("x = 1\n", select=["R999"])
 
     def test_syntax_error_raises_lint_error(self):
-        with pytest.raises(LintError, match="cannot parse"):
+        """An unparseable module is fatal (an AnalysisError), never a finding."""
+        with pytest.raises(AnalysisError, match="cannot parse"):
             lint("def broken(:\n")
+
+    def test_symbol_names_module_and_enclosing_def(self):
+        findings = lint(
+            """
+            import time
+            class Clock:
+                def stamp(self):
+                    return time.time()
+            """
+        )
+        assert [f.symbol for f in findings] == ["repro.sim.fixture.Clock.stamp:time.time"]
 
 
 class TestTracePurity:
+    """R009's cases, now A301's: the observer packages' purity contract."""
+
     TRACE = "src/repro/trace/tracer.py"
 
     def test_wall_clock_in_trace_flagged(self):
@@ -445,9 +471,9 @@ class TestTracePurity:
                 return time.monotonic()
             """,
             path=self.TRACE,
-            select=["R009"],
+            select=["A301"],
         )
-        assert rule_ids(findings) == ["R009"]
+        assert rule_ids(findings) == ["A301"]
         assert "wall-clock read" in findings[0].message
 
     def test_direct_rng_in_trace_flagged(self):
@@ -458,9 +484,9 @@ class TestTracePurity:
                 return random.random()
             """,
             path=self.TRACE,
-            select=["R009"],
+            select=["A301"],
         )
-        assert rule_ids(findings) == ["R009"]
+        assert rule_ids(findings) == ["A301"]
         assert "direct RNG draw" in findings[0].message
 
     def test_host_entropy_in_trace_flagged(self):
@@ -471,9 +497,9 @@ class TestTracePurity:
                 return uuid.uuid4()
             """,
             path=self.TRACE,
-            select=["R009"],
+            select=["A301"],
         )
-        assert rule_ids(findings) == ["R009"]
+        assert rule_ids(findings) == ["A301"]
         assert "host-entropy source" in findings[0].message
 
     def test_sim_time_reads_ok(self):
@@ -484,23 +510,30 @@ class TestTracePurity:
                 self.samples.append(now)
             """,
             path=self.TRACE,
-            select=["R009"],
+            select=["A301"],
         )
         assert findings == []
 
     def test_rule_scoped_to_trace_package_only(self):
         source = "import time\ndef elapsed():\n    return time.perf_counter()\n"
-        outside = lint(source, path=DRIVER, select=["R009"])
+        outside = lint(source, path=DRIVER, select=["A301"])
         assert outside == []
-        inside = lint(source, path="src/repro/trace/export.py", select=["R009"])
-        assert rule_ids(inside) == ["R009"]
+        inside = lint(source, path="src/repro/trace/export.py", select=["A301"])
+        assert rule_ids(inside) == ["A301"]
 
     def test_trace_package_also_gets_scoped_rules(self):
-        # 'trace' is not in the non-critical allowlist, so the generic
-        # sim-purity rules apply there too; R009 is belt *and* braces.
-        source = "import time\ndef stamp():\n    return time.time()\n"
-        findings = lint(source, path=self.TRACE)
-        assert set(rule_ids(findings)) == {"R002", "R009"}
+        # 'trace' is not a driver package, so the scoped single-module
+        # rules apply there too.  Only the calls A301 owns (wall clock,
+        # direct RNG, host entropy) are left to A301, so each impure
+        # call is reported once.
+        source = """
+            import time
+            def stamp(ids):
+                for tid in set(ids):
+                    yield time.time() * 1e6
+            """
+        findings = lint(source, path=self.TRACE, select=FILE_RULES + ["A301"])
+        assert sorted(rule_ids(findings)) == ["A301", "A704", "A705"]
 
     def test_error_severity(self):
-        assert RULES_BY_ID["R009"].severity == "error"
+        assert ANALYSIS_RULES["A301"].severity == "error"

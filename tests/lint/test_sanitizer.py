@@ -8,7 +8,7 @@ import pytest
 from repro.core.darc import DarcScheduler
 from repro.core.static import DarcStatic
 from repro.errors import SanitizerViolation, SimulationError
-from repro.lint.sanitizer import SimSanitizer
+from repro.metrics.sanitizer import SimSanitizer
 from repro.policies.fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
 from repro.policies.timesharing import TimeSharing
 from repro.policies.typed import DeficitRoundRobin, FixedPriority, StaticPartitioning

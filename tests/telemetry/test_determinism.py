@@ -4,7 +4,7 @@ is a pure function of the seed."""
 
 import pytest
 
-from repro.lint.determinism import digest_run
+from repro.analyze.determinism import digest_run
 from repro.systems.persephone import PersephoneSystem
 from repro.systems.shenango import ShenangoSystem
 from repro.systems.shinjuku import ShinjukuSystem

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.lint.determinism import digest_run
+from repro.analyze.determinism import digest_run
 from repro.systems.persephone import PersephoneSystem
 from repro.systems.shenango import ShenangoSystem
 from repro.systems.shinjuku import ShinjukuSystem
