@@ -7,6 +7,12 @@ of a correct simulator must produce byte-identical digests; any
 divergence means hidden state (wall clock, unseeded RNG, hash-order
 iteration, cross-run leakage) reached a scheduling decision.
 
+A third run attaches a :class:`~repro.trace.Tracer` and must produce the
+same digest too.  Observers never perturb a run, and a traced Shinjuku
+run books every quantum boundary as its own event while an untraced one
+settles certain hand-backs in bulk, so this run also checks that the two
+paths agree.
+
 Exposed as ``repro-analyze determinism``; the pinned-digest pytest suite
 (``tests/lint/test_determinism.py``) drives it too.  The digests
 themselves live in :mod:`repro.metrics.digest`.
@@ -42,6 +48,8 @@ class DeterminismReport(NamedTuple):
     identical: bool
     first: RunDigest
     second: RunDigest
+    #: The same run with a tracer attached, when one was made.
+    traced: Optional[RunDigest] = None
 
     def describe(self) -> str:
         verdict = "OK " if self.identical else "FAIL"
@@ -49,13 +57,32 @@ class DeterminismReport(NamedTuple):
             f"[{verdict}] {self.system}: seed={self.seed} "
             f"digest={self.first.digest[:16]}"
         )
-        if not self.identical:
+        if self.second.digest != self.first.digest:
             line += (
                 f" != {self.second.digest[:16]} "
                 f"(completed {self.first.completed}/{self.second.completed}, "
                 f"events {self.first.events_processed}/{self.second.events_processed})"
             )
+        traced = self.traced
+        if traced is not None and traced.digest != self.first.digest:
+            line += (
+                f" != traced {traced.digest[:16]} "
+                f"(completed {self.first.completed}/{traced.completed}, "
+                f"events {self.first.events_processed}/{traced.events_processed})"
+            )
         return line
+
+
+def _report(first: RunDigest, second: RunDigest, traced: RunDigest) -> DeterminismReport:
+    """Compare a twice-run and its traced run."""
+    return DeterminismReport(
+        system=first.system,
+        seed=first.seed,
+        identical=first.digest == second.digest == traced.digest,
+        first=first,
+        second=second,
+        traced=traced,
+    )
 
 
 def digest_run(
@@ -108,16 +135,16 @@ def check_system(
     seed: int = 1,
     sanitize: "bool | str" = False,
 ) -> DeterminismReport:
-    """Run ``system`` twice with the same seed and compare digests."""
+    """Run ``system`` twice with the same seed, then once more with a
+    tracer attached, and compare the three digests."""
+    from ..trace import Tracer
+
     first = digest_run(system, spec, utilization, n_requests, seed, sanitize)
     second = digest_run(system, spec, utilization, n_requests, seed, sanitize)
-    return DeterminismReport(
-        system=first.system,
-        seed=seed,
-        identical=first.digest == second.digest,
-        first=first,
-        second=second,
+    traced = digest_run(
+        system, spec, utilization, n_requests, seed, sanitize, tracer=Tracer()
     )
+    return _report(first, second, traced)
 
 
 def default_systems() -> List[SystemModel]:
@@ -206,12 +233,14 @@ def digest_chaos_run(
     seed: int = 1,
     sanitize: "bool | str" = False,
     plan=None,
+    tracer=None,
 ) -> RunDigest:
     """Simulate one fault-injected episode and hash its outcome.
 
     The digest additionally covers the orphan-request ledger (timeouts /
     retries / failures / late completions) and the injector's counters,
-    so a divergence anywhere in the fault path shows up."""
+    so a divergence anywhere in the fault path shows up.  ``tracer``
+    optionally attaches a :class:`repro.trace.Tracer`."""
     from ..faults.runner import run_chaos
     from ..workload.resilience import RetryPolicy
 
@@ -232,6 +261,7 @@ def digest_chaos_run(
         seed=seed,
         retry=retry,
         sanitize=sanitize,
+        tracer=tracer,
     )
     recorder = result.recorder
     loop = result.server.loop
@@ -254,8 +284,11 @@ def check_chaos_all(
     seed: int = 1,
     sanitize: "bool | str" = False,
 ) -> List[DeterminismReport]:
-    """Twice-run every system through the default fault plan; fresh spec
-    *and* fresh plan per run so no state can leak between runs."""
+    """Twice-run every system through the default fault plan, then once
+    more with a tracer attached; fresh spec *and* fresh plan per run so
+    no state can leak between runs."""
+    from ..trace import Tracer
+
     if spec_factory is None:
         from ..workload.presets import high_bimodal
 
@@ -270,13 +303,9 @@ def check_chaos_all(
             system, spec_factory(), utilization, n_requests, seed, sanitize,
             plan=default_chaos_plan(),
         )
-        reports.append(
-            DeterminismReport(
-                system=first.system,
-                seed=seed,
-                identical=first.digest == second.digest,
-                first=first,
-                second=second,
-            )
+        traced = digest_chaos_run(
+            system, spec_factory(), utilization, n_requests, seed, sanitize,
+            plan=default_chaos_plan(), tracer=Tracer(),
         )
+        reports.append(_report(first, second, traced))
     return reports

@@ -182,6 +182,7 @@ def run_once(
     )
     generator.start()
     loop.run(until=max_sim_time_us)
+    scheduler.settle()
 
     summary = RunSummary(
         recorder,

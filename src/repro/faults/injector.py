@@ -99,9 +99,15 @@ class FaultInjector:
                 # crashed core holds no request), so they commute.
                 loop.call_at(event.at, self._recover, event)  # repro-analyze: disable=A002
             elif isinstance(event, WorkerSlowdown):
-                loop.call_at(event.at, self._slowdown_start, event)
+                # Tie-break as above: faults run ahead of every policy
+                # event at their instant.  A speed change is read by the
+                # slices booked after it, and a policy that books ahead
+                # (time sharing's lazy hand-backs) settles its laps as of
+                # an event booked before any of them
+                # (Scheduler.on_worker_speed).
+                loop.call_at(event.at, self._slowdown_start, event)  # repro-analyze: disable=A002
                 if event.until is not None:
-                    loop.call_at(event.until, self._slowdown_end, event)
+                    loop.call_at(event.until, self._slowdown_end, event)  # repro-analyze: disable=A002
             # Packet windows are consulted per-arrival in ingress().
 
     def attach_tracer(self, tracer) -> None:
@@ -147,6 +153,7 @@ class FaultInjector:
         assert self._server is not None and self._loop is not None
         worker = self._server.workers[event.worker_id]
         worker.set_speed(event.factor)
+        self._server.scheduler.on_worker_speed(worker)
         self.slowdowns += 1
         self.log.append((self._loop.now, "slowdown", event.worker_id))
         if self._tracer is not None:
@@ -160,6 +167,7 @@ class FaultInjector:
         # A crash+recover inside the window already reset the factor;
         # restoring to full speed twice is harmless.
         worker.set_speed(1.0)
+        self._server.scheduler.on_worker_speed(worker)
         self.log.append((self._loop.now, "slowdown-end", event.worker_id))
         if self._tracer is not None:
             self._tracer.on_fault("slowdown-end", worker=event.worker_id)

@@ -24,6 +24,7 @@ Event vocabulary:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -37,8 +38,9 @@ class FaultEvent:
     kind = "fault"
 
     def __init__(self, at: float):
-        if at < 0:
-            raise ConfigurationError(f"fault time must be >= 0, got {at}")
+        # Negated comparisons refuse NaN, which fails every comparison.
+        if not 0.0 <= at < math.inf:
+            raise ConfigurationError(f"fault time must be finite and >= 0, got {at}")
         self.at = float(at)
 
     def describe(self) -> str:
@@ -99,11 +101,13 @@ class WorkerSlowdown(WorkerFault):
         self, at: float, worker_id: int, factor: float, until: Optional[float] = None
     ):
         super().__init__(at, worker_id)
-        if factor <= 0:
-            raise ConfigurationError(f"slowdown factor must be > 0, got {factor}")
-        if until is not None and until <= at:
+        if not 0.0 < factor < math.inf:
             raise ConfigurationError(
-                f"slowdown until={until} must be > at={at}"
+                f"slowdown factor must be finite and > 0, got {factor}"
+            )
+        if until is not None and not at < until < math.inf:
+            raise ConfigurationError(
+                f"slowdown until={until} must be finite and > at={at}"
             )
         self.factor = float(factor)
         self.until = float(until) if until is not None else None
@@ -120,7 +124,7 @@ class PacketFault(FaultEvent):
 
     def __init__(self, at: float, until: float, probability: float):
         super().__init__(at)
-        if until <= at:
+        if not until > at:
             raise ConfigurationError(f"until={until} must be > at={at}")
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(

@@ -227,6 +227,7 @@ def run_chaos(
     )
     generator.start()
     loop.run(until=max_sim_time_us)
+    scheduler.settle()
 
     summary = RunSummary(
         recorder,

@@ -238,6 +238,23 @@ class Scheduler(ABC):
         self.on_capacity_change()
         self.on_worker_free(worker)
 
+    def on_worker_speed(self, worker: Worker) -> None:
+        """Hook: fault injection just changed ``worker.speed_factor``.
+
+        Policies read the factor when they book service, so the default
+        reaction is nothing.  A policy that has computed service ahead of
+        time at the old factor (time sharing's settled hand-backs)
+        overrides this to stop doing so from now on.
+        """
+
+    def settle(self) -> None:
+        """Bring any state the policy updates in bulk up to ``loop.now``.
+
+        Runners call this when :meth:`EventLoop.run` returns, before
+        anything reads worker or policy accounting.  The default policy
+        keeps no deferred state.
+        """
+
     def on_capacity_change(self) -> None:
         """Hook: the set of usable workers changed (crash/recover).
 

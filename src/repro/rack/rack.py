@@ -424,6 +424,8 @@ def run_rack(
         else:
             generator.start()
     loop.run(until=max_sim_time_us)
+    for server in servers:
+        server.scheduler.settle()
 
     summary = RunSummary(
         recorder,

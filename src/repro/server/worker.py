@@ -8,6 +8,7 @@ utilization and CPU waste.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from ..errors import SchedulingError
@@ -135,11 +136,15 @@ class Worker:
         ``factor`` multiplies nominal service times for work *begun*
         while it is in force: 1.0 is full speed, 3.0 is a 3x straggler.
         This is the only sanctioned way for fault injection to slow a
-        core — ``speed_factor`` is engine-owned state.
+        core — ``speed_factor`` is engine-owned state.  A factor that is
+        not a finite number > 0 is refused: NaN fails every comparison, so
+        it would otherwise slip through and turn every later slice time
+        into NaN.
         """
-        if factor <= 0:
+        if not 0.0 < factor < math.inf:
             raise SchedulingError(
-                f"worker {self.worker_id} speed factor must be > 0, got {factor}"
+                f"worker {self.worker_id} speed factor must be finite and > 0, "
+                f"got {factor}"
             )
         self.speed_factor = factor
 

@@ -20,9 +20,14 @@ Design notes
   in the self-profile (one Python call per sift step per push/pop).  The
   ordering is identical — ``Event.__lt__`` uses the same ``(time, seq)``
   key — and :meth:`peek_event` still hands callers the event object.
-* The loop never moves time backwards; scheduling in the past raises
-  :class:`~repro.errors.SimulationError` instead of silently reordering
-  history.
+* The loop never moves time backwards; scheduling in the past, or at a
+  NaN time, raises :class:`~repro.errors.SimulationError` instead of
+  silently reordering history.
+* A policy may settle work without heap events: Shinjuku's time sharing
+  replays a certain quantum hand-back in bulk instead of popping one
+  event per quantum.  It reports those skipped events through
+  :meth:`EventLoop.credit_events`, and :attr:`EventLoop.events_processed`
+  counts them, so the count is the same whether or not they were popped.
 * An optional :class:`~repro.metrics.sanitizer.SimSanitizer` may be attached
   via :meth:`EventLoop.attach_sanitizer`; the loop then reports every
   executed event (and heap drain) to it.  With no sanitizer attached the
@@ -67,12 +72,13 @@ class EventLoop:
     """
 
     def __init__(self, start_time: float = 0.0):
-        if start_time < 0:
+        if not start_time >= 0:
             raise SimulationError(f"start_time must be >= 0, got {start_time}")
         self._now = float(start_time)
         self._heap: list = []
         self._seq = 0
         self._events_processed = 0
+        self._credited = 0
         self._running = False
         self._stopped = False
         self._sanitizer = None
@@ -86,8 +92,24 @@ class EventLoop:
 
     @property
     def events_processed(self) -> int:
-        """Number of (non-cancelled) events executed so far."""
-        return self._events_processed
+        """Number of (non-cancelled) events executed so far, plus the
+        events a policy settled without popping them
+        (:attr:`credited_events`): the count an event-per-step run of
+        the same model reports."""
+        return self._events_processed + self._credited
+
+    @property
+    def credited_events(self) -> int:
+        """Events a policy settled in bulk instead of popping them from
+        the heap; ``events_processed - credited_events`` is the number of
+        heap pops that ran a callback."""
+        return self._credited
+
+    def credit_events(self, count: int) -> None:
+        """Count ``count`` events that a policy settled without booking
+        them (a negative count retracts a real event that stood in for
+        none)."""
+        self._credited += count
 
     @property
     def pending_count(self) -> int:
@@ -100,7 +122,9 @@ class EventLoop:
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method
         revokes the callback if it has not yet fired.
         """
-        if time < self._now:
+        # Negated so that a NaN time, which fails every comparison, is
+        # refused rather than pushed into the heap.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.3f} before now={self._now:.3f}"
             )
@@ -116,9 +140,10 @@ class EventLoop:
         Inlined rather than delegating to :meth:`call_at`: this is the
         dominant scheduling entry point (one call per arrival and per
         service completion) and ``delay >= 0`` already implies the
-        not-in-the-past invariant ``call_at`` would re-check.
+        not-in-the-past invariant ``call_at`` would re-check (a NaN
+        delay is refused like a negative one).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
         seq = self._seq
@@ -276,5 +301,5 @@ class EventLoop:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"EventLoop(now={self._now:.3f}us, pending={len(self._heap)}, "
-            f"processed={self._events_processed})"
+            f"processed={self.events_processed})"
         )

@@ -30,6 +30,25 @@ class TestEvents:
         event = WorkerSlowdown(5.0, 0, factor=2.0, until=9.0)
         assert event.factor == 2.0 and event.until == 9.0
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, at):
+        with pytest.raises(ConfigurationError):
+            WorkerCrash(at, 0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_slowdown_factor_rejected(self, factor):
+        with pytest.raises(ConfigurationError):
+            WorkerSlowdown(1.0, 0, factor=factor)
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_non_finite_slowdown_until_rejected(self, until):
+        with pytest.raises(ConfigurationError):
+            WorkerSlowdown(1.0, 0, factor=2.0, until=until)
+
+    def test_nan_packet_window_end_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PacketDrop(1.0, float("nan"), 0.5)
+
     def test_packet_window_validation(self):
         with pytest.raises(ConfigurationError):
             PacketDrop(5.0, 4.0, 0.5)

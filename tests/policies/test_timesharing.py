@@ -10,7 +10,11 @@ from repro.server.worker import Worker
 from repro.systems.shinjuku import ShinjukuSystem
 from repro.workload.presets import high_bimodal
 
+from repro.experiments.common import run_once
+from repro.faults.plan import FaultPlan, WorkerCrash, WorkerRecover, WorkerSlowdown
+
 from ..conftest import make_harness
+from ..lint.test_determinism import _PolicySystem, _timesharing_accounting
 
 HB = high_bimodal().type_specs()
 
@@ -348,3 +352,146 @@ class TestHandBack:
         ]
         assert h.workers[0].total_overhead_time == pytest.approx(1.0)
         assert h.workers[0].total_busy_time == pytest.approx(11.0)
+
+
+def _weighted_tpcc(spec, rngs):
+    return TimeSharing(
+        quantum_us=10.0,
+        preempt_overhead_us=1.0,
+        preempt_delay_us=1.0,
+        mode="multi",
+        type_specs=spec.type_specs(),
+        weights={0: 2.0, 2: 0.5, 3: 4.0},
+    )
+
+
+class TestLazyBoundaries:
+    """Untraced runs settle certain hand-backs in bulk; traced runs book
+    every quantum boundary as its own event.  Both must reach the same
+    digest, the same worker and vtime accounting and the same preemption
+    count, while the untraced run pops far fewer events."""
+
+    #: name -> (system factory, workload, rho, fault plan factory or None,
+    #: max_sim_time_us).
+    RUNS = {
+        "multi": (lambda: ShinjukuSystem(n_workers=14), "high_bimodal", 0.7, None, None),
+        "single": (
+            lambda: ShinjukuSystem(n_workers=14, mode="single"),
+            "extreme_bimodal",
+            0.6,
+            None,
+            None,
+        ),
+        "multi-tpcc-weighted": (
+            lambda: _PolicySystem(_weighted_tpcc, n_workers=14),
+            "tpcc",
+            0.8,
+            None,
+            None,
+        ),
+        # Integer services and quanta with free preemptions: every lap and
+        # completion lands on an integer lattice, so events tie.
+        "integer-free-preemption": (
+            lambda: ShinjukuSystem(
+                n_workers=8, preempt_overhead_us=0.0, preempt_delay_us=0.0
+            ),
+            "high_bimodal",
+            0.8,
+            None,
+            None,
+        ),
+        "straggler-and-crash": (
+            lambda: ShinjukuSystem(n_workers=14),
+            "high_bimodal",
+            0.7,
+            lambda: FaultPlan(
+                [
+                    WorkerSlowdown(2_000.0, 3, factor=3.0, until=9_000.0),
+                    WorkerCrash(3_300.0, 5),
+                    WorkerRecover(4_700.0, 5),
+                ]
+            ),
+            None,
+        ),
+        # Both cores restart at the same round instant and lap in step.
+        "recover-together": (
+            lambda: ShinjukuSystem(n_workers=14),
+            "high_bimodal",
+            0.7,
+            lambda: FaultPlan(
+                [
+                    WorkerCrash(3_300.0, 1),
+                    WorkerCrash(3_300.0, 6),
+                    WorkerRecover(6_100.0, 1),
+                    WorkerRecover(6_100.0, 6),
+                ]
+            ),
+            None,
+        ),
+        "cut-mid-slice": (
+            lambda: ShinjukuSystem(n_workers=14),
+            "high_bimodal",
+            0.7,
+            None,
+            4_321.5,
+        ),
+    }
+
+    @staticmethod
+    def run(name, tracer):
+        from repro.faults.runner import run_chaos
+        from repro.metrics.digest import digest_chaos_outcome, digest_outcome
+        from repro.workload import presets
+
+        factory, workload, rho, plan, cut = TestLazyBoundaries.RUNS[name]
+        spec = getattr(presets, workload)()
+        if plan is None:
+            result = run_once(
+                factory(), spec, rho, n_requests=5_000, seed=2, tracer=tracer,
+                max_sim_time_us=cut,
+            )
+            recorder, scheduler = result.server.recorder, result.scheduler
+            digest = digest_outcome(recorder, result.server.loop)
+        else:
+            result = run_chaos(
+                factory(), spec, rho, plan(), n_requests=5_000, seed=2,
+                sanitize=True, tracer=tracer,
+            )
+            scheduler = result.scheduler
+            digest = digest_chaos_outcome(
+                result.recorder, result.server.loop, result.injector
+            )
+        accounting = _timesharing_accounting(scheduler, result.server.workers)
+        return digest, accounting, scheduler.preemptions, result.server.loop
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_lazy_equals_per_quantum(self, name):
+        from repro.trace import Tracer
+
+        *lazy, lazy_loop = self.run(name, None)
+        *eager, eager_loop = self.run(name, Tracer())
+        assert lazy == eager
+        assert lazy_loop.events_processed == eager_loop.events_processed
+        assert eager_loop.credited_events == 0
+        # The untraced run really took the lazy path.
+        assert lazy_loop.credited_events > 0
+
+    def test_cut_run_settles_its_laps(self):
+        *_, loop = self.run("cut-mid-slice", None)
+        assert loop.now == 4_321.5
+
+    def test_heap_pops_per_request(self):
+        """The benchmark's server-shinjuku configuration pops at most four
+        heap events per request (about 11.5 per request when every
+        quantum boundary is an event)."""
+        n = 10_000
+        result = run_once(
+            ShinjukuSystem(n_workers=14, quantum_us=5, mode="multi"),
+            high_bimodal(),
+            0.7,
+            n_requests=n,
+            seed=1,
+        )
+        loop = result.server.loop
+        assert (loop.events_processed - loop.credited_events) / n <= 4.0
+        assert loop.events_processed / n > 11.0

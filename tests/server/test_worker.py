@@ -74,6 +74,15 @@ class TestWorker:
         w.end(7.0)
         assert w.idle_since == 7.0
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_set_speed_refuses_non_finite_or_non_positive(self, factor):
+        # A lazy Shinjuku chain multiplies by speed_factor: NaN would turn
+        # every slice time into NaN without an error.
+        w = Worker(0)
+        with pytest.raises(SchedulingError):
+            w.set_speed(factor)
+        assert w.speed_factor == 1.0
+
 
 class TestLap:
     """``lap`` is ``end`` then ``begin`` of the same request, as one step."""

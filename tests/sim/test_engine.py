@@ -45,6 +45,24 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             EventLoop(start_time=-1.0)
 
+    def test_nan_time_raises(self):
+        # NaN fails every comparison: a plain ``time < now`` guard would
+        # push it into the heap and leave the clock at NaN.
+        loop = EventLoop()
+        with pytest.raises(SimulationError):
+            loop.call_at(float("nan"), lambda: None)
+        assert loop.pending_count == 0
+
+    def test_nan_delay_raises(self):
+        loop = EventLoop()
+        with pytest.raises(SimulationError):
+            loop.call_after(float("nan"), lambda: None)
+        assert loop.pending_count == 0
+
+    def test_nan_start_time_raises(self):
+        with pytest.raises(SimulationError):
+            EventLoop(start_time=float("nan"))
+
     def test_events_scheduled_during_run_fire(self):
         loop = EventLoop()
         fired = []
