@@ -1070,14 +1070,33 @@ class _PolicySystem(SystemModel):
 
 def _policy_factory(name):
     from repro.core.static import DarcStatic
-    from repro.policies.fcfs import DecentralizedFCFS, WorkStealingFCFS
+    from repro.policies.fcfs import (
+        CentralizedFCFS,
+        DecentralizedFCFS,
+        WorkStealingFCFS,
+    )
+    from repro.policies.srpt import ShortestRemainingProcessingTime
+    from repro.policies.timesharing import TimeSharing
     from repro.policies.typed import (
+        CSCQ,
         DeficitRoundRobin,
+        EarliestDeadlineFirst,
         FixedPriority,
+        ShortestJobFirst,
         StaticPartitioning,
     )
 
     return {
+        "c-fcfs": lambda spec, rngs: CentralizedFCFS(),
+        "srpt": lambda spec, rngs: ShortestRemainingProcessingTime(preempt_cost_us=1.0),
+        "sjf": lambda spec, rngs: ShortestJobFirst(),
+        "edf": lambda spec, rngs: EarliestDeadlineFirst(spec.type_specs()),
+        "cscq": lambda spec, rngs: CSCQ(
+            spec.type_specs(), threshold_us=10.0, n_short_workers=2
+        ),
+        "timesharing-multi": lambda spec, rngs: TimeSharing(
+            quantum_us=10.0, mode="multi", type_specs=spec.type_specs()
+        ),
         "d-fcfs": lambda spec, rngs: DecentralizedFCFS(rng=rngs.stream("rss")),
         "ws-fcfs": lambda spec, rngs: WorkStealingFCFS(
             rng=rngs.stream("rss"), victim="random"
@@ -1093,13 +1112,39 @@ def _policy_factory(name):
 
 class TestPendingCounterPins:
     """Oracle-view rack runs whose every routing decision reads each
-    scanning policy's ``pending_count()``, steady and through the
-    crashes, recoveries and partitions of ``TestRackCounterParity``
-    (crash victims re-enter the scheduler's queues).  Captured with
-    ``pending_count()`` summing the queues."""
+    queueing policy's queued count, steady and through the crashes,
+    recoveries and partitions of ``TestRackCounterParity`` (crash
+    victims re-enter the scheduler's queues).  Captured with
+    ``pending_count()`` summing the queues (d-FCFS through DARC-static)
+    or reading their lengths (c-FCFS, SRPT, SJF, EDF, CSCQ) and with
+    time sharing's private counter."""
 
     #: (policy, mode) -> digest.
     PINS = {
+        ("c-fcfs", "steady"):
+            "57a5dda3d6be845032701cdb00f0402e44223b60c4f2c187d6ed784435aefd82",
+        ("c-fcfs", "faults"):
+            "fc1f5af6a2a7c3091cf347cc215c0ef17d227afce10d4e3330841cbeb9798edb",
+        ("srpt", "steady"):
+            "a6deb114f6eb5795f95852383e81e7fb30114eceaa11386824cd284101d6a9d7",
+        ("srpt", "faults"):
+            "d4e3ad7a59327293e9cc5c1c66f39fc18e74e1006b80dd87ecad2c610acf7d97",
+        ("sjf", "steady"):
+            "8641403252981fd254aa5a285b349513585942b1e011246120cde058feb0a6b2",
+        ("sjf", "faults"):
+            "4ec7e5b7d1c93db530569fcb9ce8829619dbb06371a33f7d33d2d6fc01ddcc07",
+        ("edf", "steady"):
+            "8641403252981fd254aa5a285b349513585942b1e011246120cde058feb0a6b2",
+        ("edf", "faults"):
+            "c1eb64caa3cee4017b64124c97ee10d41b5e413424aea75388f615c168da8b52",
+        ("cscq", "steady"):
+            "ad44eab68e3ae2be6ee57a9597a8f3f0f61e8af2e456904ef8203d3b2e91a4bb",
+        ("cscq", "faults"):
+            "042bc04856788ee1830495169ddafb6534fae0e8a797719d14dac276eadd516a",
+        ("timesharing-multi", "steady"):
+            "3c303328f0f2e9f9d7bdac2301fbe61b3a07eea070b98df14582548080306544",
+        ("timesharing-multi", "faults"):
+            "f31032348f698c9fc269cf780e81fbcd01d71b7f7e5791ff269fab1992f5203d",
         ("d-fcfs", "steady"):
             "b8a71f08411c5f0256c5ba2bed432f5d1cb489ec34b761e25ca891030aafb79a",
         ("d-fcfs", "faults"):
@@ -1146,6 +1191,44 @@ class TestPendingCounterPins:
     @pytest.mark.parametrize("policy,mode", sorted(PINS))
     def test_digest_matches_scanning_pending_count(self, policy, mode):
         assert self.outcome(policy, mode) == self.PINS[(policy, mode)]
+
+
+class TestStaleJSQViewPins:
+    """The 32x8 stale-JSQ rack of the benchmark (50 us staleness), steady
+    and through ``TestRackDrawPins``'s partitions and crash, which
+    shrink the pool to 3, 2 and 1 replicas and heal it.  Pins what a
+    batched view read could move: the digest, the views' read counters
+    and error, and the per-replica routing counts.  Captured with one
+    ``QueueViews.load`` call per replica per pick."""
+
+    #: name -> (digest, views.counters(), route_counts).
+    PINS = {
+        "steady": (
+            "6d39cfd3ac10e8f53eee2f3a737f595fb01a5eae4502701b026eb6094d210f0c",
+            {"stale_reads": 318176, "fresh_reads": 1824,
+             "mean_view_error": 5.248456828924872},
+            [257, 225, 238, 314, 312, 240, 381, 318, 335, 375, 311, 261, 320, 320, 433,
+             433, 305, 291, 251, 274, 207, 284, 317, 218, 408, 310, 291, 434, 267, 336,
+             423, 311],
+        ),
+        "shrink": (
+            "6f64c1b7a80abfc2e5e85c0f5407feb76bedbbdac55ffd33c99936a4cb9cd74c",
+            {"stale_reads": 233992, "fresh_reads": 1352,
+             "mean_view_error": 5.694865636432015},
+            [986, 932, 1021, 276, 245, 260, 349, 410, 300, 412, 274, 207, 154, 333, 231,
+             105, 186, 209, 216, 210, 168, 135, 229, 145, 395, 252, 183, 213, 242, 151,
+             427, 144],
+        ),
+    }
+
+    @classmethod
+    def outcome(cls, name):
+        plan = TestRackDrawPins._shrink_plan() if name == "shrink" else None
+        return _rack_draw_outcome(TestRackDrawPins._run("jsq-stale", plan=plan))
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_run_matches_pin(self, name):
+        assert self.outcome(name) == self.PINS[name]
 
 
 def _timesharing_accounting(scheduler, workers):
