@@ -143,7 +143,7 @@ class UtilizationGovernor:
         if not self._running:
             return
         scheduler = self.allocator.scheduler
-        backlog = scheduler.pending_count()
+        backlog = scheduler.queued
         active = self.allocator.active_cores
         applied = active
         if backlog >= self.grow_backlog:

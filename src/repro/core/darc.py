@@ -232,9 +232,6 @@ class DarcScheduler(Scheduler):
         #: and the sorted spillway dispatch list (orphans + UNKNOWN).
         self._orphan_dispatch: List[int] = [UNKNOWN_TYPE]
         self._startup_queue: Deque[Request] = deque()
-        #: Requests in the typed queues plus the startup queue, kept at
-        #: every append and pop so :meth:`pending_count` is O(1).
-        self._pending = 0
         self._slo_breached = False
         self.reservation_updates = 0
         #: (time, {type_id: reserved_count}) history for Fig. 7.
@@ -278,7 +275,7 @@ class DarcScheduler(Scheduler):
         now = self.loop.now
         dt = now - self._waste_last_t
         if dt > 0:
-            if self._pending:
+            if self.queued:
                 # A crashed core never holds a request (the sanitizer's
                 # worker-exclusivity check), so busy and failed cores are
                 # disjoint and the rest are exactly the free ones.
@@ -307,7 +304,7 @@ class DarcScheduler(Scheduler):
                 self.begin_service(worker, request)
             else:
                 self._startup_queue.append(request)
-                self._pending += 1
+                self.queued += 1
             return
         queue = self.queues.get(type_id)
         if queue is None:
@@ -319,7 +316,7 @@ class DarcScheduler(Scheduler):
             self.drop(request)
             return
         queue.append(request)
-        self._pending += 1
+        self.queued += 1
         self._dispatch_type(type_id)
 
     def _register_type(self, type_id: int) -> None:
@@ -419,7 +416,7 @@ class DarcScheduler(Scheduler):
                 best_queue = queue
         if best_queue is None:
             return None
-        self._pending -= 1
+        self.queued -= 1
         return best_queue.popleft()
 
     def _dispatch_type(self, type_id: int) -> None:
@@ -448,7 +445,7 @@ class DarcScheduler(Scheduler):
                     return
 
     def on_worker_free(self, worker: Worker) -> None:
-        if not self._pending:
+        if not self.queued:
             return  # every pop below would come back empty
         if not worker.is_free:
             # completion_hook may have installed a new reservation and
@@ -456,7 +453,7 @@ class DarcScheduler(Scheduler):
             return
         if self.reservation is None:
             if self._startup_queue:
-                self._pending -= 1
+                self.queued -= 1
                 self.begin_service(worker, self._startup_queue.popleft())
             return
         widx = worker.worker_id
@@ -506,12 +503,9 @@ class DarcScheduler(Scheduler):
             if request is not None:
                 self.begin_service(worker, request)
 
-    def pending_count(self) -> int:
-        return self._pending
-
     def pending_scan(self) -> int:
         """Queued requests counted by walking the typed queues and the
-        startup queue: the sanitizer's reference for :meth:`pending_count`."""
+        startup queue: the sanitizer's reference for :attr:`queued`."""
         count = len(self._startup_queue)
         for queue in self.queues.values():
             count += len(queue)

@@ -48,8 +48,6 @@ class DarcStatic(Scheduler):
         self.queues: Dict[int, Deque[Request]] = {
             s.type_id: deque() for s in type_specs
         }
-        #: Requests across the typed queues (O(1) ``pending_count``).
-        self._pending = 0
 
     def on_bound(self) -> None:
         if self.n_reserved >= len(self.workers) and len(self.priority_order) > 1:
@@ -85,7 +83,7 @@ class DarcStatic(Scheduler):
                         self.begin_service(worker, request)
                         return
             self.queues[tid].append(request)
-            self._pending += 1
+            self.queued += 1
         else:
             if not self._longer_pending(tid):
                 for worker in self.shared_workers:
@@ -93,7 +91,7 @@ class DarcStatic(Scheduler):
                         self.begin_service(worker, request)
                         return
             self.queues[tid].append(request)
-            self._pending += 1
+            self.queued += 1
 
     def _longer_pending(self, tid: int) -> bool:
         """True if any same-or-higher-priority request is already queued
@@ -111,23 +109,19 @@ class DarcStatic(Scheduler):
             queue = self.queues[self.short_type]
             if queue:
                 request = queue.popleft()
-                self._pending -= 1
+                self.queued -= 1
                 self.begin_service(worker, request)
             return
         for tid in self.priority_order:
             queue = self.queues[tid]
             if queue:
                 request = queue.popleft()
-                self._pending -= 1
+                self.queued -= 1
                 self.begin_service(worker, request)
                 return
 
-    def pending_count(self) -> int:
-        return self._pending
-
     def pending_scan(self) -> int:
-        """Queued requests counted by walking the queues: the
-        sanitizer's reference for :meth:`pending_count`."""
+        """A walk of the queues: the sanitizer's reference for :attr:`queued`."""
         return sum(len(q) for q in self.queues.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

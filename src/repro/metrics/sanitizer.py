@@ -22,12 +22,13 @@ Invariants checked after every event
   workers; the drain check below reads the counters and DARC dispatches
   from the mask, so a desync must fail here rather than as a wrong
   conservation verdict or a dispatch to a busy core.
-* **queue-depth** — ``Scheduler.pending_count()`` is never negative and
-  drop counters never decrease.  A scheduler that keeps an O(1) pending
-  counter and exposes ``pending_scan()`` (DARC: its typed queues plus
-  its startup queue; time sharing: its central and typed queues; d-FCFS,
-  work stealing, fixed priority, DRR, static partitioning and
-  DARC-static: their queues) must report a count equal to that scan.
+* **queue-depth** — ``Scheduler.pending_count()`` (the policy's
+  ``queued`` counter) is never negative and drop counters never
+  decrease.  Every queueing policy exposes ``pending_scan()``, a walk of
+  its queues (DARC: its typed queues plus its startup queue; time
+  sharing: its central and typed queues; SRPT, SJF, EDF: their heaps),
+  and the counter must equal that scan.  A rack's loop-only sanitizer
+  (``replicas=``) runs this counter check on every replica.
 * **request-conservation** (running form) — completions (including late
   completions of orphaned attempts) + drops never exceed arrivals.
 * **darc-reservation** — with a :class:`~repro.core.darc.DarcScheduler`
@@ -67,7 +68,7 @@ invariant id, the simulation time, and structured context.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SanitizerViolation
 
@@ -92,8 +93,16 @@ class SimSanitizer:
     1
     """
 
-    def __init__(self, server: Optional["Server"] = None, shadow_tiebreaks: bool = False):
+    def __init__(
+        self,
+        server: Optional["Server"] = None,
+        shadow_tiebreaks: bool = False,
+        replicas: Sequence["Server"] = (),
+    ):
         self.server = server
+        #: Servers of a rack whose queued counters are checked against
+        #: their queues after every event (no other per-server check).
+        self.replicas = list(replicas)
         self.loop: Optional["EventLoop"] = None
         #: Number of events the sanitizer has inspected.
         self.events_checked = 0
@@ -165,6 +174,8 @@ class SimSanitizer:
             self._check_queues(loop)
             self._check_conservation(loop, at_drain=False)
             self._check_darc(loop)
+        for replica in self.replicas:
+            self._check_queued(loop, replica.scheduler)
 
     def on_drain(self, loop: "EventLoop") -> None:
         """Called by the engine when the heap empties at the end of run()."""
@@ -319,8 +330,19 @@ class SimSanitizer:
             )
 
     def _check_queues(self, loop: "EventLoop") -> None:
+        self._check_queued(loop, self.server.scheduler)
+        drops = self.server.recorder.dropped
+        if drops < self._last_drops:
+            self._violate(
+                "queue-depth",
+                "drop counter decreased",
+                loop,
+                {"drops": drops, "previous": self._last_drops},
+            )
+        self._last_drops = drops
+
+    def _check_queued(self, loop: "EventLoop", scheduler) -> None:
         self.checks_run += 1
-        scheduler = self.server.scheduler
         pending = scheduler.pending_count()
         if pending < 0:
             self._violate(
@@ -339,15 +361,6 @@ class SimSanitizer:
                     loop,
                     {"pending": pending, "pending_scan": scanned},
                 )
-        drops = self.server.recorder.dropped
-        if drops < self._last_drops:
-            self._violate(
-                "queue-depth",
-                "drop counter decreased",
-                loop,
-                {"drops": drops, "previous": self._last_drops},
-            )
-        self._last_drops = drops
 
     def _check_conservation(self, loop: "EventLoop", at_drain: bool) -> None:
         self.checks_run += 1

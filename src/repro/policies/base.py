@@ -58,6 +58,11 @@ class Scheduler(ABC):
         #: Busy/crashed tally shared by the bound workers: the number of
         #: free cores is ``size - busy - failed``, an O(1) read.
         self.counts: Optional[WorkerCounts] = None
+        #: Requests queued (not being served), bumped by the policy at
+        #: every enqueue and dequeue.  Rack views read it as a plain
+        #: attribute on every routing decision, DARC's CPU-waste
+        #: accounting on every event.
+        self.queued = 0
         self._on_complete: Optional[CompletionCallback] = None
         self._on_drop: Optional[DropCallback] = None
         self._bound = False
@@ -87,6 +92,13 @@ class Scheduler(ABC):
             raise SchedulingError(f"{type(self).__name__} already bound")
         if not workers:
             raise SchedulingError("need at least one worker")
+        if type(self).pending_count is not Scheduler.pending_count:
+            # Rack views read ``queued`` directly: a policy that only
+            # overrides pending_count() would look empty to them.
+            raise SchedulingError(
+                f"{type(self).__name__} overrides pending_count(); "
+                "keep Scheduler.queued instead"
+            )
         self.loop = loop
         self.workers = workers
         self.counts = shared_counts(workers)
@@ -126,14 +138,10 @@ class Scheduler(ABC):
         """``worker`` finished a request; give it more work if any."""
 
     def pending_count(self) -> int:
-        """Number of requests currently queued (not being served).
-
-        Subclasses with queues should override, keeping the read O(1)
-        (a counter kept at enqueue and dequeue, not a scan): rack views
-        read it on every routing decision and DARC's CPU-waste
-        accounting on every event.
-        """
-        return 0
+        """Number of requests currently queued (not being served): the
+        :attr:`queued` counter.  Policies keep the counter rather than
+        override this."""
+        return self.queued
 
     # ------------------------------------------------------------------
     # service helpers for non-preemptive policies
@@ -263,16 +271,9 @@ class Scheduler(ABC):
         override this to re-partition the surviving cores.
         """
 
-    def available_workers(self) -> List[Worker]:
-        """Workers that have not crashed (busy or idle)."""
-        return [w for w in self.workers if not w.failed]
-
     # ------------------------------------------------------------------
     # conveniences
     # ------------------------------------------------------------------
-    def free_workers(self) -> List[Worker]:
-        return [w for w in self.workers if w.is_free]
-
     def first_free_worker(self) -> Optional[Worker]:
         counts = self.counts
         # Busy and crashed cores are disjoint (the crash handler evicts

@@ -52,13 +52,16 @@ class ShortestRemainingProcessingTime(Scheduler):
     # ------------------------------------------------------------------
     def _push(self, request: Request) -> None:
         heapq.heappush(self._heap, (request.remaining_time, request.rid, request))
+        self.queued += 1
 
     def _pop(self) -> Optional[Request]:
         if not self._heap:
             return None
+        self.queued -= 1
         return heapq.heappop(self._heap)[2]
 
-    def pending_count(self) -> int:
+    def pending_scan(self) -> int:
+        """The heap's length: the sanitizer's reference for :attr:`queued`."""
         return len(self._heap)
 
     def _longest_running(self) -> Optional[int]:

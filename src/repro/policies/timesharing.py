@@ -206,9 +206,6 @@ class TimeSharing(Scheduler):
 
         self.central: Deque[Request] = deque()
         self.typed: Dict[int, Deque[Request]] = {}
-        #: Requests in ``central`` and ``typed``, kept at every enqueue and
-        #: dequeue so :meth:`pending_count` is O(1).
-        self._pending = 0
         self.vtimes: Dict[int, float] = {}
         if type_specs:
             for spec in type_specs:
@@ -239,7 +236,7 @@ class TimeSharing(Scheduler):
             # Shinjuku single-queue: preempted requests go to the *tail*
             # too — that is what shares the processor.
             self.central.append(request)
-            self._pending += 1
+            self.queued += 1
             if self._lazy:
                 self._after_enqueue(None)
             return True
@@ -257,15 +254,15 @@ class TimeSharing(Scheduler):
             queue.appendleft(request)  # multi-queue: head of own queue
         else:
             queue.append(request)
-        self._pending += 1
+        self.queued += 1
         if self._lazy:
             self._after_enqueue(tid)
         return True
 
     def _dequeue(self) -> Optional[Request]:
-        if not self._pending:
+        if not self.queued:
             return None
-        self._pending -= 1
+        self.queued -= 1
         if self.mode == "single":
             return self.central.popleft()
         tid = self._bvt_pick()
@@ -310,12 +307,9 @@ class TimeSharing(Scheduler):
             self._settle_all(self.loop.now)
         self.vtimes[tid] += expected / self.weights.get(tid, 1.0)
 
-    def pending_count(self) -> int:
-        return self._pending
-
     def pending_scan(self) -> int:
-        """Queued requests counted by walking the central and typed
-        queues: the sanitizer's reference for :meth:`pending_count`."""
+        """A walk of the central and typed queues: the sanitizer's
+        reference for :attr:`queued`."""
         count = len(self.central)
         for queue in self.typed.values():
             count += len(queue)
@@ -329,7 +323,7 @@ class TimeSharing(Scheduler):
 
     def on_request(self, request: Request) -> None:
         worker = self.first_free_worker()
-        if worker is not None and not self.pending_count():
+        if worker is not None and not self.queued:
             self._start_slice(worker, request)
             return
         if not self._enqueue(request, preempted=False):
@@ -396,9 +390,9 @@ class TimeSharing(Scheduler):
         if self.tracer is not None or self.telemetry is not None or self.loop.observers:
             return False
         if self.mode == "single":
-            return not self._pending
+            return not self.queued
         queue = self.typed.get(request.effective_type())
-        return queue is not None and self._pending == len(queue)
+        return queue is not None and self.queued == len(queue)
 
     def _start_lazy(self, worker: Worker, request: Request, delay: float, cost: float) -> bool:
         """Book only the completion of ``request``'s remaining slices on
@@ -614,13 +608,13 @@ class TimeSharing(Scheduler):
 
     def _uncertain(self, tid: Optional[int]) -> bool:
         """Could the queue take a core from a lazy chain of type ``tid``?"""
-        return self._pending != (0 if tid is None else len(self.typed[tid]))
+        return self.queued != (0 if tid is None else len(self.typed[tid]))
 
     def _after_enqueue(self, tid: Optional[int]) -> None:
         """A request of type ``tid`` (single mode: None) was enqueued.
         Chains of other types that were certain no longer are: settle
         their laps before now and book a stand-in at their next one."""
-        before = self._pending - 1
+        before = self.queued - 1
         typed = self.typed
         for own, laps in self._laps.items():
             if not laps:
@@ -724,10 +718,10 @@ class TimeSharing(Scheduler):
         cost = chain.cost
         tid = chain.tid
         if tid is None:
-            hand_back = not self._pending
+            hand_back = not self.queued
         else:
             hand_back = (
-                self._pending == len(self.typed[tid]) or self._bvt_pick(tid) == tid
+                self.queued == len(self.typed[tid]) or self._bvt_pick(tid) == tid
             )
         self.loop.credit_events(1)
         if hand_back:
@@ -784,7 +778,7 @@ class TimeSharing(Scheduler):
     def _quantum_boundary(self, worker: Worker, request: Request, slice_us: float) -> None:
         """The quantum elapsed; preempt only if someone is waiting."""
         assert self.loop is not None
-        if self.pending_count() > 0:
+        if self.queued > 0:
             cost = self._preempt_cost
             self.schedule_service_event(
                 worker, cost, self._slice_preempted, worker, request, slice_us, cost
@@ -892,7 +886,7 @@ class TimeSharing(Scheduler):
         # BVT picks its type, whose queue it goes to the head of.
         if self.mode == "single":
             tid = None
-            hand_back = not self._pending
+            hand_back = not self.queued
         else:
             tid = request.effective_type()
             queue = self.typed.get(tid)
@@ -900,7 +894,7 @@ class TimeSharing(Scheduler):
                 raise SchedulingError(
                     f"request {request.rid} has unregistered type {tid}"
                 )
-            hand_back = self._pending == len(queue) or self._bvt_pick(tid) == tid
+            hand_back = self.queued == len(queue) or self._bvt_pick(tid) == tid
         if hand_back:
             # Keeps the core; the booking below replaces its service event.
             worker.lap(now, cost)

@@ -19,6 +19,7 @@ information online.
 from __future__ import annotations
 
 import heapq
+from abc import abstractmethod
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -65,8 +66,6 @@ class FixedPriority(Scheduler):
         self.queues: Dict[int, Deque[Request]] = {
             tid: deque() for tid in self.priority_order
         }
-        #: Requests across the typed queues (O(1) ``pending_count``).
-        self._pending = 0
 
     def _queue_for(self, request: Request) -> Deque[Request]:
         tid = request.effective_type()
@@ -77,11 +76,11 @@ class FixedPriority(Scheduler):
 
     def on_request(self, request: Request) -> None:
         worker = self.first_free_worker()
-        if worker is not None and not self.pending_count():
+        if worker is not None and not self.queued:
             self.begin_service(worker, request)
             return
         self._queue_for(request).append(request)
-        self._pending += 1
+        self.queued += 1
         if worker is not None:
             self.on_worker_free(worker)
 
@@ -90,23 +89,49 @@ class FixedPriority(Scheduler):
             queue = self.queues[tid]
             if queue:
                 request = queue.popleft()
-                self._pending -= 1
+                self.queued -= 1
                 self.begin_service(worker, request)
                 return
 
-    def pending_count(self) -> int:
-        return self._pending
+    def pending_scan(self) -> int:
+        """A walk of the queues: the sanitizer's reference for :attr:`queued`."""
+        return sum(len(q) for q in self.queues.values())
+
+
+class _KeyedHeap(Scheduler):
+    """Non-preemptive service in ascending ``_key(request)`` order, ties
+    broken by request id (FIFO); SJF and EDF differ only in the key."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap: List[Tuple[float, int, Request]] = []
+
+    @abstractmethod
+    def _key(self, request: Request) -> float:
+        """Heap order: smaller keys are served first."""
+
+    def on_request(self, request: Request) -> None:
+        worker = self.first_free_worker()
+        if worker is not None and not self._heap:
+            self.begin_service(worker, request)
+            return
+        heapq.heappush(self._heap, (self._key(request), request.rid, request))
+        self.queued += 1
+        if worker is not None:
+            self.on_worker_free(worker)
+
+    def on_worker_free(self, worker: Worker) -> None:
+        if self._heap:
+            _, _, request = heapq.heappop(self._heap)
+            self.queued -= 1
+            self.begin_service(worker, request)
 
     def pending_scan(self) -> int:
-        """Queued requests counted by walking the queues: the
-        sanitizer's reference for :meth:`pending_count`."""
-        total = 0
-        for q in self.queues.values():
-            total += len(q)
-        return total
+        """The heap's length: the sanitizer's reference for :attr:`queued`."""
+        return len(self._heap)
 
 
-class ShortestJobFirst(Scheduler):
+class ShortestJobFirst(_KeyedHeap):
     """Non-preemptive SJF using the request's actual service time.
 
     This is an oracle policy (real schedulers cannot see exact service
@@ -125,29 +150,11 @@ class ShortestJobFirst(Scheduler):
         comments="Needs exact service times (oracle here)",
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Tuple[float, int, Request]] = []
-
-    def on_request(self, request: Request) -> None:
-        worker = self.first_free_worker()
-        if worker is not None and not self._heap:
-            self.begin_service(worker, request)
-            return
-        heapq.heappush(self._heap, (request.service_time, request.rid, request))
-        if worker is not None:
-            self.on_worker_free(worker)
-
-    def on_worker_free(self, worker: Worker) -> None:
-        if self._heap:
-            _, _, request = heapq.heappop(self._heap)
-            self.begin_service(worker, request)
-
-    def pending_count(self) -> int:
-        return len(self._heap)
+    def _key(self, request: Request) -> float:
+        return request.service_time
 
 
-class EarliestDeadlineFirst(Scheduler):
+class EarliestDeadlineFirst(_KeyedHeap):
     """Non-preemptive EDF with per-type relative deadlines.
 
     Each request's deadline is ``arrival + deadline_factor * type_mean`` —
@@ -172,29 +179,12 @@ class EarliestDeadlineFirst(Scheduler):
             raise ConfigurationError(f"deadline_factor must be > 0, got {deadline_factor}")
         self._specs = _specs_by_id(type_specs)
         self.deadline_factor = deadline_factor
-        self._heap: List[Tuple[float, int, Request]] = []
 
-    def _deadline(self, request: Request) -> float:
+    def _key(self, request: Request) -> float:
+        """The request's deadline."""
         spec = self._specs.get(request.effective_type())
         mean = spec.mean_service_time if spec else request.service_time
         return request.arrival_time + self.deadline_factor * mean
-
-    def on_request(self, request: Request) -> None:
-        worker = self.first_free_worker()
-        if worker is not None and not self._heap:
-            self.begin_service(worker, request)
-            return
-        heapq.heappush(self._heap, (self._deadline(request), request.rid, request))
-        if worker is not None:
-            self.on_worker_free(worker)
-
-    def on_worker_free(self, worker: Worker) -> None:
-        if self._heap:
-            _, _, request = heapq.heappop(self._heap)
-            self.begin_service(worker, request)
-
-    def pending_count(self) -> int:
-        return len(self._heap)
 
 
 class DeficitRoundRobin(Scheduler):
@@ -232,8 +222,6 @@ class DeficitRoundRobin(Scheduler):
         self.order = [s.type_id for s in type_specs]
         self.queues: Dict[int, Deque[Request]] = {tid: deque() for tid in self.order}
         self.deficits: Dict[int, float] = {tid: 0.0 for tid in self.order}
-        #: Requests across the typed queues (O(1) ``pending_count``).
-        self._pending = 0
         self._cursor = 0
 
     def on_request(self, request: Request) -> None:
@@ -242,13 +230,13 @@ class DeficitRoundRobin(Scheduler):
         if queue is None:
             raise SchedulingError(f"request {request.rid} has unregistered type {tid}")
         queue.append(request)
-        self._pending += 1
+        self.queued += 1
         worker = self.first_free_worker()
         if worker is not None:
             self.on_worker_free(worker)
 
     def on_worker_free(self, worker: Worker) -> None:
-        if not self._pending:
+        if not self.queued:
             return
         n = len(self.order)
         # At most two full rotations: one may only add deficit, the second
@@ -262,7 +250,7 @@ class DeficitRoundRobin(Scheduler):
                 if self.deficits[tid] >= head.service_time:
                     self.deficits[tid] -= head.service_time
                     queue.popleft()
-                    self._pending -= 1
+                    self.queued -= 1
                     self.begin_service(worker, head)
                     return
                 self.deficits[tid] += self.quantum_us * weight
@@ -278,20 +266,13 @@ class DeficitRoundRobin(Scheduler):
             if self.queues[tid]:
                 self.deficits[tid] = 0.0
                 request = self.queues[tid].popleft()
-                self._pending -= 1
+                self.queued -= 1
                 self.begin_service(worker, request)
                 return
 
-    def pending_count(self) -> int:
-        return self._pending
-
     def pending_scan(self) -> int:
-        """Queued requests counted by walking the queues: the
-        sanitizer's reference for :meth:`pending_count`."""
-        total = 0
-        for q in self.queues.values():
-            total += len(q)
-        return total
+        """A walk of the queues: the sanitizer's reference for :attr:`queued`."""
+        return sum(len(q) for q in self.queues.values())
 
 
 class StaticPartitioning(Scheduler):
@@ -328,8 +309,6 @@ class StaticPartitioning(Scheduler):
         }
         self.worker_sets: Dict[int, List[Worker]] = {}
         self._type_of_worker: Dict[int, int] = {}
-        #: Requests across the typed queues (O(1) ``pending_count``).
-        self._pending = 0
 
     def on_bound(self) -> None:
         n_workers = len(self.workers)
@@ -380,22 +359,18 @@ class StaticPartitioning(Scheduler):
                 self.begin_service(worker, request)
                 return
         self.queues[tid].append(request)
-        self._pending += 1
+        self.queued += 1
 
     def on_worker_free(self, worker: Worker) -> None:
         tid = self._type_of_worker[worker.worker_id]
         queue = self.queues[tid]
         if queue:
             request = queue.popleft()
-            self._pending -= 1
+            self.queued -= 1
             self.begin_service(worker, request)
 
-    def pending_count(self) -> int:
-        return self._pending
-
     def pending_scan(self) -> int:
-        """Queued requests counted by walking the queues: the
-        sanitizer's reference for :meth:`pending_count`."""
+        """A walk of the queues: the sanitizer's reference for :attr:`queued`."""
         return sum(len(q) for q in self.queues.values())
 
 
@@ -467,24 +442,26 @@ class CSCQ(Scheduler):
                     self.begin_service(worker, request)
                     return
             self.short_queue.append(request)
+            self.queued += 1
         else:
             for worker in self.long_workers:
                 if worker.is_free:
                     self.begin_service(worker, request)
                     return
             self.long_queue.append(request)
+            self.queued += 1
 
     def on_worker_free(self, worker: Worker) -> None:
         short_queue = self.short_queue
         if worker.tags.get("cscq_class") == "short":
-            if short_queue:
-                self.begin_service(worker, short_queue.popleft())
+            queue = short_queue
         else:
             # Long workers prefer their own class, then donate to shorts.
-            if self.long_queue:
-                self.begin_service(worker, self.long_queue.popleft())
-            elif short_queue:
-                self.begin_service(worker, short_queue.popleft())
+            queue = self.long_queue or short_queue
+        if queue:
+            self.queued -= 1
+            self.begin_service(worker, queue.popleft())
 
-    def pending_count(self) -> int:
+    def pending_scan(self) -> int:
+        """Both queues' lengths: the sanitizer's reference for :attr:`queued`."""
         return len(self.short_queue) + len(self.long_queue)

@@ -308,7 +308,8 @@ def run_rack(
     ``plan`` arms a :class:`~repro.rack.faults.RackFaultPlan` (whole
     -server crashes, partitions).  ``sanitize`` attaches the runtime
     invariant sanitizer in loop-only mode (monotonic-time and shadow
-    checks; server-specific invariants need a single server).
+    checks, and each replica's queued counter against a scan of its
+    queues; the other server-specific invariants need a single server).
     ``trace_path`` (or an explicit ``tracer``, a
     :class:`~repro.rack.tracing.RackTracer`) turns on rack-scale span
     tracing: one per-replica tracer tee plus the balancer decision log,
@@ -387,8 +388,11 @@ def run_rack(
     if sanitize:
         # Loop-only attachment: per-server invariants (worker
         # exclusivity, reservation rules) assume a single server, but
-        # time monotonicity and the shadow tie-break check still apply.
-        SimSanitizer(shadow_tiebreaks=(sanitize == "shadow")).attach(loop)
+        # time monotonicity, the shadow tie-break check and every
+        # replica's queued counter still apply.
+        SimSanitizer(
+            shadow_tiebreaks=(sanitize == "shadow"), replicas=servers
+        ).attach(loop)
     if telemetry is not None:
         telemetry.install(loop)
         for server in servers:

@@ -150,7 +150,7 @@ class Server:
     @property
     def pending(self) -> int:
         """Requests queued at the scheduler."""
-        return self.scheduler.pending_count()
+        return self.scheduler.queued
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -7,11 +7,19 @@ import pytest
 
 from repro.core.darc import DarcScheduler
 from repro.core.static import DarcStatic
-from repro.errors import SanitizerViolation, SimulationError
+from repro.errors import SanitizerViolation, SchedulingError, SimulationError
 from repro.metrics.sanitizer import SimSanitizer
 from repro.policies.fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
+from repro.policies.srpt import ShortestRemainingProcessingTime
 from repro.policies.timesharing import TimeSharing
-from repro.policies.typed import DeficitRoundRobin, FixedPriority, StaticPartitioning
+from repro.policies.typed import (
+    CSCQ,
+    DeficitRoundRobin,
+    EarliestDeadlineFirst,
+    FixedPriority,
+    ShortestJobFirst,
+    StaticPartitioning,
+)
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -40,9 +48,17 @@ TWO_TYPES = [
     RequestTypeSpec(1, "long", 100.0, 0.5),
 ]
 
-#: Policies keeping an O(1) pending counter with a ``pending_scan()``
-#: reference, each built for a two-worker server.
+#: Every queueing policy: each keeps ``Scheduler.queued`` and a
+#: ``pending_scan()`` reference, each built for a two-worker server.
 COUNTING_POLICIES = {
+    "c-fcfs": lambda: CentralizedFCFS(),
+    "srpt": lambda: ShortestRemainingProcessingTime(),
+    "sjf": lambda: ShortestJobFirst(),
+    "edf": lambda: EarliestDeadlineFirst(TWO_TYPES),
+    "cscq": lambda: CSCQ(TWO_TYPES, threshold_us=10.0, n_short_workers=1),
+    "timesharing-single": lambda: TimeSharing(mode="single"),
+    "timesharing-multi": lambda: TimeSharing(mode="multi", type_specs=TWO_TYPES),
+    "darc": lambda: DarcScheduler(profile=False, type_specs=TWO_TYPES),
     "d-fcfs": lambda: DecentralizedFCFS(steering="round_robin"),
     "ws-fcfs": lambda: WorkStealingFCFS(steering="round_robin"),
     "fixed-priority": lambda: FixedPriority(TWO_TYPES),
@@ -192,7 +208,7 @@ class TestQueueDepth:
         feed(loop, server, requests(6, service=100.0, type_id=1))
         loop.run(until=10.0)
         assert scheduler.pending_count() == scheduler.pending_scan() > 0
-        scheduler._pending += 1  # the bug: a counter bumped off-queue
+        scheduler.queued += 1  # the bug: a counter bumped off-queue
         loop.call_at(10.5, lambda: None)
         with pytest.raises(SanitizerViolation) as excinfo:
             loop.run(until=11.0)
@@ -227,7 +243,7 @@ class TestQueueDepth:
         feed(loop, server, requests(4, service=100.0, type_id=1))
         loop.run(until=10.0)
         assert scheduler.pending_count() == scheduler.pending_scan() > 0
-        scheduler._pending -= 1  # the bug: a dequeue the counter missed
+        scheduler.queued -= 1  # the bug: a dequeue the counter missed
         loop.call_at(10.5, lambda: None)
         with pytest.raises(SanitizerViolation) as excinfo:
             loop.run(until=11.0)
@@ -241,14 +257,43 @@ class TestQueueDepth:
         loop, server, _ = make_server(scheduler, n_workers=2)
         feed(loop, server, requests(6, service=100.0, type_id=1))
         loop.run(until=10.0)
-        assert scheduler.pending_count() == scheduler.pending_scan() > 0
-        scheduler._pending += 1  # the bug: a counter bumped off-queue
+        assert scheduler.queued == scheduler.pending_scan() > 0
+        scheduler.queued += 1  # the bug: a counter bumped off-queue
         loop.call_at(10.5, lambda: None)
         with pytest.raises(SanitizerViolation) as excinfo:
             loop.run(until=11.0)
         assert excinfo.value.invariant == "queue-depth"
         context = excinfo.value.context
         assert context["pending"] == context["pending_scan"] + 1
+
+    def test_rack_replica_desync_is_caught(self):
+        # A rack's loop-only sanitizer checks every replica's counter.
+        loop = EventLoop()
+        servers = [
+            Server(loop, CentralizedFCFS(), config=ServerConfig(n_workers=1))
+            for _ in range(2)
+        ]
+        SimSanitizer(replicas=servers).attach(loop)
+        feed(loop, servers[1], requests(3, service=100.0))
+        loop.run(until=10.0)
+        assert servers[1].scheduler.queued == servers[1].scheduler.pending_scan() == 2
+        servers[1].scheduler.queued += 1  # the bug: a counter bumped off-queue
+        loop.call_at(10.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=11.0)
+        assert excinfo.value.invariant == "queue-depth"
+        assert excinfo.value.context == {"pending": 3, "pending_scan": 2}
+
+    def test_policy_overriding_pending_count_is_refused_at_bind(self):
+        class LegacyFCFS(CentralizedFCFS):
+            """Written to the old contract: counts by override, never
+            bumps ``queued``, so rack views would see it empty."""
+
+            def pending_count(self):
+                return len(self.queue)
+
+        with pytest.raises(SchedulingError, match="overrides pending_count"):
+            make_server(LegacyFCFS())
 
 
 class TestRequestConservation:

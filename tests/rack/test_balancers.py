@@ -428,3 +428,52 @@ class TestLiveSetCache:
         assert balancer.live_pool() == [0, 1, 2]
         balancer.ingress(req(0))
         assert balancer.route_counts == [0, 1, 0]  # least-loaded dead replica
+
+
+class TestParameterValidation:
+    """Bad knobs are refused at construction, not discovered mid-run."""
+
+    @staticmethod
+    def rack(n=3):
+        loop = EventLoop()
+        servers = make_servers(loop, n)
+        return servers, QueueViews(loop, servers)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -1.0])
+    def test_sed_mean_service_must_be_finite_and_positive(self, mean):
+        # A NaN mean made every delay NaN: everything went to replica 0.
+        servers, views = self.rack()
+        with pytest.raises(ConfigurationError, match="mean_service_us"):
+            ShortestExpectedDelay(servers, views, mean_service_us=mean)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.5])
+    def test_session_spill_threshold_must_be_finite(self, threshold):
+        # A NaN threshold counted every request as a spill.
+        servers, views = self.rack()
+        with pytest.raises(ConfigurationError, match="spill_threshold"):
+            SessionAffinity(servers, views, spill_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.5])
+    def test_type_affinity_spill_threshold_must_be_finite(self, threshold):
+        # A NaN threshold never spilled.
+        servers, views = self.rack()
+        with pytest.raises(ConfigurationError, match="spill_threshold"):
+            TypeAffinity(servers, views, assignment={0: [0]}, spill_threshold=threshold)
+
+    @pytest.mark.parametrize("k", [2.5, True, 0, "2"])
+    def test_jsq_k_must_be_an_int(self, k):
+        # k=2.5 raised TypeError in the sampler mid-run; True read as 1.
+        servers, views = self.rack()
+        with pytest.raises(ConfigurationError, match="k must be an int"):
+            StaleJSQ(servers, views, k=k, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [2.5, True, 0])
+    def test_pow_d_must_be_an_int(self, d):
+        servers, views = self.rack()
+        with pytest.raises(ConfigurationError, match="d must be an int"):
+            PowerOfD(servers, views, np.random.default_rng(0), d=d)
+
+    def test_numpy_ints_are_accepted(self):
+        servers, views = self.rack()
+        assert StaleJSQ(servers, views, k=np.int64(2), rng=np.random.default_rng(0)).k == 2
+        assert PowerOfD(servers, views, np.random.default_rng(0), d=np.int64(3)).d == 3
