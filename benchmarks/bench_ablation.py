@@ -13,11 +13,10 @@
 import pytest
 from conftest import run_single
 
-from repro.analysis.slo import overall_slowdown_metric
 from repro.core.darc import DarcScheduler
 from repro.core.grouping import group_types
 from repro.core.reservation import compute_reservation
-from repro.experiments.common import run_once
+from repro.experiments.common import overall_slowdown_metric, run_once
 from repro.systems.persephone import PersephoneSystem
 from repro.workload.presets import TPCC_TRANSACTIONS, extreme_bimodal, high_bimodal, tpcc
 

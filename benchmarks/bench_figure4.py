@@ -38,7 +38,7 @@ def test_figure4(benchmark, bench_n_requests):
         assert slowdowns[0] > best_val
         assert slowdowns[max(slowdowns)] > best_val
         # The optimum beats the c-FCFS reference (paper: 4.4x / 1.5x).
-        from repro.analysis.slo import overall_slowdown_metric
+        from repro.experiments.common import overall_slowdown_metric
 
         ref = overall_slowdown_metric(result.references[name])
         assert best_val < ref

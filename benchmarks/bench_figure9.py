@@ -8,7 +8,7 @@ broken classifiers degrade gracefully.
 import numpy as np
 from conftest import run_single
 
-from repro.analysis.slo import overall_slowdown_metric
+from repro.experiments.common import overall_slowdown_metric
 from repro.experiments import figure9
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import run_single
 
-from repro.analysis.tables import render_table
+from repro.experiments.tables import render_table
 from repro.core.darc import DarcScheduler
 from repro.core.static import DarcStatic
 from repro.metrics.recorder import Recorder

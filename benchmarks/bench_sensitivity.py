@@ -18,15 +18,18 @@ import numpy as np
 import pytest
 from conftest import run_single
 
-from repro.analysis.replication import replicate
-from repro.analysis.slo import overall_slowdown_metric
-from repro.experiments.common import run_once
+from repro.experiments.common import (
+    overall_slowdown_metric,
+    run_once,
+    run_replicated_sweep,
+)
 from repro.metrics.recorder import Recorder
 from repro.metrics.summary import RunSummary
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
 from repro.sim.randomness import RngRegistry
+from repro.sweep.stats import mean_ci
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.arrivals import BurstyArrivals, PoissonArrivals
 from repro.workload.distributions import Exponential, Fixed, LogNormal
@@ -127,23 +130,33 @@ def test_bursty_arrivals(benchmark, bench_n_requests):
 
 
 def test_seed_variance(benchmark):
-    """Error bars on the headline: the DARC-vs-c-FCFS gap dwarfs seed noise."""
+    """Error bars on the headline: the DARC-vs-c-FCFS gap dwarfs seed noise.
+
+    Five replicates per system, each under its derived per-cell seed, with
+    a Student-t 95% interval over them (t4 = 2.776, not the normal 1.96).
+    """
+
+    def replicated_slowdown(system):
+        replicates = run_replicated_sweep(
+            system, high_bimodal(), [UTILIZATION], seeds=(1, 2, 3, 4, 5),
+            experiment="sensitivity", n_requests=20_000,
+        )
+        return mean_ci(
+            [overall_slowdown_metric(sweep[0]) for sweep in replicates.values()]
+        )
 
     def run_reps():
-        darc = replicate(
-            PersephoneSystem(n_workers=N_WORKERS, oracle=True),
-            high_bimodal(), UTILIZATION, n_seeds=5, n_requests=20_000,
-        )
-        cfcfs = replicate(
-            PersephoneCfcfsSystem(n_workers=N_WORKERS),
-            high_bimodal(), UTILIZATION, n_seeds=5, n_requests=20_000,
-        )
+        darc = replicated_slowdown(PersephoneSystem(n_workers=N_WORKERS, oracle=True))
+        cfcfs = replicated_slowdown(PersephoneCfcfsSystem(n_workers=N_WORKERS))
         return darc, cfcfs
 
     darc, cfcfs = run_single(benchmark, run_reps)
     print()
-    print(darc.describe(overall_slowdown_metric, "DARC p99.9 slowdown"))
-    print(cfcfs.describe(overall_slowdown_metric, "c-FCFS p99.9 slowdown"))
-    _, darc_high = darc.confidence_interval(overall_slowdown_metric)
-    cfcfs_low, _ = cfcfs.confidence_interval(overall_slowdown_metric)
+    for label, stat in (("DARC", darc), ("c-FCFS", cfcfs)):
+        print(
+            f"{label} p99.9 slowdown: mean={stat.mean:.2f} "
+            f"ci95=[{stat.low:.2f}, {stat.high:.2f}] over {stat.n} seeds"
+        )
+    darc_high = darc.high
+    cfcfs_low = cfcfs.low
     assert darc_high < cfcfs_low  # non-overlapping CIs

@@ -11,9 +11,9 @@ Run:  python examples/rocksdb_service.py [--quick]
 
 import sys
 
-from repro.analysis.slo import capacity_at_slo, overall_slowdown_metric
 from repro.apps.rocksdb import RocksDbLike
-from repro.experiments.common import run_sweep
+from repro.experiments.common import overall_slowdown_metric, run_sweep
+from repro.experiments.results import FigureResult
 from repro.systems.persephone import PersephoneSystem
 from repro.systems.shenango import ShenangoSystem
 from repro.systems.shinjuku import ShinjukuSystem
@@ -41,14 +41,15 @@ def demo_capacity(n_requests: int) -> None:
         ShinjukuSystem(n_workers=14, quantum_us=15.0, mode="multi", name="Shinjuku"),
         PersephoneSystem(n_workers=14, oracle=False, name="Persephone"),
     ]
-    capacities = {}
+    result = FigureResult("RocksDB", LOADS)
     for system in systems:
         sweep = run_sweep(system, spec, LOADS, n_requests=n_requests, seed=6)
-        capacities[system.name] = capacity_at_slo(sweep, SLO, overall_slowdown_metric)
+        result.add_sweep(system.name, sweep)
         row = "  ".join(
             f"{overall_slowdown_metric(r):9.1f}x" for r in sweep
         )
         print(f"{system.name:<12} slowdown by load {LOADS}: {row}")
+    capacities = result.capacities(SLO, overall_slowdown_metric)
     print()
     for name, cap in capacities.items():
         shown = f"{cap:.0%} of peak" if cap else "below lowest point"

@@ -13,11 +13,13 @@ reimplements the system and its evaluation as a simulation:
 * :mod:`repro.server`, :mod:`repro.net` — the Fig. 2 pipeline model;
 * :mod:`repro.systems` — Perséphone / Shenango / Shinjuku comparators;
 * :mod:`repro.apps` — KV store, RocksDB-like store, TPC-C engine;
-* :mod:`repro.metrics`, :mod:`repro.analysis` — percentiles, slowdown,
-  queueing theory;
+* :mod:`repro.metrics` — percentiles, slowdown, per-type summaries;
+* :mod:`repro.theory` — the queueing closed forms the simulator is
+  checked against;
 * :mod:`repro.faults` — deterministic fault injection (crash/recover,
   stragglers, packet loss) and chaos episodes (docs/faults.md);
-* :mod:`repro.experiments` — one driver per paper figure/table.
+* :mod:`repro.experiments` — one driver per paper figure/table;
+* :mod:`repro.sweep` — seed-replicated sweeps with Student-t intervals.
 
 Quickstart::
 

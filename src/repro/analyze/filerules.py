@@ -14,11 +14,12 @@ Scoping
 A module's *package* is the first dotted component below ``repro``
 (``sim``, ``core``, ``policies``, ...; see
 :attr:`~repro.analyze.model.ModuleInfo.package`).  Driver and reporting
-code (``cli``, ``experiments``, ``metrics``, ``analysis``, ``analyze``)
-may legitimately touch wall clocks and host state, so the scoped rules
-(A702, A704, A705, A706, A708) skip it.  A module with no package — a
-fixture file outside any ``repro`` tree — is treated as sim-critical,
-which errs toward reporting.
+code (``cli``, ``experiments``, ``metrics``, ``analyze``) may
+legitimately touch wall clocks and host state, so the scoped rules
+(A702, A704, A705, A706, A708) skip it.  The closed forms in ``theory``
+touch neither, so they are held to the sim-critical rules.  A module
+with no package — a fixture file outside any ``repro`` tree — is
+treated as sim-critical, which errs toward reporting.
 
 The observer packages (``trace``, ``telemetry``, ``sweep``, ``rack``,
 ``forensics``) are A301's: a wall-clock read, direct RNG draw or host
@@ -53,7 +54,7 @@ SIM_CRITICAL_PACKAGES = frozenset(
 
 #: Packages under ``repro/`` that the scoped rules skip: reporting,
 #: drivers, and the analyzer itself.
-DRIVER_PACKAGES = frozenset({"cli", "experiments", "metrics", "analysis", "analyze"})
+DRIVER_PACKAGES = frozenset({"cli", "experiments", "metrics", "analyze"})
 
 #: Packages bound by the pure-observer contract (A301).  ``rack`` is held
 #: to the same bar: its balancers draw only from named registry streams.

@@ -355,8 +355,8 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "into simulated time: results stop depending only on the "
             "seed, and two same-seed runs diverge.  Simulation "
             "components must read EventLoop.now; only driver code (CLI, "
-            "experiments, metrics, analysis) may time itself with the "
-            "host clock.  Observer packages are A301's.",
+            "experiments, metrics) may time itself with the host "
+            "clock.  Observer packages are A301's.",
         ),
         RuleMeta(
             "A703",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.tables import render_series, render_table
 from ..sweep.stats import mean_ci
 from ..faults.plan import FaultPlan
 from ..faults.runner import ChaosResult, run_chaos
@@ -34,6 +33,7 @@ from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import high_bimodal
 from ..workload.resilience import RetryPolicy
 from .common import collect_forensics, metrics_target, trace_target
+from .tables import render_series, render_table
 
 N_WORKERS = 8
 UTILIZATION = 0.70

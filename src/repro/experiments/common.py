@@ -6,15 +6,16 @@ workload, load) point, runs it to completion, and returns a
 (for policy-specific introspection like DARC's reservation log).
 
 Loads are expressed as *utilization* — a fraction of the workload's peak
-rate ``W / E[S]`` — which is how the paper's x-axes are scaled.
+rate ``W / E[S]`` — which is how the paper's x-axes are scaled.  The
+metric functions (:func:`overall_slowdown_metric` and kin) read off a
+:class:`RunResult` the scalar an SLO is judged on.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..metrics.recorder import Recorder
@@ -85,6 +86,30 @@ class RunResult:
             f"RunResult({self.system_name!r}, rho={self.utilization:.2f}, "
             f"p{self.summary.pct} slowdown={self.summary.overall_tail_slowdown:.1f})"
         )
+
+
+#: A scalar read off one run, e.g. a tail slowdown; NaN when undefined.
+MetricFn = Callable[[RunResult], float]
+
+
+def overall_slowdown_metric(result: RunResult) -> float:
+    """View (i): tail slowdown across all requests."""
+    return result.summary.overall_tail_slowdown
+
+
+def max_typed_slowdown_metric(result: RunResult) -> float:
+    """Fig. 1's SLO: tail slowdown of the *worst* type."""
+    return result.summary.max_typed_slowdown()
+
+
+def typed_latency_metric(type_id: int) -> MetricFn:
+    """Tail latency of one type (e.g. the 20 µs short-request SLO)."""
+
+    def metric(result: RunResult) -> float:
+        ts = result.summary.per_type.get(type_id)
+        return ts.tail_latency if ts else float("nan")
+
+    return metric
 
 
 def run_once(
@@ -334,68 +359,40 @@ def run_sweep(
     spec: WorkloadSpec,
     utilizations: Sequence[float],
     n_requests: int = DEFAULT_N_REQUESTS,
-    seed: Optional[int] = None,
+    seed: int = 1,
     warmup_frac: float = DEFAULT_WARMUP_FRAC,
     pct: float = 99.9,
     sanitize: "bool | str" = False,
     trace_dir: Optional[str] = None,
     metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
 ) -> List[RunResult]:
-    """One :func:`run_once` per (load point, seed).
+    """One :func:`run_once` per load point, all under ``seed``.
 
-    ``seeds`` replicates every load point under each listed seed;
-    results are ordered load-major, seed-minor.  Systems compared at the
-    same points with the same seeds stay paired (common random numbers).
-    The legacy single-``seed`` parameter is deprecated — pass
-    ``seeds=(s,)`` instead; when neither is given, ``seeds=(1,)``.
+    Systems compared at the same points with the same seed stay paired
+    (common random numbers).  Replicating over seeds is
+    :func:`run_replicated_sweep`'s job.
 
     ``trace_dir`` traces every point, writing one
-    ``<system>_<workload>_rho<load>[_seed<s>].trace.json`` per point
-    (the seed suffix appears only for multi-seed sweeps, keeping legacy
-    single-seed filenames stable); ``metrics_dir`` likewise collects
-    telemetry per point.
+    ``<system>_<workload>_rho<load>.trace.json`` per point;
+    ``metrics_dir`` likewise collects telemetry per point.
     """
-    if seed is not None:
-        if seeds is not None:
-            raise ConfigurationError(
-                "pass either seeds=... or the deprecated seed=..., not both"
-            )
-        warnings.warn(
-            "run_sweep(seed=...) is deprecated; pass seeds=(seed,) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        seeds = (seed,)
-    if seeds is None:
-        seeds = (1,)
-    if not seeds:
-        raise ConfigurationError("run_sweep needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
-    multi = len(seeds) > 1
     results: List[RunResult] = []
     for rho in utilizations:
-        for s in seeds:
-            name_parts: List[Any] = [
-                system.name, spec.name, f"rho{round(rho * 100):03d}"
-            ]
-            if multi:
-                name_parts.append(f"seed{s}")
-            results.append(
-                run_once(
-                    system,
-                    spec,
-                    rho,
-                    n_requests=n_requests,
-                    seed=s,
-                    warmup_frac=warmup_frac,
-                    pct=pct,
-                    sanitize=sanitize,
-                    trace_path=trace_target(trace_dir, *name_parts),
-                    metrics_path=metrics_target(metrics_dir, *name_parts),
-                )
+        name_parts = [system.name, spec.name, f"rho{round(rho * 100):03d}"]
+        results.append(
+            run_once(
+                system,
+                spec,
+                rho,
+                n_requests=n_requests,
+                seed=seed,
+                warmup_frac=warmup_frac,
+                pct=pct,
+                sanitize=sanitize,
+                trace_path=trace_target(trace_dir, *name_parts),
+                metrics_path=metrics_target(metrics_dir, *name_parts),
             )
+        )
     return results
 
 
@@ -427,6 +424,8 @@ def run_replicated_sweep(
 
     if not seeds:
         raise ConfigurationError("run_replicated_sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
     token = spec.name if workload is None else workload
     multi = len(seeds) > 1
     replicates: Dict[int, List[RunResult]] = {}

@@ -11,9 +11,8 @@ from __future__ import annotations
 import io
 from typing import Dict, List, Optional, TextIO
 
-from ..analysis.slo import MetricFn, overall_slowdown_metric
 from ..metrics.summary import RunSummary
-from .common import RunResult
+from .common import MetricFn, RunResult, overall_slowdown_metric
 from .results import FigureResult
 
 

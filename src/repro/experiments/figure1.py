@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..analysis.slo import max_typed_slowdown_metric
 from ..systems.base import SystemModel
 from ..systems.persephone import (
     PersephoneCfcfsSystem,
@@ -24,7 +23,7 @@ from ..systems.persephone import (
 )
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import figure1_workload
-from .common import collect_forensics
+from .common import collect_forensics, max_typed_slowdown_metric
 from .results import FigureResult, collect_sweep
 
 N_WORKERS = 16

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..analysis.slo import overall_slowdown_metric, typed_latency_metric
 from ..systems.base import SystemModel
 from ..systems.persephone import (
     PersephoneCfcfsSystem,
@@ -22,7 +21,7 @@ from ..systems.persephone import (
     PersephoneSystem,
 )
 from ..workload.presets import high_bimodal
-from .common import collect_forensics
+from .common import collect_forensics, overall_slowdown_metric, typed_latency_metric
 from .results import FigureResult, collect_sweep
 
 N_WORKERS = 14

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.slo import overall_slowdown_metric
-from ..analysis.tables import render_table
 from ..sweep.stats import mean_ci
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneStaticSystem
 from ..workload.presets import extreme_bimodal, high_bimodal
@@ -23,9 +21,11 @@ from .common import (
     RunResult,
     collect_forensics,
     metrics_target,
+    overall_slowdown_metric,
     run_once,
     trace_target,
 )
+from .tables import render_table
 
 N_WORKERS = 14
 UTILIZATION = 0.95

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.slo import overall_slowdown_metric, typed_latency_metric
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import extreme_bimodal, high_bimodal
-from .common import collect_forensics
+from .common import collect_forensics, overall_slowdown_metric, typed_latency_metric
 from .results import FigureResult, collect_sweep
 
 N_WORKERS = 14

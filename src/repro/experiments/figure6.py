@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.slo import overall_slowdown_metric, typed_latency_metric
 from ..apps.tpcc import TXN_PROFILE
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import tpcc
-from .common import collect_forensics
+from .common import collect_forensics, overall_slowdown_metric, typed_latency_metric
 from .results import FigureResult, collect_sweep
 
 N_WORKERS = 14

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.tables import render_series
 from ..sweep.stats import mean_ci
 from ..metrics.recorder import Recorder
 from ..metrics.sanitizer import SimSanitizer
@@ -43,6 +42,7 @@ from ..workload.phases import Phase, PhaseSchedule
 from ..workload.spec import TypedClass, WorkloadSpec
 from ..workload.distributions import Fixed
 from .common import collect_forensics, metrics_target, trace_target
+from .tables import render_series
 
 N_WORKERS = 14
 UTILIZATION = 0.80

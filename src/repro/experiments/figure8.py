@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..analysis.slo import overall_slowdown_metric
 from ..apps.rocksdb import GET_TYPE, RocksDbLike
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
-from .common import collect_forensics
+from .common import collect_forensics, overall_slowdown_metric
 from .results import FigureResult, collect_sweep
 
 N_WORKERS = 14

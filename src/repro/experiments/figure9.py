@@ -14,12 +14,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.slo import overall_slowdown_metric
 from ..core.classifier import RandomClassifier
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from ..workload.presets import high_bimodal
-from .common import collect_forensics
+from .common import collect_forensics, overall_slowdown_metric
 from .results import FigureResult, collect_sweep
 
 N_WORKERS = 8

@@ -20,14 +20,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.slo import overall_slowdown_metric
 from ..rack.rack import RackResult, run_rack
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import high_bimodal
-from .common import collect_forensics, metrics_target, trace_target
+from .common import (
+    collect_forensics,
+    metrics_target,
+    overall_slowdown_metric,
+    trace_target,
+)
 from .results import FigureResult
 
 #: Rack geometry: 16 replicas x 8 cores = 128 cores.

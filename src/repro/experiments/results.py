@@ -7,12 +7,11 @@ numbers, and renders itself as the text analogue of the paper's plot.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.slo import MetricFn, capacity_at_slo
-from ..analysis.tables import render_series
-from ..sweep.stats import CIStat, mean_ci
-from .common import RunResult
+from ..sweep.stats import CIStat, capacity_at_slo, mean_ci
+from .common import MetricFn, RunResult, run_replicated_sweep, run_sweep
+from .tables import render_series
 
 
 class FigureResult:
@@ -64,6 +63,10 @@ class FigureResult:
             for name, stats in self.series_ci(metric).items()
         }
 
+    def _replicate_sweeps(self, name: str) -> List[List[RunResult]]:
+        reps = self.replicates.get(name)
+        return list(reps.values()) if reps else [self.sweeps[name]]
+
     def series_ci(self, metric: MetricFn) -> Dict[str, List[CIStat]]:
         """Per-point replicate statistics for ``metric``.
 
@@ -72,44 +75,38 @@ class FigureResult:
         """
         out: Dict[str, List[CIStat]] = {}
         for name, sweep in self.sweeps.items():
-            reps = self.replicates.get(name)
-            stats: List[CIStat] = []
-            for i in range(len(sweep)):
-                if reps:
-                    values = [metric(r[i]) for r in reps.values() if i < len(r)]
-                else:
-                    values = [metric(sweep[i])]
-                stats.append(mean_ci(values, confidence=self.CONFIDENCE))
-            out[name] = stats
+            reps = self._replicate_sweeps(name)
+            out[name] = [
+                mean_ci(
+                    [metric(r[i]) for r in reps if i < len(r)],
+                    confidence=self.CONFIDENCE,
+                )
+                for i in range(len(sweep))
+            ]
         return out
 
     def capacities(self, slo: float, metric: MetricFn) -> Dict[str, Optional[float]]:
-        """Per-system max utilization meeting the SLO.
+        """Per-system max utilization meeting the SLO
+        (:func:`~repro.sweep.stats.capacity_at_slo`).
 
-        Replicated systems qualify a point on its replicate-*mean*
-        metric, and any dropped request in any replicate disqualifies
-        the point (mirroring
-        :func:`repro.analysis.slo.capacity_at_slo`).
+        A point qualifies on its replicate-mean metric, and a dropped
+        request in any replicate disqualifies it.
         """
+        stats = self.series_ci(metric)
         out: Dict[str, Optional[float]] = {}
         for name, sweep in self.sweeps.items():
-            reps = self.replicates.get(name)
-            if not reps or len(reps) == 1:
-                out[name] = capacity_at_slo(sweep, slo, metric)
-                continue
-            best: Optional[float] = None
-            stats = self.series_ci(metric)[name]
-            for i, rho in enumerate(self.utilizations[: len(sweep)]):
-                if any(
-                    i < len(r) and r[i].summary.drop_rate > 0
-                    for r in reps.values()
-                ):
-                    continue
-                value = stats[i].mean
-                if value == value and value <= slo:
-                    if best is None or rho > best:
-                        best = rho
-            out[name] = best
+            reps = self._replicate_sweeps(name)
+            out[name] = capacity_at_slo(
+                (
+                    (
+                        run.utilization,
+                        stat,
+                        any(i < len(r) and r[i].summary.drop_rate > 0 for r in reps),
+                    )
+                    for i, (run, stat) in enumerate(zip(sweep, stats[name]))
+                ),
+                slo,
+            )
         return out
 
     def render_metric(
@@ -169,15 +166,13 @@ def collect_sweep(
     (:func:`repro.experiments.common.run_replicated_sweep`), matching
     the pooled ``repro-sweep`` cells for ``experiment``/``workload``.
     """
-    from .common import run_replicated_sweep, run_sweep
-
     if seeds is None:
         result.add_sweep(
             system.name,
             run_sweep(
                 system, spec, utilizations, n_requests=n_requests,
                 sanitize=sanitize, trace_dir=trace_dir,
-                metrics_dir=metrics_dir, seeds=(seed,),
+                metrics_dir=metrics_dir, seed=seed,
             ),
         )
         return

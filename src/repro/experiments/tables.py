@@ -1,4 +1,8 @@
-"""Table reproductions.
+"""Plain-text tables, and the paper's table reproductions.
+
+:func:`render_table` and :func:`render_series` print the rows and series
+of the paper's tables and figures legibly without any plotting
+dependency; every driver and ``repro-sweep merge`` renders through them.
 
 * Table 1 — the four §2 policies and their taxonomy bits;
 * Table 3 — the bimodal workload definitions;
@@ -11,15 +15,71 @@ presets), so the tables cannot drift from the implementation.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, List, Optional, Sequence
 
-from ..analysis.tables import render_table
 from ..core.darc import DarcScheduler
+from ..errors import ConfigurationError
 from ..policies import all_policy_traits
 from ..policies.base import PolicyTraits
 from ..policies.fcfs import CentralizedFCFS, DecentralizedFCFS
 from ..policies.timesharing import TimeSharing
 from ..workload.presets import extreme_bimodal, high_bimodal, tpcc
+
+
+def format_cell(value: Any, precision: int = 2) -> str:
+    """Render one cell: floats to ``precision``, NaN as '-', bools as check
+    marks (Table 1 style), everything else via str()."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if value != value:  # NaN
+            return "-"
+        return f"{value:.{precision}f}"
+    return str(value)
+
+
+def render_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    precision: int = 2,
+    title: Optional[str] = None,
+) -> str:
+    """Monospace table with column alignment."""
+    if any(len(row) != len(headers) for row in rows):
+        raise ConfigurationError("every row must match the header width")
+    cells = [[format_cell(v, precision) for v in row] for row in rows]
+    widths = [
+        max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
+        for i in range(len(headers))
+    ]
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    header_line = "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))
+    lines.append(header_line)
+    lines.append("-" * len(header_line))
+    for row in cells:
+        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
+    return "\n".join(lines)
+
+
+def render_series(
+    x_label: str,
+    x_values: Sequence[float],
+    series: dict,
+    precision: int = 2,
+    title: Optional[str] = None,
+) -> str:
+    """A figure as text: one x column plus one column per named series."""
+    headers = [x_label] + list(series.keys())
+    rows = []
+    for i, x in enumerate(x_values):
+        row: List[Any] = [x]
+        for values in series.values():
+            row.append(values[i] if i < len(values) else float("nan"))
+        rows.append(row)
+    return render_table(headers, rows, precision=precision, title=title)
+
 
 #: The Table 1 subset, in the paper's row order.
 TABLE1_POLICIES = (

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ..analysis.tables import render_table
+from ..experiments.tables import render_table
 from .cells import CellResult
 from .planner import ExperimentSpec, experiment_spec
-from .stats import CIStat, mean_ci
+from .stats import CIStat, capacity_at_slo, mean_ci
 
 
 class GroupStat(NamedTuple):
@@ -248,12 +248,8 @@ def merge_results(
 def _capacities(
     spec: ExperimentSpec, groups: Sequence[GroupStat]
 ) -> Dict[str, Optional[float]]:
-    """Per (workload, system) capacity from replicate-mean metrics.
-
-    Mirrors :func:`repro.analysis.slo.capacity_at_slo`: the highest load
-    whose mean metric meets the workload's SLO, with any dropped request
-    in any replicate disqualifying the point.
-    """
+    """Per (workload, system) capacity from replicate-mean metrics, by
+    :func:`~repro.sweep.stats.capacity_at_slo` at the workload's SLO."""
     if spec.kind != "load_sweep" or not spec.slo:
         return {}
     capacities: Dict[str, Optional[float]] = {}
@@ -267,20 +263,22 @@ def _capacities(
         slo = spec.slo.get(workload)
         if slo is None:
             continue
-        best: Optional[float] = None
+        points = []
         for g in groups:
             p = g.params_dict
             if p.get("workload") != workload or p.get("system") != system:
                 continue
-            stat = g.metric(spec.capacity_metric)
             drops = g.metric("drop_rate")
-            if drops.n and drops.mean > 0:
-                continue
-            if stat.n and stat.mean == stat.mean and stat.mean <= slo:
-                rho = float(p.get("rho", float("nan")))
-                if best is None or rho > best:
-                    best = rho
-        capacities[f"capacity@{slo:g} [{workload}/{system}]"] = best
+            points.append(
+                (
+                    float(p.get("rho", float("nan"))),
+                    g.metric(spec.capacity_metric),
+                    bool(drops.n and drops.mean > 0),
+                )
+            )
+        capacities[f"capacity@{slo:g} [{workload}/{system}]"] = capacity_at_slo(
+            points, slo
+        )
     return capacities
 
 

@@ -4,7 +4,9 @@ Tail percentiles from one finite run are noisy; a sweep that replicates
 each cell under ≥3 independent seeds can put honest error bars on every
 headline number.  With a handful of replicates the normal approximation
 underestimates the interval badly, so this module uses the Student-t
-distribution with ``n - 1`` degrees of freedom.
+distribution with ``n - 1`` degrees of freedom.  The capacity rule,
+:func:`capacity_at_slo`, judges load points by these statistics; figure
+drivers and ``repro-sweep merge`` both call it.
 
 No SciPy dependency: two-sided critical values are tabulated for the
 three conventional confidence levels at every df ≤ 30 (exact to 3–4
@@ -18,7 +20,7 @@ observer-purity contract (analyzer A301).
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 #: Two-sided Student-t critical values t_{df, (1+c)/2} per confidence c.
 _T_TABLE: Dict[float, Tuple[float, ...]] = {
@@ -101,3 +103,25 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> CIStat:
     std = math.sqrt(var)
     half = t_critical(n - 1, confidence) * std / math.sqrt(n)
     return CIStat(n, mean, std, half, mean - half, mean + half, confidence)
+
+
+def capacity_at_slo(
+    points: Iterable[Tuple[float, CIStat, bool]], slo: float
+) -> Optional[float]:
+    """The highest load whose mean metric meets ``slo``; None if none does.
+
+    ``points`` are ``(rho, stat, dropped)`` per load point.  The paper
+    states its results this way ("DARC sustains 2.35x more load than
+    Shenango at 20x slowdown").  A point qualifies on its replicate-mean
+    metric; a NaN mean never qualifies, and neither does a point where
+    any request was dropped — a system shedding load has passed its
+    capacity even if the survivors look fast.  A single seed is the
+    ``n = 1`` case, whose mean is the run's value exactly.
+    """
+    best: Optional[float] = None
+    for rho, stat, dropped in points:
+        if dropped or not stat.mean <= slo:  # NaN fails the comparison
+            continue
+        if best is None or rho > best:
+            best = rho
+    return best

@@ -3,7 +3,7 @@ simulator with stealing disabled (where the model is exact-in-structure)."""
 
 import pytest
 
-from repro.analysis.darc_model import (
+from repro.theory.darc_model import (
     predict_partition,
     reservation_meets_slo,
     spec_inputs,
@@ -59,7 +59,7 @@ class TestPredictPartition:
     def test_deterministic_correction_halves_wait(self):
         # CV^2 = 0 for deterministic service => wait = M/M/c wait / 2.
         _, predictions = high_bimodal_prediction(0.8)
-        from repro.analysis.queueing import mmc_mean_wait
+        from repro.theory.queueing import mmc_mean_wait
 
         long = predictions[1]
         mmc = mmc_mean_wait(long.arrival_rate, 1.0 / long.mean_service, long.n_cores)

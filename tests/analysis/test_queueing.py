@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.queueing import (
+from repro.theory.queueing import (
     bimodal_moments,
     erlang_c,
     is_stable,

@@ -1,84 +1,84 @@
-"""Tests for seed replication with confidence intervals."""
+"""Tests for seed replication with confidence intervals.
+
+Replication has one path: :func:`~repro.experiments.common.run_replicated_sweep`
+runs each load point under derived per-cell seeds, and
+:func:`~repro.sweep.stats.mean_ci` puts a Student-t interval on a metric
+across the replicates.
+"""
 
 import pytest
 
-from repro.analysis.replication import Replication, replicate
-from repro.analysis.slo import overall_slowdown_metric
 from repro.errors import ConfigurationError
+from repro.experiments.common import overall_slowdown_metric, run_replicated_sweep
+from repro.sweep.stats import mean_ci
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.presets import high_bimodal
 
 
+def replicate(system, seeds, utilization=0.6, n_requests=3000):
+    """``{seed: metric}`` for one replicated load point."""
+    replicates = run_replicated_sweep(
+        system,
+        high_bimodal(),
+        [utilization],
+        seeds=seeds,
+        experiment="replication",
+        n_requests=n_requests,
+    )
+    return {
+        seed: overall_slowdown_metric(sweep[0])
+        for seed, sweep in replicates.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def cfcfs_replication():
-    return replicate(
-        PersephoneCfcfsSystem(n_workers=4),
-        high_bimodal(),
-        utilization=0.6,
-        n_seeds=4,
-        n_requests=3000,
-    )
+    return replicate(PersephoneCfcfsSystem(n_workers=4), seeds=(1, 2, 3, 4))
 
 
 class TestReplicate:
     def test_runs_requested_seeds(self, cfcfs_replication):
-        assert len(cfcfs_replication) == 4
+        assert list(cfcfs_replication) == [1, 2, 3, 4]
 
     def test_seeds_differ(self, cfcfs_replication):
-        values = cfcfs_replication.values(overall_slowdown_metric)
-        assert len(set(values.tolist())) > 1
+        assert len(set(cfcfs_replication.values())) > 1
 
     def test_invalid_seeds(self):
         with pytest.raises(ConfigurationError):
-            replicate(
-                PersephoneCfcfsSystem(n_workers=4),
-                high_bimodal(),
-                0.5,
-                n_seeds=0,
-            )
+            replicate(PersephoneCfcfsSystem(n_workers=4), seeds=())
 
 
 class TestReplication:
     def test_mean_within_value_range(self, cfcfs_replication):
-        values = cfcfs_replication.values(overall_slowdown_metric)
-        mean = cfcfs_replication.mean(overall_slowdown_metric)
-        assert values.min() <= mean <= values.max()
+        values = list(cfcfs_replication.values())
+        assert min(values) <= mean_ci(values).mean <= max(values)
 
     def test_ci_contains_mean(self, cfcfs_replication):
-        low, high = cfcfs_replication.confidence_interval(overall_slowdown_metric)
-        mean = cfcfs_replication.mean(overall_slowdown_metric)
-        assert low <= mean <= high
-        assert high > low
+        stat = mean_ci(list(cfcfs_replication.values()))
+        assert stat.n == 4
+        assert stat.low <= stat.mean <= stat.high
+        assert stat.high > stat.low
 
     def test_single_replication_ci_degenerate(self):
-        rep = replicate(
-            PersephoneCfcfsSystem(n_workers=4),
-            high_bimodal(),
-            0.5,
-            n_seeds=1,
+        (value,) = replicate(
+            PersephoneCfcfsSystem(n_workers=4), seeds=(1,), utilization=0.5,
             n_requests=1000,
-        )
-        low, high = rep.confidence_interval(overall_slowdown_metric)
-        assert low == high
+        ).values()
+        stat = mean_ci([value])
+        assert stat.low == stat.high == stat.mean == value
 
     def test_describe(self, cfcfs_replication):
-        text = cfcfs_replication.describe(overall_slowdown_metric, "p99.9 slowdown")
-        assert "ci95" in text
-        assert "4 seeds" in text
+        stat = mean_ci(list(cfcfs_replication.values()))
+        assert stat.format(2) == f"{stat.mean:.2f}±{stat.half_width:.2f}"
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Replication([])
+        stat = mean_ci([])
+        assert stat.n == 0
+        assert stat.format() == "-"
 
     def test_darc_ci_below_cfcfs_ci(self, cfcfs_replication):
-        darc = replicate(
-            PersephoneSystem(n_workers=4, oracle=True),
-            high_bimodal(),
-            0.6,
-            n_seeds=4,
-            n_requests=3000,
-        )
-        _, darc_high = darc.confidence_interval(overall_slowdown_metric)
-        cfcfs_low, _ = cfcfs_replication.confidence_interval(overall_slowdown_metric)
+        darc = replicate(PersephoneSystem(n_workers=4, oracle=True), seeds=(1, 2, 3, 4))
+        darc_high = mean_ci(list(darc.values())).high
+        cfcfs_low = mean_ci(list(cfcfs_replication.values())).low
         # The improvement is larger than the seed noise.
         assert darc_high < cfcfs_low

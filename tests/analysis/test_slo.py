@@ -1,76 +1,30 @@
-"""Tests for SLO capacity analysis."""
+"""Tests for the capacity rule: the highest load whose mean metric meets
+the SLO, with dropped requests disqualifying a point."""
 
-import pytest
-
-from repro.analysis.slo import (
-    capacity_at_slo,
-    capacity_ratio,
-    overall_slowdown_metric,
-    slowdown_improvement,
-)
+from repro.sweep.stats import capacity_at_slo, mean_ci
 
 
-class FakeSummary:
-    def __init__(self, slowdown, drop_rate=0.0):
-        self.overall_tail_slowdown = slowdown
-        self.drop_rate = drop_rate
-        self.pct = 99.9
-
-
-class FakeResult:
-    def __init__(self, utilization, slowdown, drop_rate=0.0):
-        self.utilization = utilization
-        self.summary = FakeSummary(slowdown, drop_rate)
-
-
-def sweep(points):
-    return [FakeResult(u, s) for u, s in points]
+def points(pairs, dropped=()):
+    """``(rho, value)`` pairs as single-seed capacity points."""
+    return [(rho, mean_ci([value]), rho in dropped) for rho, value in pairs]
 
 
 class TestCapacityAtSlo:
     def test_finds_highest_passing_point(self):
-        results = sweep([(0.2, 1.0), (0.5, 5.0), (0.8, 50.0)])
-        assert capacity_at_slo(results, slo=10.0) == 0.5
+        sweep = points([(0.2, 1.0), (0.5, 5.0), (0.8, 50.0)])
+        assert capacity_at_slo(sweep, slo=10.0) == 0.5
 
     def test_none_when_all_violate(self):
-        results = sweep([(0.2, 100.0)])
-        assert capacity_at_slo(results, slo=10.0) is None
+        assert capacity_at_slo(points([(0.2, 100.0)]), slo=10.0) is None
 
     def test_all_pass(self):
-        results = sweep([(0.2, 1.0), (0.9, 2.0)])
-        assert capacity_at_slo(results, slo=10.0) == 0.9
+        assert capacity_at_slo(points([(0.2, 1.0), (0.9, 2.0)]), slo=10.0) == 0.9
 
     def test_drops_disqualify(self):
-        results = [
-            FakeResult(0.5, 1.0),
-            FakeResult(0.9, 1.0, drop_rate=0.2),
-        ]
-        assert capacity_at_slo(results, slo=10.0) == 0.5
+        sweep = points([(0.5, 1.0), (0.9, 1.0)], dropped=(0.9,))
+        assert capacity_at_slo(sweep, slo=10.0) == 0.5
 
     def test_nan_points_skipped(self):
-        results = sweep([(0.2, float("nan")), (0.5, 2.0)])
-        assert capacity_at_slo(results, slo=10.0) == 0.5
-
-
-class TestCapacityRatio:
-    def test_ratio(self):
-        a = sweep([(0.2, 1.0), (0.8, 5.0)])
-        b = sweep([(0.2, 1.0), (0.4, 5.0), (0.8, 100.0)])
-        assert capacity_ratio(a, b, slo=10.0) == pytest.approx(2.0)
-
-    def test_none_when_either_missing(self):
-        a = sweep([(0.2, 100.0)])
-        b = sweep([(0.2, 1.0)])
-        assert capacity_ratio(a, b, slo=10.0) is None
-
-
-class TestSlowdownImprovement:
-    def test_ratio(self):
-        a = FakeResult(0.5, 2.0)
-        b = FakeResult(0.5, 30.0)
-        assert slowdown_improvement(a, b) == pytest.approx(15.0)
-
-    def test_nan_inputs(self):
-        a = FakeResult(0.5, float("nan"))
-        b = FakeResult(0.5, 10.0)
-        assert slowdown_improvement(a, b) != slowdown_improvement(a, b)  # NaN
+        sweep = points([(0.2, float("nan")), (0.5, 2.0)])
+        assert capacity_at_slo(sweep, slo=10.0) == 0.5
+        assert capacity_at_slo(points([(0.5, float("nan"))]), slo=10.0) is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import format_cell, render_series, render_table
+from repro.experiments.tables import format_cell, render_series, render_table
 from repro.errors import ConfigurationError
 
 

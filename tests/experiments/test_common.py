@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import run_once, run_sweep
+from repro.experiments.common import run_once, run_replicated_sweep, run_sweep
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.presets import high_bimodal
 
@@ -83,7 +83,7 @@ class TestRunSweep:
             high_bimodal(),
             [0.3, 0.6],
             n_requests=200,
-            seeds=(2,),
+            seed=2,
         )
         assert [r.utilization for r in results] == [0.3, 0.6]
 
@@ -94,41 +94,29 @@ class TestRunSweep:
             high_bimodal(),
             [0.2, 0.9],
             n_requests=3000,
-            seeds=(2,),
+            seed=2,
         )
         low, high = (r.summary.overall_tail_slowdown for r in results)
         assert high >= low
 
 
 class TestRunSweepSeeds:
-    def _sweep(self, **kwargs):
-        return run_sweep(
+    """Seeds for a replicated sweep go to :func:`run_replicated_sweep`."""
+
+    def _sweep(self, seeds):
+        return run_replicated_sweep(
             PersephoneCfcfsSystem(n_workers=4),
             high_bimodal(),
             [0.3, 0.6],
+            seeds=seeds,
+            experiment="figure5",
             n_requests=200,
-            **kwargs,
         )
 
-    def test_multi_seed_order_load_major(self):
-        results = self._sweep(seeds=(1, 2))
-        assert [r.utilization for r in results] == [0.3, 0.3, 0.6, 0.6]
-
     def test_replicates_actually_differ(self):
-        a, b = self._sweep(seeds=(1, 2))[:2]
+        replicates = self._sweep(seeds=(1, 2))
+        a, b = replicates[1][0], replicates[2][0]
         assert a.summary.overall_tail_latency != b.summary.overall_tail_latency
-
-    def test_legacy_seed_deprecated_but_equivalent(self):
-        with pytest.warns(DeprecationWarning, match="seeds"):
-            legacy = self._sweep(seed=2)
-        modern = self._sweep(seeds=(2,))
-        assert [r.summary.overall_tail_latency for r in legacy] == [
-            r.summary.overall_tail_latency for r in modern
-        ]
-
-    def test_seed_and_seeds_together_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            self._sweep(seed=1, seeds=(1, 2))
 
     def test_empty_or_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
@@ -139,7 +127,6 @@ class TestRunSweepSeeds:
 
 class TestRunReplicatedSweep:
     def test_runs_under_derived_cell_seeds(self):
-        from repro.experiments.common import run_replicated_sweep
         from repro.sweep.cells import derive_seed
 
         spec = high_bimodal()

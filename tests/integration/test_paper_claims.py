@@ -7,8 +7,7 @@ need the full-size benchmark runs.
 
 import pytest
 
-from repro.analysis.slo import overall_slowdown_metric
-from repro.experiments.common import run_once
+from repro.experiments.common import overall_slowdown_metric, run_once
 from repro.systems.persephone import (
     PersephoneCfcfsSystem,
     PersephoneDfcfsSystem,

@@ -8,7 +8,7 @@ mean waits would not land on Pollaczek–Khinchine / Erlang C predictions.
 import numpy as np
 import pytest
 
-from repro.analysis.queueing import (
+from repro.theory.queueing import (
     bimodal_moments,
     mg1_mean_wait,
     mm1_mean_wait,

@@ -1,6 +1,6 @@
 """The rack figure driver and its CLI/sweep registration."""
 
-from repro.analysis.slo import overall_slowdown_metric
+from repro.experiments.common import overall_slowdown_metric
 from repro.cli import EXPERIMENTS
 from repro.experiments import rack
 from repro.experiments.results import FigureResult

@@ -137,3 +137,97 @@ class TestRenderAndDoc:
         assert len(merged.groups) == 2
         text = merged.render()
         assert "replicated metrics" in text
+
+
+class _Summary:
+    def __init__(self, slowdown, drop_rate):
+        self.overall_tail_slowdown = slowdown
+        self.drop_rate = drop_rate
+
+
+class _Run:
+    def __init__(self, rho, slowdown, drop_rate):
+        self.utilization = rho
+        self.summary = _Summary(slowdown, drop_rate)
+
+
+class TestOneCapacityRule:
+    """A figure driver and ``repro-sweep merge`` judge capacity alike."""
+
+    NAN = float("nan")
+    RHOS = (0.2, 0.5, 0.8)
+    #: system -> per-load ``[(slowdown, drop_rate) per seed]`` for seeds
+    #: 1, 2, 3 (the SLO is figure5's 20x on high_bimodal).
+    GRID = {
+        # Passes everywhere; capacity is the top load.
+        "A": [[(1.0, 0.0)] * 3, [(5.0, 0.0)] * 3, [(9.0, 0.0)] * 3],
+        # One replicate drops at 0.5, and 0.8 misses the SLO on its mean.
+        "B": [
+            [(2.0, 0.0)] * 3,
+            [(3.0, 0.0), (3.0, 0.01), (3.0, 0.0)],
+            [(10.0, 0.0), (30.0, 0.0), (35.0, 0.0)],
+        ],
+        # NaN at 0.5; at 0.8 one NaN replicate leaves a passing mean.
+        "C": [
+            [(50.0, 0.0)] * 3,
+            [(NAN, 0.0)] * 3,
+            [(4.0, 0.0), (NAN, 0.0), (6.0, 0.0)],
+        ],
+        # Nothing passes.
+        "D": [[(40.0, 0.0)] * 3, [(NAN, 0.0)] * 3, [(1.0, 0.5)] * 3],
+    }
+
+    def _figure_result(self, seeds):
+        from repro.experiments.results import FigureResult
+
+        result = FigureResult("F", self.RHOS)
+        for system, points in self.GRID.items():
+            sweeps = {
+                seed: [
+                    _Run(rho, *point[index])
+                    for rho, point in zip(self.RHOS, points)
+                ]
+                for index, seed in enumerate(seeds)
+            }
+            if len(seeds) == 1:
+                result.add_sweep(system, sweeps[seeds[0]])
+            else:
+                result.add_replicated(system, sweeps)
+        return result
+
+    def _cells(self, seeds):
+        cells = []
+        for system, points in self.GRID.items():
+            for rho, point in zip(self.RHOS, points):
+                for index, seed in enumerate(seeds):
+                    slowdown, drop_rate = point[index]
+                    cell = Cell.make(
+                        "figure5",
+                        {"system": system, "workload": WORKLOAD, "rho": rho},
+                        seed,
+                    )
+                    cells.append(
+                        CellResult.build(
+                            cell,
+                            {"overall_tail_slowdown": slowdown, "drop_rate": drop_rate},
+                            digest="-",
+                            sim_time_us=1.0,
+                        )
+                    )
+        return cells
+
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)], ids=["one-seed", "three-seeds"])
+    def test_figure_result_and_merge_agree(self, seeds):
+        slo = experiment_spec("figure5").slo[WORKLOAD]
+        figure = self._figure_result(seeds).capacities(
+            slo, lambda run: run.summary.overall_tail_slowdown
+        )
+        merged = merge_results("figure5", self._cells(seeds)).capacities
+        assert merged == {
+            f"capacity@{slo:g} [{WORKLOAD}/{system}]": cap
+            for system, cap in figure.items()
+        }
+        expected = {"A": 0.8, "B": 0.8, "C": 0.8, "D": None}
+        if len(seeds) == 3:
+            expected["B"] = 0.2
+        assert figure == expected
