@@ -185,3 +185,60 @@ class TestSanitizedChaos:
         json.dumps(out)
         assert out["system"]
         assert out["injected"]["crashes"] == 2
+
+
+#: The three-system crash/recover episode of ``repro.experiments.chaos``
+#: at 20,000 requests, seed 1, pinned bit for bit: when the cores die
+#: and return, and each system's recovery profile (duration, goodput,
+#: time to recover, SLO-violation time, timeouts and the orphan ledger).
+CHAOS_EPISODE_PINS = {
+    "crash_at_us": 45089.28571428572,
+    "recover_at_us": 90178.57142857143,
+    "Persephone": {
+        "duration_us": 328019.66828279896,
+        "mean_goodput_rps_per_us": 0.07480158415841584,
+        "orphans.timeouts": 18198,
+        "slo_latency_us": 1000.0,
+        "time_to_recover_us": 27053.571428571428,
+        "timeouts": 18198,
+        "violation_time_us": 18035.714285714286,
+        "window_us": 3607.1428571428573,
+    },
+    "Shenango": {
+        "duration_us": 179970.25760011564,
+        "mean_goodput_rps_per_us": 0.11088554455445541,
+        "orphans.timeouts": 0,
+        "slo_latency_us": 1000.0,
+        "time_to_recover_us": 1803.5714285714275,
+        "timeouts": 0,
+        "violation_time_us": 0.0,
+        "window_us": 3607.1428571428573,
+    },
+    "Shinjuku": {
+        "duration_us": 426116.16594718525,
+        "mean_goodput_rps_per_us": 0.07091485148514852,
+        "orphans.timeouts": 20961,
+        "slo_latency_us": 1000.0,
+        "time_to_recover_us": 9017.857142857145,
+        "timeouts": 20961,
+        "violation_time_us": 7214.285714285715,
+        "window_us": 3607.1428571428573,
+    },
+}
+
+
+class TestChaosEpisodePins:
+    def test_episode_values_bit_for_bit(self):
+        from repro.experiments import chaos
+
+        result = chaos.run(n_requests=20000, seed=1)
+        assert result.crash_at == CHAOS_EPISODE_PINS["crash_at_us"]
+        assert result.recover_at == CHAOS_EPISODE_PINS["recover_at_us"]
+        assert sorted(result.results) == ["Persephone", "Shenango", "Shinjuku"]
+        for name, res in result.results.items():
+            report = res.report_dict()
+            for key, expected in CHAOS_EPISODE_PINS[name].items():
+                value = report
+                for part in key.split("."):
+                    value = value[part]
+                assert value == expected, f"{name}.{key}: {value!r} != {expected!r}"

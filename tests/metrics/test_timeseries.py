@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.metrics.percentiles import P999
 from repro.metrics.recorder import Recorder
 from repro.metrics.timeseries import AllocationTimeline, WindowedStats
 from repro.workload.request import Request
@@ -19,6 +20,17 @@ def recorder_with(arrivals_latencies, type_id=0):
         r.finish_time = arrival + latency
         rec.on_complete(r)
     return rec
+
+
+class _Columns:
+    """Just the two columns ``WindowedStats.series`` reads."""
+
+    def __init__(self, arrivals, latencies):
+        self.arrivals = arrivals
+        self.latencies = latencies
+
+    def __len__(self):
+        return len(self.arrivals)
 
 
 class TestWindowedStats:
@@ -56,6 +68,26 @@ class TestWindowedStats:
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
             WindowedStats(window_us=0.0)
+
+    def test_matches_per_window_percentile_bit_for_bit(self):
+        window_us = 500.0
+        rng = np.random.default_rng(42)
+        arrivals = np.sort(rng.uniform(0.0, 25_000.0, 50_000))
+        # A gap of three empty windows, so NaN placement is checked too.
+        keep = (arrivals < 5_000.0) | (arrivals >= 6_500.0)
+        cols = _Columns(arrivals[keep], np.exp(rng.normal(3.0, 1.5, 50_000))[keep])
+        times, values = WindowedStats(window_us).series(cols, None, P999)
+
+        idx = (cols.arrivals // window_us).astype(np.int64)
+        ref = np.full(int(float(cols.arrivals.max()) // window_us) + 1, np.nan)
+        for w in range(len(ref)):
+            mask = idx == w
+            if mask.any():
+                ref[w] = float(np.percentile(cols.latencies[mask], P999))
+        assert len(times) == len(values) == len(ref) == 50
+        assert int(np.isnan(ref).sum()) == 3
+        both_nan = np.isnan(values) & np.isnan(ref)
+        assert bool(np.all((values == ref) | both_nan))
 
 
 class TestThroughputSeries:

@@ -203,3 +203,42 @@ class TestRunControl:
         loop.call_at(2.0, fired.append, "after")
         loop.run()
         assert fired == ["after"]
+
+
+class TestChurn:
+    """Steady-state heap traffic: self-rescheduling timer chains and a
+    decoy scheduled and cancelled by every fired event."""
+
+    def test_timer_chains_fire_every_event_and_drain(self):
+        chains, n = 16, 10_000
+        loop = EventLoop()
+        remaining = [n // chains] * chains
+
+        def tick(idx, delay):
+            remaining[idx] -= 1
+            if remaining[idx] > 0:
+                loop.call_after(delay, tick, idx, delay)
+
+        for idx in range(chains):
+            loop.call_after(float(2 * idx + 1), tick, idx, float(2 * idx + 1))
+        loop.run()
+        assert loop.events_processed == chains * (n // chains)
+        assert loop.pending_count == 0
+
+    def test_cancelled_decoys_are_skipped_not_run(self):
+        n = 10_000
+        loop = EventLoop()
+        remaining = [n]
+
+        def tick():
+            remaining[0] -= 1
+            loop.call_after(0.5, tick).cancel()
+            if remaining[0] > 0:
+                loop.call_after(1.0, tick)
+
+        loop.call_after(1.0, tick)
+        loop.run()
+        # Each fired event left one cancelled decoy behind; the lazy
+        # skip popped every one of them without running or counting it.
+        assert loop.events_processed == n
+        assert loop.pending_count == 0

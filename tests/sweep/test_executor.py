@@ -1,4 +1,6 @@
-"""Executor: serial/pool parity, crash isolation, timeouts."""
+"""Executor: serial/pool parity, crash isolation, timeouts, overlap."""
+
+import time
 
 import pytest
 
@@ -55,6 +57,23 @@ class TestPool:
             o.result.digest for o in serial
         ]
         assert [o.result for o in pooled] == [o.result for o in serial]
+
+    def test_pool_overlaps_latency_bound_cells(self):
+        # Each sleep cell waits a fixed wall-clock interval, so the
+        # speedup measures pool overlap, not the host's core count.
+        plan = plan_selftest(8, seeds=(1,), mode="sleep", duration_ms=100.0)
+        start = time.perf_counter()
+        serial = execute_cells(plan.cells, jobs=1)
+        serial_s = time.perf_counter() - start
+        start = time.perf_counter()
+        pooled = execute_cells(plan.cells, jobs=4)
+        pool_s = time.perf_counter() - start
+        assert all(o.ok for o in serial + pooled)
+        assert [o.result.digest for o in pooled] == [
+            o.result.digest for o in serial
+        ]
+        speedup = serial_s / pool_s
+        assert speedup >= 2.0, f"pool speedup {speedup:.2f}x < 2x"
 
     def test_results_in_input_order(self):
         plan = plan_selftest(5, seeds=(1,), mode="ok")
