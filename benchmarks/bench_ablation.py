@@ -11,7 +11,6 @@
 """
 
 import pytest
-from conftest import run_single
 
 from repro.core.darc import DarcScheduler
 from repro.core.grouping import group_types
@@ -39,14 +38,14 @@ class ConfiguredDarc(PersephoneSystem):
         return scheduler
 
 
-def test_ablation_delta_grouping(benchmark):
+def test_ablation_delta_grouping():
     def sweep():
         return {
             delta: [g.type_ids for g in group_types(TPCC_ENTRIES, delta)]
             for delta in (1.0, 1.5, 2.0, 4.0, 20.0)
         }
 
-    groups_by_delta = run_single(benchmark, sweep)
+    groups_by_delta = sweep()
     print()
     for delta, groups in groups_by_delta.items():
         print(f"delta={delta:>5}: {groups}")
@@ -55,7 +54,7 @@ def test_ablation_delta_grouping(benchmark):
     assert groups_by_delta[20.0] == [[0, 1, 2, 3, 4]]
 
 
-def test_ablation_delta_slowdown(benchmark, bench_n_requests):
+def test_ablation_delta_slowdown(bench_n_requests):
     """Over- and under-grouping both cost tail latency on TPC-C."""
     spec = tpcc()
 
@@ -67,17 +66,16 @@ def test_ablation_delta_slowdown(benchmark, bench_n_requests):
             out[delta] = overall_slowdown_metric(result)
         return out
 
-    slowdowns = run_single(benchmark, run_all)
+    slowdowns = run_all()
     print()
     for delta, s in slowdowns.items():
         print(f"delta={delta:>6}: overall p99.9 slowdown = {s:8.1f}x")
-    benchmark.extra_info.update({f"delta{d}": s for d, s in slowdowns.items()})
     # One giant group loses the type separation and behaves ~c-FCFS-ish:
     # clearly worse than the paper's delta=2 grouping.
     assert slowdowns[2.0] < slowdowns[100.0]
 
 
-def test_ablation_cycle_stealing(benchmark, bench_n_requests):
+def test_ablation_cycle_stealing(bench_n_requests):
     """Stealing is what absorbs short bursts (paper §3)."""
     spec = extreme_bimodal()
 
@@ -95,15 +93,14 @@ def test_ablation_cycle_stealing(benchmark, bench_n_requests):
             without.summary.per_type[0].tail_slowdown,
         )
 
-    steal, nosteal = run_single(benchmark, run_both)
+    steal, nosteal = run_both()
     print(f"\nshort p99.9 slowdown: steal={steal:.1f}x  no-steal={nosteal:.1f}x")
-    benchmark.extra_info.update({"steal": steal, "nosteal": nosteal})
     # Shorts demand 2.32 cores at 90% load but hold only 2 reserved:
     # without stealing they saturate and the tail explodes.
     assert nosteal > 3 * steal
 
 
-def test_ablation_spillway(benchmark):
+def test_ablation_spillway():
     """Without the spillway, sub-core long groups lose their backstop."""
 
     def reservations():
@@ -119,7 +116,7 @@ def test_ablation_spillway(benchmark):
         )
         return with_spill, without
 
-    with_spill, without = run_single(benchmark, reservations)
+    with_spill, without = reservations()
     print()
     print("with spillway:\n" + with_spill.describe())
     print("without spillway:\n" + without.describe())
@@ -128,7 +125,7 @@ def test_ablation_spillway(benchmark):
     assert without.spillway_worker is None
 
 
-def test_ablation_rounding(benchmark, bench_n_requests):
+def test_ablation_rounding(bench_n_requests):
     """Eq. 2's trade-off, measured where the modes actually diverge:
     Extreme Bimodal's short group demands 2.32 workers, so floor/round
     grant 2 while ceil grants 3 — ceil buys shorts headroom by shaving
@@ -150,14 +147,11 @@ def test_ablation_rounding(benchmark, bench_n_requests):
             )
         return out
 
-    by_mode = run_single(benchmark, run_all)
+    by_mode = run_all()
     print()
     for mode, (slowdown, waste, reserved) in by_mode.items():
         print(f"rounding={mode:>6}: short-reserved={reserved}  "
               f"slowdown={slowdown:7.1f}x  waste={waste:.2f} cores")
-    benchmark.extra_info.update(
-        {f"{m}_slowdown": v[0] for m, v in by_mode.items()}
-    )
     assert by_mode["round"][2] == 2
     assert by_mode["floor"][2] == 2
     assert by_mode["ceil"][2] == 3
@@ -169,7 +163,7 @@ def test_ablation_rounding(benchmark, bench_n_requests):
     assert hb.scheduler.expected_waste() == pytest.approx(0.86, abs=0.02)
 
 
-def test_ablation_reclaim_discipline(benchmark, bench_n_requests):
+def test_ablation_reclaim_discipline(bench_n_requests):
     """The Algorithm-1 interpretation study: how a freed reserved core is
     reassigned (see DarcScheduler.reclaim)."""
 
@@ -190,14 +184,11 @@ def test_ablation_reclaim_discipline(benchmark, bench_n_requests):
             )
         return out
 
-    matrix = run_single(benchmark, run_matrix)
+    matrix = run_matrix()
     print()
     for reclaim, (tpcc_s, short_s) in matrix.items():
         print(f"reclaim={reclaim:>9}: tpcc@85%={tpcc_s:7.1f}x  "
               f"extreme shorts@90%={short_s:7.1f}x")
-    benchmark.extra_info.update(
-        {f"{m}_tpcc": v[0] for m, v in matrix.items()}
-    )
     # 'urgent' (the default) must be competitive with the best mode on
     # BOTH workloads — that is why it is the default.
     best_tpcc = min(v[0] for v in matrix.values())

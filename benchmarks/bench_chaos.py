@@ -1,28 +1,19 @@
 """Extension: chaos episode — crash/recover under load, three systems.
 
 A quarter into the run two of eight cores die; at the halfway point they
-return.  This benchmark times the full three-system episode and records
-each system's recovery profile (time-to-recover, SLO-violation time,
-goodput, orphan-request ledger) as JSON-friendly extra_info, so CI can
-archive it (``--benchmark-json=BENCH_chaos.json``) and trend it.
+return.  This benchmark runs the full three-system episode and checks
+that every system balances its attempt ledger and recovers.  The
+episode's recovery profile at 20,000 requests is pinned value for value
+in ``tests/faults/test_chaos.py``.
 """
-
-from conftest import run_single
 
 from repro.experiments import chaos
 
 
-def test_chaos_episode(benchmark, bench_n_requests):
-    result = run_single(
-        benchmark, chaos.run, n_requests=bench_n_requests, seed=1
-    )
+def test_chaos_episode(bench_n_requests):
+    result = chaos.run(n_requests=bench_n_requests, seed=1)
     print()
     print(chaos.render(result))
-
-    benchmark.extra_info["crash_at_us"] = result.crash_at
-    benchmark.extra_info["recover_at_us"] = result.recover_at
-    for name, res in result.results.items():
-        benchmark.extra_info[name] = res.report_dict()
 
     for name, res in result.results.items():
         recorder = res.recorder

@@ -10,8 +10,6 @@ DARC's idea one level up).
 
 import sys
 
-from conftest import run_single
-
 from repro.rack.balancers import TypeAffinity
 from repro.rack.rack import run_rack
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
@@ -39,7 +37,7 @@ def run_oracle(system, balancer, n_requests):
     )
 
 
-def test_cluster_darc_vs_cfcfs(benchmark, bench_n_requests):
+def test_cluster_darc_vs_cfcfs(bench_n_requests):
     def run_both():
         darc = run_oracle(
             PersephoneSystem(n_workers=N_WORKERS, oracle=True), "jsq-stale",
@@ -50,7 +48,7 @@ def test_cluster_darc_vs_cfcfs(benchmark, bench_n_requests):
         )
         return darc, cfcfs
 
-    darc, cfcfs = run_single(benchmark, run_both)
+    darc, cfcfs = run_both()
     print()
     print(f"cluster ({N_REPLICAS} replicas, JSQ) @ {UTILIZATION:.0%}:")
     print(f"  DARC backends:   short p99.9 = "
@@ -59,8 +57,6 @@ def test_cluster_darc_vs_cfcfs(benchmark, bench_n_requests):
     print(f"  c-FCFS backends: short p99.9 = "
           f"{cfcfs.summary.per_type[0].tail_latency:8.1f}us  "
           f"overall slowdown = {cfcfs.summary.overall_tail_slowdown:6.1f}x")
-    benchmark.extra_info["darc_slowdown"] = darc.summary.overall_tail_slowdown
-    benchmark.extra_info["cfcfs_slowdown"] = cfcfs.summary.overall_tail_slowdown
 
     # DARC's single-machine win survives the cluster layer.
     assert (
@@ -72,7 +68,7 @@ def test_cluster_darc_vs_cfcfs(benchmark, bench_n_requests):
     assert cfcfs.load_imbalance() < 0.2
 
 
-def test_cluster_balancer_comparison(benchmark, bench_n_requests):
+def test_cluster_balancer_comparison(bench_n_requests):
     def run_all():
         out = {}
         for name, balancer in (
@@ -85,15 +81,12 @@ def test_cluster_balancer_comparison(benchmark, bench_n_requests):
             )
         return out
 
-    results = run_single(benchmark, run_all)
+    results = run_all()
     print()
     for name, result in results.items():
         short = result.summary.per_type[0].tail_latency
         print(f"  {name:>10}: short p99.9 = {short:8.1f}us  "
               f"imbalance = {result.load_imbalance():.2f}")
-    benchmark.extra_info.update(
-        {name: r.summary.per_type[0].tail_latency for name, r in results.items()}
-    )
 
     short = {n: r.summary.per_type[0].tail_latency for n, r in results.items()}
     # JSQ beats blind random placement.

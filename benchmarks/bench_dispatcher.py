@@ -13,7 +13,6 @@ ceiling down proportionally.
 """
 
 import pytest
-from conftest import run_single
 
 from repro.experiments.common import run_once
 from repro.server.config import ServerConfig
@@ -39,7 +38,7 @@ class PrototypeCostSystem(PersephoneSystem):
         )
 
 
-def test_dispatcher_ceiling(benchmark, bench_n_requests):
+def test_dispatcher_ceiling(bench_n_requests):
     dispatcher_us = 1.0 / 7.0  # the prototype's ~7 Mpps
 
     def sweep():
@@ -56,15 +55,12 @@ def test_dispatcher_ceiling(benchmark, bench_n_requests):
             out[mrps] = result.summary
         return out
 
-    summaries = run_single(benchmark, sweep)
+    summaries = sweep()
     print()
     for mrps, summary in summaries.items():
         print(f"offered {mrps:>4.1f} Mrps: p99.9 latency = "
               f"{summary.overall_tail_latency:10.1f}us  "
               f"mean = {summary.overall_mean_latency:8.2f}us")
-    benchmark.extra_info.update(
-        {f"{m}mrps_p999": s.overall_tail_latency for m, s in summaries.items()}
-    )
 
     # Below the 7 Mpps ceiling: microsecond latencies.  Above: the
     # dispatcher queue diverges even though workers are half idle.
@@ -72,7 +68,7 @@ def test_dispatcher_ceiling(benchmark, bench_n_requests):
     assert summaries[8.0].overall_tail_latency > 100.0
 
 
-def test_heavy_classifier_drags_the_ceiling(benchmark, bench_n_requests):
+def test_heavy_classifier_drags_the_ceiling(bench_n_requests):
     """A 0.5us classifier caps the dispatcher at 2 Mpps — the 'bump in
     the wire' trade-off of §4.2, quantified."""
 
@@ -88,7 +84,7 @@ def test_heavy_classifier_drags_the_ceiling(benchmark, bench_n_requests):
         )
         return fast.summary, slow.summary
 
-    fast, slow = run_single(benchmark, run_both)
+    fast, slow = run_both()
     print()
     print(f"fast classifier (7 Mpps ceiling): p99.9 = {fast.overall_tail_latency:.1f}us")
     print(f"slow classifier (2 Mpps ceiling): p99.9 = {slow.overall_tail_latency:.1f}us")

@@ -8,15 +8,11 @@ d-FCFS never meets the SLO.
 
 import math
 
-from conftest import run_single
-
 from repro.experiments import figure1
 
 
-def test_figure1(benchmark, bench_n_requests):
-    result = run_single(
-        benchmark, figure1.run, n_requests=bench_n_requests, seed=1
-    )
+def test_figure1(bench_n_requests):
+    result = figure1.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure1.render(result))
 
@@ -24,9 +20,6 @@ def test_figure1(benchmark, bench_n_requests):
         name: result.findings.get(f"capacity@10x [{name}] (frac of peak)")
         for name in ("d-FCFS", "c-FCFS", "TS (5us, 1us)", "DARC")
     }
-    benchmark.extra_info.update(
-        {k: (v if v == v else None) for k, v in caps.items()}
-    )
 
     # Shape assertions (paper: 0.40 / 0.70 / 0.95 of peak).
     assert caps["d-FCFS"] is None or math.isnan(caps["d-FCFS"])

@@ -7,13 +7,11 @@ lose progressively more — at microsecond scale, idling beats preemption
 as soon as preemption stops being free.
 """
 
-from conftest import run_single
-
 from repro.experiments import figure10
 
 
-def test_figure10(benchmark, bench_n_requests):
-    result = run_single(benchmark, figure10.run, n_requests=bench_n_requests, seed=1)
+def test_figure10(bench_n_requests):
+    result = figure10.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure10.render(result))
 
@@ -21,7 +19,6 @@ def test_figure10(benchmark, bench_n_requests):
         name: result.findings.get(f"capacity@10x [{name}]")
         for name in ("TS 0us", "TS 1us", "TS 2us", "TS 4us", "DARC")
     }
-    benchmark.extra_info.update({k: v for k, v in caps.items() if v == v})
 
     # Capacity decreases monotonically with preemption cost.
     ordered = [caps["TS 0us"], caps["TS 1us"], caps["TS 2us"], caps["TS 4us"]]
@@ -33,6 +30,4 @@ def test_figure10(benchmark, bench_n_requests):
 
     # Non-zero overhead loses substantial load vs the ideal (paper ~30%
     # at 1us; assert a meaningful gap at 2us to be robust to the grid).
-    lost = result.findings.get("load lost by TS 1us vs ideal")
-    benchmark.extra_info["load_lost_ts1us"] = lost
     assert caps["TS 2us"] <= caps["TS 0us"] * 0.85

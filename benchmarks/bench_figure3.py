@@ -5,20 +5,15 @@ up to 15.7x, sustains ~2.3x more load at a 20us short-request SLO, costs
 long requests up to 4.2x, reserves 1 core, wastes ~0.86 core.
 """
 
-from conftest import run_single
-
 from repro.experiments import figure3
 
 
-def test_figure3(benchmark, bench_n_requests):
-    result = run_single(benchmark, figure3.run, n_requests=bench_n_requests, seed=1)
+def test_figure3(bench_n_requests):
+    result = figure3.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure3.render(result))
 
     findings = result.findings
-    benchmark.extra_info.update(
-        {k: v for k, v in findings.items() if isinstance(v, float)}
-    )
 
     # DARC reserves exactly 1 core for shorts and the Eq. 2 waste ~0.86.
     assert findings["DARC reserved cores for SHORT"] == 1.0

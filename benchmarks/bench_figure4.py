@@ -6,20 +6,16 @@ matching what Algorithm 2 picks automatically; over-reserving starves
 long requests and under-reserving reverts to FP's HOL blocking.
 """
 
-from conftest import run_single
-
 from repro.experiments import figure4
 
 
-def test_figure4(benchmark, bench_n_requests):
-    result = run_single(benchmark, figure4.run, n_requests=bench_n_requests, seed=1)
+def test_figure4(bench_n_requests):
+    result = figure4.run(n_requests=bench_n_requests, seed=1)
     print()
     print(result.render())
 
     best_high = result.best_reserved("high_bimodal")
     best_extreme = result.best_reserved("extreme_bimodal")
-    benchmark.extra_info["best_reserved_high"] = best_high
-    benchmark.extra_info["best_reserved_extreme"] = best_extreme
 
     # Paper: optimum at 1 (High) and 2 (Extreme).  The Extreme optimum is
     # horizon-dependent: reserving 3-4 cores leaves the long partition

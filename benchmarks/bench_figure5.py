@@ -7,24 +7,16 @@ more than Shenango; DARC edges Shinjuku (1.25x load, up to 1.4x better
 short slowdown); Shinjuku caps near 55%.
 """
 
-from conftest import run_single
-
 from repro.experiments import figure5
 
 
-def test_figure5(benchmark, bench_n_requests):
-    results = run_single(benchmark, figure5.run, n_requests=bench_n_requests, seed=1)
+def test_figure5(bench_n_requests):
+    results = figure5.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure5.render(results))
 
     high = results["high_bimodal"].findings
     extreme = results["extreme_bimodal"].findings
-    benchmark.extra_info.update(
-        {f"high:{k}": v for k, v in high.items() if v == v}
-    )
-    benchmark.extra_info.update(
-        {f"extreme:{k}": v for k, v in extreme.items() if v == v}
-    )
 
     # High Bimodal: DARC clearly ahead of Shenango (paper 2.35x) and at
     # least matching Shinjuku (paper 1.3x).

@@ -8,20 +8,15 @@ OrderStatus} / {NewOrder} / {Delivery, StockLevel} onto 2 / 6 / 6
 workers.
 """
 
-from conftest import run_single
-
 from repro.experiments import figure6
 
 
-def test_figure6(benchmark, bench_n_requests):
-    result = run_single(benchmark, figure6.run, n_requests=bench_n_requests, seed=1)
+def test_figure6(bench_n_requests):
+    result = figure6.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure6.render(result))
 
     findings = result.findings
-    benchmark.extra_info.update(
-        {k: v for k, v in findings.items() if isinstance(v, float) and v == v}
-    )
 
     # Short transactions improve a lot vs Shenango at ~85% load.
     assert findings["Payment p99.9 improvement vs Shenango @~85%"] > 2.0

@@ -8,19 +8,17 @@ spillway core.
 """
 
 import numpy as np
-from conftest import run_single
 
 from repro.experiments import figure7
 
 
-def test_figure7(benchmark, bench_n_requests):
+def test_figure7(bench_n_requests):
     phases = figure7.default_phases(phase_us=120_000.0)
-    result = run_single(benchmark, figure7.run, phases=phases, seed=1, window_us=10_000.0)
+    result = figure7.run(phases=phases, seed=1, window_us=10_000.0)
     print()
     print(result.render())
 
     updates = result.reservation_updates["DARC"]
-    benchmark.extra_info["reservation_updates"] = updates
     # At least the initial reservation plus reactions to the three
     # workload changes.
     assert updates >= 3

@@ -5,20 +5,15 @@ sustains 2.3x / 1.3x more load than Shenango / Shinjuku (15us quantum);
 DARC reserves 1 core for GETs, idling ~0.96 core on average.
 """
 
-from conftest import run_single
-
 from repro.experiments import figure8
 
 
-def test_figure8(benchmark, bench_n_requests):
-    result = run_single(benchmark, figure8.run, n_requests=bench_n_requests, seed=1)
+def test_figure8(bench_n_requests):
+    result = figure8.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure8.render(result))
 
     findings = result.findings
-    benchmark.extra_info.update(
-        {k: v for k, v in findings.items() if isinstance(v, float) and v == v}
-    )
 
     assert findings["DARC reserved cores for GET"] == 1.0
     assert abs(findings["DARC expected CPU waste (cores)"] - 0.97) < 0.05

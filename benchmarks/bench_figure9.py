@@ -6,19 +6,17 @@ broken classifiers degrade gracefully.
 """
 
 import numpy as np
-from conftest import run_single
 
 from repro.experiments.common import overall_slowdown_metric
 from repro.experiments import figure9
 
 
-def test_figure9(benchmark, bench_n_requests):
-    result = run_single(benchmark, figure9.run, n_requests=bench_n_requests, seed=1)
+def test_figure9(bench_n_requests):
+    result = figure9.run(n_requests=bench_n_requests, seed=1)
     print()
     print(figure9.render(result))
 
     gap = result.findings.get("mean |log slowdown ratio| (DARC-random vs c-FCFS)")
-    benchmark.extra_info["mean_log_gap"] = gap
     assert gap is not None
 
     darc = result.sweeps["DARC"]

@@ -14,7 +14,6 @@ though the machine as a whole is drowning.
 """
 
 import pytest
-from conftest import run_single
 
 from repro.core.darc import DarcScheduler
 from repro.experiments.common import run_once
@@ -35,7 +34,7 @@ class BoundedDarc(PersephoneSystem):
         return scheduler
 
 
-def test_overload_sheds_longs_first(benchmark, bench_n_requests):
+def test_overload_sheds_longs_first(bench_n_requests):
     spec = high_bimodal()
 
     def run():
@@ -43,7 +42,7 @@ def test_overload_sheds_longs_first(benchmark, bench_n_requests):
             BoundedDarc(), spec, OVERLOAD, n_requests=bench_n_requests, seed=1
         )
 
-    result = run_single(benchmark, run)
+    result = run()
     summary = result.summary
     recorder = result.server.recorder
     print()
@@ -52,9 +51,6 @@ def test_overload_sheds_longs_first(benchmark, bench_n_requests):
 
     short_drops = recorder.dropped_by_type.get(0, 0)
     long_drops = recorder.dropped_by_type.get(1, 0)
-    benchmark.extra_info.update(
-        {"short_drops": short_drops, "long_drops": long_drops}
-    )
 
     # Flow control binds: the machine cannot absorb 120% of peak.
     assert recorder.dropped > 0
@@ -69,7 +65,7 @@ def test_overload_sheds_longs_first(benchmark, bench_n_requests):
     assert summary.per_type[1].tail_latency < QUEUE_CAPACITY * 100.0
 
 
-def test_overload_cfcfs_collapses_everyone(benchmark, bench_n_requests):
+def test_overload_cfcfs_collapses_everyone(bench_n_requests):
     """The same overload through c-FCFS (unbounded) drowns shorts too —
     the contrast that motivates typed flow control."""
     spec = high_bimodal()
@@ -83,7 +79,7 @@ def test_overload_cfcfs_collapses_everyone(benchmark, bench_n_requests):
             seed=1,
         )
 
-    result = run_single(benchmark, run)
+    result = run()
     summary = result.summary
     print()
     print(summary.describe())

@@ -10,7 +10,6 @@ approximates.
 
 import numpy as np
 import pytest
-from conftest import run_single
 
 from repro.experiments.tables import render_table
 from repro.core.darc import DarcScheduler
@@ -80,7 +79,7 @@ def run_policy(name, scheduler, spec, n_requests, seed):
     return RunSummary(recorder, duration_us=loop.now, type_specs=spec.type_specs())
 
 
-def test_policy_zoo(benchmark, bench_n_requests):
+def test_policy_zoo(bench_n_requests):
     spec = high_bimodal()
 
     def run_all():
@@ -90,7 +89,7 @@ def test_policy_zoo(benchmark, bench_n_requests):
             out[name] = run_policy(name, scheduler, spec, bench_n_requests, seed=1)
         return out
 
-    summaries = run_single(benchmark, run_all)
+    summaries = run_all()
 
     rows = []
     for name, summary in summaries.items():
@@ -110,7 +109,6 @@ def test_policy_zoo(benchmark, bench_n_requests):
     ))
 
     s = {name: summary.overall_tail_slowdown for name, summary in summaries.items()}
-    benchmark.extra_info.update({k: round(v, 2) for k, v in s.items()})
 
     # The orderings Table 5's qualitative bits predict:
     assert s["c-FCFS"] < s["d-FCFS"]                # centralization helps

@@ -16,7 +16,6 @@ should be robust to both.  These benchmarks check that:
 
 import numpy as np
 import pytest
-from conftest import run_single
 
 from repro.experiments.common import (
     overall_slowdown_metric,
@@ -57,7 +56,7 @@ def variant_spec(kind: str) -> WorkloadSpec:
     )
 
 
-def test_service_time_variance(benchmark, bench_n_requests):
+def test_service_time_variance(bench_n_requests):
     def run_all():
         out = {}
         for kind in ("fixed", "exponential", "lognormal"):
@@ -77,7 +76,7 @@ def test_service_time_variance(benchmark, bench_n_requests):
             )
         return out
 
-    by_kind = run_single(benchmark, run_all)
+    by_kind = run_all()
     print()
     for kind, (darc_short, cfcfs_short, reserved) in by_kind.items():
         print(f"{kind:>12}: short p99.9 darc={darc_short:8.1f}us "
@@ -89,7 +88,7 @@ def test_service_time_variance(benchmark, bench_n_requests):
         assert darc_short < cfcfs_short / 3
 
 
-def test_bursty_arrivals(benchmark, bench_n_requests):
+def test_bursty_arrivals(bench_n_requests):
     """MMPP bursts: stealing absorbs them (§3)."""
     spec = high_bimodal()
 
@@ -119,17 +118,16 @@ def test_bursty_arrivals(benchmark, bench_n_requests):
         cfcfs = run_bursty(PersephoneCfcfsSystem(n_workers=N_WORKERS))
         return darc, cfcfs
 
-    darc, cfcfs = run_single(benchmark, run_both)
+    darc, cfcfs = run_both()
     print()
     print(f"bursty arrivals: darc short p99.9={darc.per_type[0].tail_latency:.1f}us "
           f"cfcfs={cfcfs.per_type[0].tail_latency:.1f}us")
-    benchmark.extra_info["darc_short"] = darc.per_type[0].tail_latency
     assert darc.per_type[0].tail_latency < cfcfs.per_type[0].tail_latency / 3
     # Stealing keeps shorts near service time even through bursts.
     assert darc.per_type[0].tail_latency < 30.0
 
 
-def test_seed_variance(benchmark):
+def test_seed_variance():
     """Error bars on the headline: the DARC-vs-c-FCFS gap dwarfs seed noise.
 
     Five replicates per system, each under its derived per-cell seed, with
@@ -150,7 +148,7 @@ def test_seed_variance(benchmark):
         cfcfs = replicated_slowdown(PersephoneCfcfsSystem(n_workers=N_WORKERS))
         return darc, cfcfs
 
-    darc, cfcfs = run_single(benchmark, run_reps)
+    darc, cfcfs = run_reps()
     print()
     for label, stat in (("DARC", darc), ("c-FCFS", cfcfs)):
         print(

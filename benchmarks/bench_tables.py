@@ -3,15 +3,14 @@
 implementation."""
 
 import pytest
-from conftest import run_single
 
 from repro.core.reservation import compute_reservation
 from repro.experiments import tables
 from repro.workload.presets import TPCC_TRANSACTIONS
 
 
-def test_tables_render(benchmark):
-    text = run_single(benchmark, tables.render_all)
+def test_tables_render():
+    text = tables.render_all()
     print()
     print(text)
 
@@ -35,14 +34,12 @@ def test_tables_render(benchmark):
     assert max(r[3] for r in rows4) == pytest.approx(100.0 / 5.7)
 
 
-def test_tpcc_reservation_table(benchmark):
+def test_tpcc_reservation_table():
     """§5.4.3's worker assignment: groups A/B/C onto workers 1-2/3-8/9-14."""
     entries = [
         (i, runtime, ratio) for i, (_, runtime, ratio) in enumerate(TPCC_TRANSACTIONS)
     ]
-    reservation = run_single(
-        benchmark, compute_reservation, entries, n_workers=14, delta=2.0
-    )
+    reservation = compute_reservation(entries, n_workers=14, delta=2.0)
     print()
     print(reservation.describe())
     reserved = [alloc.reserved for alloc in reservation.allocations]

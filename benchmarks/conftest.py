@@ -1,14 +1,15 @@
-"""Benchmark configuration.
+"""Paper-reproduction checks.
 
-Each benchmark regenerates one of the paper's tables or figures at
-reproduction scale and prints the text analogue (run with ``-s`` to see
-it).  Simulations are deterministic per seed, so a single round is
-meaningful; wall-clock numbers report simulation throughput, not
-scheduling quality.
+Each test regenerates one of the paper's tables or figures (or an
+extension of them) at reproduction scale, prints the text analogue
+(run with ``-s`` to see it) and asserts the paper's claims about it.
+Simulations are deterministic per seed, so one run per check is
+meaningful.  These are plain pytest tests; simulator speed is measured
+by ``benchmarks/suite/run.py`` instead.
 
-Run:  pytest benchmarks/ --benchmark-only
-      pytest benchmarks/ --benchmark-only -s          # with figures
-      REPRO_BENCH_N=20000 pytest benchmarks/ ...      # faster, noisier
+Run:  python -m pytest benchmarks --ignore=benchmarks/suite -q
+      python -m pytest benchmarks --ignore=benchmarks/suite -q -s  # with figures
+      REPRO_BENCH_N=20000 python -m pytest benchmarks ...          # faster
 """
 
 import os
@@ -22,8 +23,3 @@ DEFAULT_N = int(os.environ.get("REPRO_BENCH_N", "60000"))
 @pytest.fixture(scope="session")
 def bench_n_requests() -> int:
     return DEFAULT_N
-
-
-def run_single(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

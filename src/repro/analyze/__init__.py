@@ -20,8 +20,8 @@ graph (:mod:`repro.analyze.model`) and runs eight analyses over it:
   analysis (A401–A406): allocations, missing ``__slots__``, repeated
   attribute lookups, string formatting, exception-driven control flow,
   and trivial delegation inside the set of functions transitively
-  reachable from event dispatch, optionally ranked by measured handler
-  cost from a ``BENCH_profile.json``.
+  reachable from event dispatch, optionally ranked by measured span
+  cost from a benchmark-suite ``run.py --spans`` file.
 * :mod:`repro.analyze.unitsflow` — virtual-time unit checking
   (A501–A505): an abstract interpretation over the unit lattice in
   :mod:`repro.analyze.dataflow` (``Duration_us`` / ``Timestamp_us`` /

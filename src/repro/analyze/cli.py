@@ -14,9 +14,10 @@ Usage::
     repro-analyze diff src/repro --baseline analyze-baseline.json
                                                       # show new + resolved
     repro-analyze sarif src/repro -o out.sarif        # SARIF only
-    repro-analyze hotpath src/repro --profile BENCH_profile.json
+    repro-analyze hotpath src/repro --profile spans.jsonl
                                                       # A401-A406 only,
                                                       # cost-ranked output
+                                                      # (suite run.py --spans)
     repro-analyze units src/repro --strict            # A501-A505 only
     repro-analyze forksafety src/repro --strict       # A601-A604 only
     repro-analyze selfcheck                           # scan this package's
@@ -126,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     hot.add_argument(
         "--profile",
         default=None,
-        metavar="BENCH_PROFILE",
-        help="BENCH_profile.json to rank findings by measured handler cost",
+        metavar="SPANS",
+        help="benchmarks/suite/run.py --spans output to rank findings "
+        "by measured span cost",
     )
     hot.add_argument(
         "--format", choices=("text", "json"), default="text", help="findings format"
@@ -367,7 +369,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
                     print(f"{weight * 1e3:9.3f}ms {finding.format()}")
                 print(
                     f"repro-analyze: {len(shown)} hot-path finding(s), "
-                    "ranked by measured handler cost"
+                    "ranked by measured span cost"
                 )
 
             return _gate(

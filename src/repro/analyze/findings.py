@@ -153,8 +153,7 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "direct RNG function, or tracemalloc heap-tracking function.  "
             "Observers promise that attaching them cannot change a run "
             "and that their output is a pure function of simulated "
-            "events.  Two exceptions are sanctioned: the self-profiler, "
-            "which measures the simulator's own cost, and the sweep "
+            "events.  One exception is sanctioned: the sweep "
             "executor's worker-management lines (pool timeouts, the "
             "latency selftest's sleep), which steer processes, never "
             "results.  Each such line carries its own pragma so every "

@@ -40,9 +40,9 @@ program: anything booked on the loop runs on the loop.  Reachability
 closes over :meth:`Program.resolve_call` and widens dynamically
 dispatched methods to their subclass overrides.
 
-When a ``BENCH_profile.json`` (the :class:`repro.telemetry.SelfProfiler`
-report) is supplied, findings rank by the measured wall-time of the
-handlers that reach them — the triage order is then *measured*, not
+When a benchmark-suite span file (``benchmarks/suite/run.py --spans``)
+is supplied, findings rank by the measured wall-time of the spans whose
+functions reach them — the triage order is then *measured*, not
 guessed.  Profile data never changes which findings fire or their
 fingerprints; it only orders the report.
 """
@@ -611,29 +611,42 @@ def analyze_hotpath(program: Program) -> List[AnalysisFinding]:
 
 
 def load_profile(path: str) -> Dict[str, float]:
-    """``BENCH_profile.json`` -> {handler qualname: cumulative seconds}."""
+    """A suite ``run.py --spans`` JSON-lines file -> {span name: summed
+    inclusive seconds}.
+
+    Span names are ``Class.method`` / ``__qualname__`` strings, so they
+    match :attr:`FunctionInfo.qualname`.
+    """
+    out: Dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AnalysisError(f"cannot read profile {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "repro-profile":
-        raise AnalysisError(
-            f"{path} is not a repro-profile document (run repro-metrics profile)"
-        )
-    out: Dict[str, float] = {}
-    for handler in doc.get("handlers", []):
-        name = handler.get("name")
-        if isinstance(name, str):
-            out[name] = float(handler.get("cum_s", 0.0))
+            for lineno, line in enumerate(fp, 1):
+                if not line.strip():
+                    continue
+                span = json.loads(line)
+                if not (
+                    isinstance(span, dict)
+                    and isinstance(span.get("name"), str)
+                    and isinstance(span.get("start"), (int, float))
+                    and isinstance(span.get("end"), (int, float))
+                ):
+                    raise AnalysisError(
+                        f"{path}:{lineno} is not a span "
+                        "(write spans with benchmarks/suite/run.py --spans)"
+                    )
+                out[span["name"]] = out.get(span["name"], 0.0) + (
+                    span["end"] - span["start"]
+                )
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise AnalysisError(f"cannot read spans {path}: {exc}") from exc
     return out
 
 
 def function_weights(
     program: Program, profile: Dict[str, float]
 ) -> Dict[str, float]:
-    """Measured seconds attributed to each function: the sum of profiled
-    handler time over every handler whose closure reaches it."""
+    """Measured seconds attributed to each function: the sum of span
+    time over every span whose function's closure reaches it."""
     weights: Dict[str, float] = {}
     for qualname, seconds in profile.items():
         matches = [

@@ -14,15 +14,13 @@ One finding:
   ``repro/forensics/``) calls a wall clock, a host-entropy source, a
   direct RNG function, or a ``tracemalloc`` heap-tracking function.
 
-There are two sanctioned exceptions.  The self-profiler
-(:mod:`repro.telemetry.profiler`) deliberately measures the simulator's
-own wall time and heap.  The sweep executor's worker-management lines
-(pool timeouts, the latency selftest's sleep) steer worker processes
-without touching any recorded result.  Each such line carries its own
-``# repro-analyze: disable=A301`` pragma, so every allowlisted impurity
-stays visible and individually justified; ``scan --purity-audit``
-lists them.  ``tracemalloc.is_tracing()`` is not flagged: it is a pure
-query used to guard start/stop, not a measurement.
+There is one sanctioned exception: the sweep executor.  Its
+worker-management lines (pool timeouts, the latency selftest's sleep)
+steer worker processes without touching any recorded result.  Each such
+line carries its own ``# repro-analyze: disable=A301`` pragma, so every
+allowlisted impurity stays visible and individually justified;
+``scan --purity-audit`` lists them.  ``tracemalloc.is_tracing()`` is
+not flagged: it is a pure query, not a measurement.
 
 The forbidden-name sets are the A701/A702/A707 rules' own
 (:mod:`repro.analyze.filerules`), which leave observer modules to this

@@ -128,7 +128,6 @@ def run_once(
     telemetry=None,
     metrics_path: Optional[str] = None,
     metrics_meta: Optional[Dict[str, Any]] = None,
-    profiler=None,
 ) -> RunResult:
     """Simulate one load point and summarize it.
 
@@ -159,10 +158,11 @@ def run_once(
     tracer, the probe observes without perturbing, and with
     ``metrics_path`` (extensionless base) the Prometheus text, JSONL
     timeline and HTML dashboard are written as ``.prom``/``.jsonl``/
-    ``.html`` siblings.  ``profiler`` attaches a
-    :class:`~repro.telemetry.profiler.SelfProfiler` that attributes the
-    simulator's own wall-clock cost per handler (caller starts/stops
-    it).
+    ``.html`` siblings.
+
+    The simulator's own wall-clock cost is not measured here; the
+    benchmark suite (``benchmarks/suite/run.py``) times ``run_once``
+    from outside, per workload and per layer.
     """
     if utilization <= 0:
         raise ConfigurationError(f"utilization must be > 0, got {utilization}")
@@ -191,8 +191,6 @@ def run_once(
         tracer.install(loop, server)
     if telemetry is not None:
         telemetry.install(loop, server)
-    if profiler is not None:
-        loop.attach_profiler(profiler)
 
     rate = utilization * spec.peak_load(config.n_workers)
     generator = OpenLoopGenerator(

@@ -10,7 +10,7 @@ Usage::
     repro-forensics registry F                          # list the store
     repro-forensics diff F system=Persephone system=Shenango
     repro-forensics diff F <run-id-prefix-a> <run-id-prefix-b>
-    repro-forensics report F -o observatory.html --bench 'BENCH_*.json'
+    repro-forensics report F -o observatory.html --bench 'suite-*.json'
 
 Exit codes: 0 clean, 1 gate failure (``--fail-on-herding`` with a
 flagged log), 2 usage or data errors.
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("-o", "--output", required=True, help="HTML file to write")
     report.add_argument(
         "--bench", default=None, metavar="GLOB",
-        help="BENCH_*.json glob for the benchmark-trajectory section",
+        help="glob of benchmarks/suite/run.py --out results for the "
+        "benchmark-trajectory section",
     )
     report.add_argument(
         "--title", default="repro forensics observatory", help="page title"

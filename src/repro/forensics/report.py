@@ -4,19 +4,25 @@ Renders a registry store as a static, no-JS page (same philosophy as
 the telemetry dashboard): the run table, per-run blame matrices
 (victim-type rows × blocker columns, shaded by share), herding verdicts
 with an inline-SVG burst timeline per rack run, and — when the caller
-points it at CI's ``BENCH_*.json`` artifacts — the benchmark trajectory
-table, so one artifact answers "what got slower, who blocked whom, and
-did the balancer herd" at a glance.
+points it at benchmark-suite results (``benchmarks/suite/run.py
+--out``) — each workload's throughput and per-layer cost, so one
+artifact answers "what got slower, who blocked whom, and did the
+balancer herd" at a glance.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import os
 from html import escape
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..errors import ForensicsError
 from .registry import RunRegistry
+
+#: The suite's end-to-end metrics, listed first for every workload.
+_SUITE_END_TO_END = ("sim_rps", "setup_s", "peak_rss_mb")
 
 _CSS = """
 body { font-family: ui-monospace, Menlo, Consolas, monospace;
@@ -104,21 +110,37 @@ def _herding_svg(herding: Dict[str, Any], width: int = 720, height: int = 60) ->
 
 
 def _bench_tables(bench_paths: Sequence[str]) -> List[str]:
-    from ..telemetry.bench import summarize_file
-
+    """One table per suite results file: each workload's end-to-end
+    metrics and each layer's self time per request, median [q1, q3]."""
     parts: List[str] = ["<h2>Benchmark trajectory</h2>"]
     for path in bench_paths:
-        summary = summarize_file(path)
-        if not summary:
-            continue
+        try:
+            with open(path) as fp:
+                doc = json.load(fp)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ForensicsError(f"cannot read benchmark results {path}: {exc}") from exc
+        workloads = doc.get("workloads") if isinstance(doc, dict) else None
+        if not isinstance(workloads, dict):
+            raise ForensicsError(
+                f"{path} is not a benchmarks/suite/run.py --out document"
+            )
         parts.append(f"<h3>{escape(os.path.basename(path))}</h3><table>")
-        parts.append("<tr><th>benchmark</th><th>metric</th><th>value</th></tr>")
-        for bench in sorted(summary):
-            for metric in sorted(summary[bench]):
+        parts.append(
+            "<tr><th>workload</th><th>metric</th><th>median</th>"
+            "<th>[q1, q3]</th><th>unit</th></tr>"
+        )
+        for name in sorted(workloads):
+            end_to_end = workloads[name].get("end_to_end", {})
+            layers = workloads[name].get("per_layer", {})
+            rows = [(m, end_to_end[m]) for m in _SUITE_END_TO_END if m in end_to_end]
+            rows += [(m, v) for m, v in layers.items() if m.endswith(".self_us_per_req")]
+            for metric, stat in rows:
                 parts.append(
-                    f"<tr><td class='label'>{escape(bench)}</td>"
+                    f"<tr><td class='label'>{escape(name)}</td>"
                     f"<td class='label'>{escape(metric)}</td>"
-                    f"<td>{summary[bench][metric]:.6g}</td></tr>"
+                    f"<td>{stat['median']:.6g}</td>"
+                    f"<td>[{stat['q1']:.6g}, {stat['q3']:.6g}]</td>"
+                    f"<td class='label'>{escape(stat['unit'])}</td></tr>"
                 )
         parts.append("</table>")
     return parts

@@ -17,9 +17,10 @@ Design notes
 * The heap stores ``(time, seq, event)`` tuples rather than bare
   :class:`~repro.sim.events.Event` objects.  Tuple comparison runs in C;
   comparing events via ``Event.__lt__`` was the single hottest function
-  in the self-profile (one Python call per sift step per push/pop).  The
-  ordering is identical — ``Event.__lt__`` uses the same ``(time, seq)``
-  key — and :meth:`peek_event` still hands callers the event object.
+  in a profile of the loop (one Python call per sift step per
+  push/pop).  The ordering is identical — ``Event.__lt__`` uses the same
+  ``(time, seq)`` key — and :meth:`peek_event` still hands callers the
+  event object.
 * The loop never moves time backwards; scheduling in the past, or at a
   NaN time, raises :class:`~repro.errors.SimulationError` instead of
   silently reordering history.
@@ -41,11 +42,9 @@ Design notes
   own*, so the heap contents, and therefore the simulated outcome, are
   identical with observers on or off.  With none attached the cost is a
   single truthiness test per event.
-* An optional :class:`~repro.telemetry.profiler.SelfProfiler`
-  (:meth:`EventLoop.attach_profiler`) wraps event execution to attribute
-  the simulator's own wall-clock cost per handler type.  Like the
-  observers it never touches the heap, so simulated outcomes stay
-  bit-identical.
+* The loop does not time itself.  The simulator's own wall-clock cost is
+  measured from outside by the benchmark suite (``benchmarks/suite``),
+  which wraps handlers per layer rather than the loop.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ class EventLoop:
         self._stopped = False
         self._sanitizer = None
         self._observers: Tuple[Any, ...] = ()
-        self._profiler = None
 
     @property
     def now(self) -> float:
@@ -191,25 +189,6 @@ class EventLoop:
             raise SimulationError(f"{observer!r} is already attached to this loop")
         self._observers += (observer,)
 
-    @property
-    def profiler(self):
-        """The attached :class:`~repro.telemetry.profiler.SelfProfiler`,
-        or None."""
-        return self._profiler
-
-    def attach_profiler(self, profiler) -> None:
-        """Install a self-profiler that wraps event execution.
-
-        The profiler measures the *simulator's* wall-clock cost per
-        handler type; it executes each event via
-        ``profiler.run_event(event)`` instead of a direct call but
-        never touches simulated state.  Pass ``None`` to detach;
-        attaching over a different profiler raises.
-        """
-        if profiler is not None and self._profiler is not None and profiler is not self._profiler:
-            raise SimulationError("a profiler is already attached to this loop")
-        self._profiler = profiler
-
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the heap is drained."""
         event = self.peek_event()
@@ -248,7 +227,6 @@ class EventLoop:
         heappop = heapq.heappop
         sanitizer = self._sanitizer
         observers = self._observers
-        profiler = self._profiler
         executed = 0
         try:
             while heap:
@@ -266,10 +244,7 @@ class EventLoop:
                 if sanitizer is not None:
                     sanitizer.before_event(self, event)
                 self._now = time
-                if profiler is not None:
-                    profiler.run_event(event)
-                else:
-                    event.fn(*event.args)
+                event.fn(*event.args)
                 self._events_processed += 1
                 executed += 1
                 if sanitizer is not None:

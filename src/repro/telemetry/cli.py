@@ -1,17 +1,17 @@
-"""``repro-metrics`` — inspect, convert and gate telemetry artifacts.
+"""``repro-metrics`` — inspect, convert and diff telemetry artifacts.
 
 Usage::
 
     repro-metrics summary run.metrics.jsonl       # final values + recon
     repro-metrics export run.metrics.jsonl out.prom
     repro-metrics dashboard run.metrics.jsonl out.html
-    repro-metrics profile --out BENCH_profile.json  # run a profiled
-                                                    # smoke experiment
     repro-metrics compare a.metrics.jsonl b.metrics.jsonl --tolerance 0.1
-    repro-metrics bench --root . --baseline bench-baseline.json
 
-Exit codes: 0 ok, 1 reconciliation / drift / regression failure,
-2 usage or parse errors.
+The simulator's own speed is measured by ``benchmarks/suite/run.py``,
+not here.
+
+Exit codes: 0 ok, 1 reconciliation / drift failure, 2 usage or parse
+errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from typing import Dict, List, Optional
 
 from ..errors import TelemetryError
-from . import bench as bench_mod
 from .export import dashboard_html, prometheus_text, read_metrics
 
 
@@ -29,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-metrics",
         description="Virtual-time metrics for the Persephone reproduction: "
-        "summarize, re-export, render, profile, diff and gate.",
+        "summarize, re-export, render and diff.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -49,23 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("out", help="output .html path")
 
-    p = sub.add_parser(
-        "profile",
-        help="run a profiled figure4-style smoke experiment and write "
-        "BENCH_profile.json",
-    )
-    p.add_argument("--out", default="BENCH_profile.json")
-    p.add_argument("--n-requests", type=int, default=6000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--utilization", type=float, default=0.95)
-    p.add_argument(
-        "--heap", action="store_true",
-        help="also measure peak heap and per-handler allocations via a "
-        "second, tracemalloc-instrumented run of the same seed (timing "
-        "numbers always come from the uninstrumented run)",
-    )
-    p.add_argument("--top", type=int, default=12, help="handlers to print")
-
     p = sub.add_parser("compare", help="diff two runs' metrics and flag drift")
     p.add_argument("a", help="baseline metrics JSONL")
     p.add_argument("b", help="candidate metrics JSONL")
@@ -79,22 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "load-dependent snapshots)",
     )
 
-    p = sub.add_parser(
-        "bench",
-        help="aggregate BENCH_*.json into BENCH_summary.json and gate "
-        "against a baseline",
-    )
-    p.add_argument("--root", default=".", help="directory holding BENCH_*.json")
-    p.add_argument("--out", default="BENCH_summary.json")
-    p.add_argument("--baseline", default=None, help="bench-baseline.json to gate against")
-    p.add_argument(
-        "--write-baseline", default=None,
-        help="write a fresh baseline from this aggregation and exit",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=None,
-        help="override the baseline's tolerance",
-    )
     return parser
 
 
@@ -151,65 +117,6 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         f"wrote {args.out}: {len(doc.timeline.series)} series over "
         f"{doc.timeline.n_scrapes} scrapes"
     )
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    # Imported lazily: experiments.common itself imports repro.telemetry.
-    from ..experiments.common import run_once
-    from ..systems.persephone import PersephoneStaticSystem
-    from ..workload.presets import high_bimodal
-    from .profiler import SelfProfiler
-
-    def profiled_run(track_heap):
-        profiler = SelfProfiler(track_heap=track_heap)
-        system = PersephoneStaticSystem(
-            n_reserved=1, n_workers=14, name="DARC-static(1)"
-        )
-        profiler.start()
-        result = run_once(
-            system,
-            high_bimodal(),
-            args.utilization,
-            n_requests=args.n_requests,
-            seed=args.seed,
-            profiler=profiler,
-        )
-        return system, profiler.stop(result.server.loop)
-
-    system, report = profiled_run(track_heap=False)
-    if args.heap:
-        # Heap observation distorts wall time badly (tracemalloc makes
-        # every allocation an order of magnitude slower), so it gets its
-        # own run.  Same seed means the identical event sequence: the
-        # allocation numbers describe exactly the run that was timed.
-        _, heap_report = profiled_run(track_heap=True)
-        report["peak_heap_bytes"] = heap_report["peak_heap_bytes"]
-        allocs = {h["name"]: h["alloc_bytes"] for h in heap_report["handlers"]}
-        for row in report["handlers"]:
-            row["alloc_bytes"] = allocs.get(row["name"], 0)
-    report["meta"] = {
-        "system": system.name,
-        "workload": "high_bimodal",
-        "utilization": args.utilization,
-        "n_requests": args.n_requests,
-        "seed": args.seed,
-    }
-    SelfProfiler.write(args.out, report)
-    print(
-        f"wrote {args.out}: {report['events']} events in "
-        f"{report['wall_s']:.3f}s wall "
-        f"({report['events_per_sec']:.0f} events/s, "
-        f"{report['sim_time_us']:.0f} us simulated)"
-    )
-    if report["peak_heap_bytes"]:
-        print(f"peak heap: {report['peak_heap_bytes']} bytes")
-    print(f"{'handler':<58} {'calls':>8} {'cum_s':>9} {'mean_us':>9}")
-    for row in report["handlers"][: args.top]:
-        print(
-            f"{row['name']:<58} {row['calls']:>8} "
-            f"{row['cum_s']:>9.4f} {row['mean_us']:>9.2f}"
-        )
     return 0
 
 
@@ -271,60 +178,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    paths = bench_mod.discover(args.root)
-    if not paths:
-        print(f"error: no BENCH_*.json under {args.root}", file=sys.stderr)
-        return 2
-    summary = bench_mod.aggregate(paths)
-    bench_mod.write_json(args.out, summary)
-    n_metrics = sum(len(m) for m in summary["benchmarks"].values())
-    print(
-        f"wrote {args.out}: {len(summary['benchmarks'])} benchmark(s), "
-        f"{n_metrics} metric(s) from {len(paths)} artifact(s)"
-    )
-    if args.write_baseline:
-        baseline = bench_mod.make_baseline(
-            summary,
-            tolerance=(
-                args.tolerance
-                if args.tolerance is not None
-                else bench_mod.DEFAULT_TOLERANCE
-            ),
-        )
-        bench_mod.write_json(args.write_baseline, baseline)
-        print(f"wrote baseline {args.write_baseline}")
-        return 0
-    if args.baseline:
-        baseline = bench_mod._load_json(args.baseline)
-        regressions, report = bench_mod.compare(
-            summary, baseline, tolerance=args.tolerance
-        )
-        gated = [r for r in report if r.get("direction")]
-        print(f"gated {len(gated)} directional metric(s) against {args.baseline}")
-        if regressions:
-            for row in regressions:
-                if row["status"] == "missing":
-                    print(f"  MISSING {row['benchmark']} :: {row['metric']}")
-                else:
-                    print(
-                        f"  REGRESSED {row['benchmark']} :: {row['metric']}: "
-                        f"{row['baseline']:g} -> {row['value']:g} "
-                        f"({row['change']:+.1%})"
-                    )
-            print(f"FAIL: {len(regressions)} regression(s)")
-            return 1
-        print("OK: no benchmark regressions")
-    return 0
-
-
 _COMMANDS = {
     "summary": cmd_summary,
     "export": cmd_export,
     "dashboard": cmd_dashboard,
-    "profile": cmd_profile,
     "compare": cmd_compare,
-    "bench": cmd_bench,
 }
 
 

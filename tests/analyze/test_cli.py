@@ -218,26 +218,33 @@ class TestHotpathCommand:
 
     def test_profile_ranks_output(self, tree, tmp_path, capsys):
         root = tree(HOT_TREE)
-        profile = tmp_path / "BENCH_profile.json"
-        profile.write_text(
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(
             json.dumps(
-                {
-                    "kind": "repro-profile",
-                    "handlers": [{"name": "Core.on_request", "cum_s": 1.5}],
-                }
+                {"workload": "w", "id": 1, "name": "Core.on_request",
+                 "layer": "core", "start": 1.0, "end": 2.5, "parent": 0,
+                 "rid": 0}
             )
+            + "\n"
         )
-        assert main(["hotpath", root, "--root", root, "--profile", str(profile)]) == 0
+        assert main(["hotpath", root, "--root", root, "--profile", str(spans)]) == 0
         out = capsys.readouterr().out
         assert "1500.000ms" in out
-        assert "ranked by measured handler cost" in out
+        assert "ranked by measured span cost" in out
 
     def test_invalid_profile_is_usage_error(self, tree, tmp_path, capsys):
         root = tree(HOT_TREE)
         bad = tmp_path / "bad.json"
         bad.write_text('{"benchmarks": []}')
         assert main(["hotpath", root, "--root", root, "--profile", str(bad)]) == 2
-        assert "not a repro-profile" in capsys.readouterr().err
+        assert "not a span" in capsys.readouterr().err
+
+    def test_malformed_profile_is_usage_error(self, tree, tmp_path, capsys):
+        root = tree(HOT_TREE)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{nope\n")
+        assert main(["hotpath", root, "--root", root, "--profile", str(bad)]) == 2
+        assert "cannot read spans" in capsys.readouterr().err
 
     def test_sarif_side_output(self, tree, tmp_path):
         root = tree(HOT_TREE)

@@ -393,29 +393,36 @@ class TestPragmas:
 # profile weighting
 # ----------------------------------------------------------------------
 class TestProfileWeighting:
-    def _profile(self, tmp_path, handlers):
-        path = tmp_path / "BENCH_profile.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "kind": "repro-profile",
-                    "version": 1,
-                    "handlers": handlers,
-                }
-            )
-        )
+    def _spans(self, tmp_path, spans):
+        """A benchmarks/suite/run.py --spans file: one span per line."""
+        path = tmp_path / "spans.jsonl"
+        path.write_text("".join(json.dumps(span) + "\n" for span in spans))
         return str(path)
 
     def test_load_profile_roundtrip(self, tmp_path):
-        path = self._profile(
-            tmp_path, [{"name": "Scheduler.on_request", "cum_s": 2.5}]
+        path = self._spans(
+            tmp_path,
+            [
+                {"workload": "w", "id": 4, "name": "Scheduler.on_request",
+                 "layer": "core", "start": 10.0, "end": 12.0, "parent": 3,
+                 "rid": 0},
+                {"workload": "w", "id": 9, "name": "Scheduler.on_request",
+                 "layer": "core", "start": 20.0, "end": 20.5, "parent": 8,
+                 "rid": 100},
+                {"workload": "w", "id": 5, "name": "EventLoop.schedule",
+                 "layer": "sim", "start": 11.0, "end": 11.25, "parent": 4,
+                 "rid": 0},
+            ],
         )
-        assert load_profile(path) == {"Scheduler.on_request": 2.5}
+        assert load_profile(path) == {
+            "Scheduler.on_request": 2.5,
+            "EventLoop.schedule": 0.25,
+        }
 
     def test_load_profile_rejects_other_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"benchmarks": []}')
-        with pytest.raises(AnalysisError):
+        with pytest.raises(AnalysisError, match="not a span"):
             load_profile(str(path))
 
     def test_load_profile_rejects_garbage(self, tmp_path):

@@ -107,8 +107,8 @@ class TestPurityAudit:
             for line in out.splitlines()
             if line.startswith("  ") and "/repro/" in line
         ]
-        assert len(listed) == len(set(listed)) == 13
-        assert "repro-analyze: 13 sanctioned impurity pragma(s)" in out
+        assert len(listed) == len(set(listed)) == 4
+        assert "repro-analyze: 4 sanctioned impurity pragma(s)" in out
 
     def test_ledger_entries_name_the_code(self):
         entries = purity_pragma_ledger([SRC_REPRO])
@@ -116,5 +116,4 @@ class TestPurityAudit:
         assert {os.path.basename(e["path"]) for e in entries} == {
             "executor.py",
             "runner.py",
-            "profiler.py",
         }

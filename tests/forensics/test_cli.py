@@ -84,23 +84,45 @@ class TestReport:
         assert "forensics-test" in html
 
     def test_bench_glob_section(self, store, tmp_path):
-        bench = tmp_path / "BENCH_unit.json"
-        bench.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {
-                            "name": "bench_demo",
-                            "stats": {"mean": 0.5, "stddev": 0.01},
-                        }
-                    ]
-                }
-            )
-        )
+        def stat(value, unit):
+            return {"median": value, "q1": value, "q3": value, "n": 1,
+                    "values": [value], "unit": unit}
+
+        # The shape benchmarks/suite/run.py --out writes, cut to one
+        # workload, its end-to-end metrics and one ledger layer.
+        results = tmp_path / "suite-unit.json"
+        results.write_text(json.dumps({
+            "seed": 1, "rounds": 1, "correct": True, "attempted": 2,
+            "failed": 0,
+            "workloads": {
+                "server-darc": {
+                    "end_to_end": {
+                        "sim_rps": stat(98765.0, "req/s"),
+                        "setup_s": stat(0.25, "s"),
+                        "peak_rss_mb": stat(40.5, "MB"),
+                    },
+                    "per_layer": {
+                        "core.self_us_per_req": stat(11.5, "us/req"),
+                        "core.share": stat(0.55, "fraction"),
+                    },
+                },
+            },
+        }))
         out_path = str(tmp_path / "observatory.html")
-        write_report(out_path, store, bench_glob=str(tmp_path / "BENCH_*.json"))
+        write_report(out_path, store, bench_glob=str(tmp_path / "suite-*.json"))
         html = open(out_path).read()
         assert "Benchmark trajectory" in html
+        assert "sim_rps" in html
+        assert "98765" in html
+        assert "core.self_us_per_req" in html
+        assert "core.share" not in html
+
+    def test_bench_glob_rejects_other_documents(self, store, tmp_path, capsys):
+        (tmp_path / "old-format.json").write_text('{"benchmarks": []}')
+        out_path = str(tmp_path / "observatory.html")
+        assert main(["report", store, "-o", out_path,
+                     "--bench", str(tmp_path / "old-*.json")]) == 2
+        assert "run.py --out" in capsys.readouterr().err
 
 
 class TestUsage:

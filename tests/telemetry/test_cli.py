@@ -76,18 +76,6 @@ class TestDashboard:
         assert "<script" not in html
 
 
-class TestProfile:
-    def test_writes_bench_artifact(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_profile.json"
-        assert main(
-            ["profile", "--out", str(out), "--n-requests", "500", "--top", "3"]
-        ) == 0
-        report = json.loads(out.read_text())
-        assert report["kind"] == "repro-profile"
-        assert report["events"] > 0
-        assert "events/s" in capsys.readouterr().out
-
-
 class TestCompare:
     def test_identical_runs_have_no_drift(self, smoke_run, capsys):
         _, paths = smoke_run
@@ -113,59 +101,18 @@ class TestCompare:
         assert "repro_workers_busy" not in out
 
 
-class TestBench:
-    def _profile_artifact(self, tmp_path):
-        doc = {
-            "kind": "repro-profile",
-            "version": 1,
-            "wall_s": 2.0,
-            "events": 1000,
-            "events_per_sec": 500.0,
-            "peak_heap_bytes": 0,
-            "sim_time_us": 5000.0,
-            "handlers": [],
-        }
-        (tmp_path / "BENCH_profile.json").write_text(json.dumps(doc))
-
-    def test_aggregate_write_baseline_then_gate(self, tmp_path, capsys):
-        self._profile_artifact(tmp_path)
-        summary = tmp_path / "BENCH_summary.json"
-        baseline = tmp_path / "bench-baseline.json"
-        assert main(
-            ["bench", "--root", str(tmp_path), "--out", str(summary),
-             "--write-baseline", str(baseline)]
-        ) == 0
-        assert json.loads(summary.read_text())["benchmarks"]
-        assert main(
-            ["bench", "--root", str(tmp_path), "--out", str(summary),
-             "--baseline", str(baseline)]
-        ) == 0
-        assert "OK: no benchmark regressions" in capsys.readouterr().out
-
-    def test_regression_fails_the_gate(self, tmp_path, capsys):
-        self._profile_artifact(tmp_path)
-        baseline = tmp_path / "bench-baseline.json"
-        baseline.write_text(json.dumps({
-            "kind": "repro-bench-baseline",
-            "tolerance": 0.25,
-            "benchmarks": {"BENCH_profile": {"events_per_sec": 5000.0}},
-        }))
-        summary = tmp_path / "BENCH_summary.json"
-        assert main(
-            ["bench", "--root", str(tmp_path), "--out", str(summary),
-             "--baseline", str(baseline)]
-        ) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-
 class TestFailurePaths:
     def test_missing_metrics_file_exits_2(self, tmp_path, capsys):
         assert main(["summary", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bench_without_artifacts_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "--root", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["profile", "bench"])
+    def test_no_self_timing_subcommands(self, command, capsys):
+        # Simulator speed is measured by benchmarks/suite/run.py only.
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_summary_flags_reconciliation_mismatch(self, smoke_run, tmp_path,
                                                    capsys):
