@@ -42,6 +42,12 @@ class RackTracer:
         sample_interval_us: float = DEFAULT_SAMPLE_INTERVAL_US,
         tail_pct: float = 99.9,
     ):
+        # Refused here rather than at install, where each replica's
+        # Tracer would; negated so that NaN is refused too.
+        if not sample_interval_us > 0:
+            raise TraceError(
+                f"sample_interval_us must be > 0, got {sample_interval_us}"
+            )
         self.sample_interval_us = sample_interval_us
         self.tail_pct = tail_pct
         self.tracers: List[Tracer] = []

@@ -4,7 +4,7 @@ Exports the event loop, the event handle type, seeded random streams, and
 unit-conversion helpers.  All simulation times are in microseconds.
 """
 
-from .engine import EventLoop
+from .engine import EventLoop, due_time
 from .events import Event
 from .randomness import RngRegistry
 from .units import (
@@ -22,6 +22,7 @@ from .units import (
 
 __all__ = [
     "EventLoop",
+    "due_time",
     "Event",
     "RngRegistry",
     "DEFAULT_CPU_GHZ",

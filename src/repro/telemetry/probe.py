@@ -13,11 +13,19 @@ it:
   totals, fault-injector counters and the streaming tail monitor.
 
 Scraping is piggybacked on executed events exactly like the tracer: the
-loop notifies the probe after each event and the probe samples when at
-least ``scrape_interval_us`` of *virtual* time has passed.  The probe
+loop calls the probe after the first event at or past its next scrape
+time, which ``on_loop_event`` returns, so a scrape lands once at least
+``scrape_interval_us`` of *virtual* time has passed.  The probe
 never schedules events, draws randomness, or reads a wall clock, so an
 armed probe leaves the simulated outcome bit-identical
 (``tests/telemetry/test_determinism.py``).
+
+One monitor per server: when the server already carries a
+:class:`~repro.trace.tracer.Tracer` whose tail monitor has the probe's
+percentile and no samples yet, :meth:`install` adopts that monitor
+instead of feeding a second one.  Both hooks fire at the same completion
+sites with the same ``(type, latency)``, so the shared estimates are the
+ones two monitors would hold, at half the P² updates per completion.
 
 Conservation: :meth:`reconcile` checks the final push counters against
 the :class:`~repro.metrics.recorder.Recorder` ledger the same way
@@ -32,7 +40,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TelemetryError
+from ..sim.engine import due_time
 from ..trace.monitor import TailMonitor
+from ..trace.tracer import Tracer
 from .registry import MetricsRegistry
 from .timeline import MetricsTimeline
 
@@ -50,21 +60,28 @@ class TelemetryProbe:
         tail_pct: float = 99.9,
         registry: Optional[MetricsRegistry] = None,
     ):
-        if scrape_interval_us <= 0:
+        # Negated so that NaN, from which no scrape time follows, is
+        # refused along with values <= 0.
+        if not scrape_interval_us > 0:
             raise TelemetryError(
                 f"scrape_interval_us must be > 0, got {scrape_interval_us}"
             )
         self.scrape_interval_us = scrape_interval_us
         self.registry = registry if registry is not None else MetricsRegistry()
         self.timeline = MetricsTimeline()
-        #: Streaming per-type tail estimates, published as gauges.
+        #: Streaming per-type tail estimates, published as gauges; the
+        #: server's tracer's monitor when :meth:`install` adopts it.
         self.tail_monitor = TailMonitor(pct=tail_pct)
+        #: Whether ``on_complete`` feeds ``tail_monitor`` (False when the
+        #: monitor is the tracer's, which its own hook feeds).
+        self._feeds_monitor = True
         self._loop = None
         self._server = None
         self._injector = None
         self._rack = None
         self._netstack_nics: List[Any] = []
-        self._last_scrape_at: Optional[float] = None
+        #: Virtual time of the next scrape (set at install).
+        self._next_scrape_at = 0.0
         self._finalized = False
         self.scrapes = 0
         # Aggregate push counters (cheap reconciliation without walking
@@ -87,6 +104,19 @@ class TelemetryProbe:
         self._fault_series: Dict[str, Any] = {}
         self._preempt_series: Optional[Tuple[Any, Any]] = None
         self._steal_series: Optional[Tuple[Any, Any]] = None
+        # Pull-source series, bound on the first scrape for the same
+        # reason.
+        self._engine_series: Optional[Tuple[Any, Any]] = None
+        #: (received, dispatcher drops, busy, free, failed, slowed)
+        self._server_series: Optional[Tuple[Any, ...]] = None
+        self._pending_series: Any = None
+        #: (label key, label value) -> queue-depth gauge
+        self._depth_series: Dict[Tuple[str, str], Any] = {}
+        self._recorder_series: Optional[Tuple[Any, Any]] = None
+        #: orphan kind -> orphan counter
+        self._orphan_series: Dict[str, Any] = {}
+        #: injector counter kind -> injector counter
+        self._injector_series: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # wiring
@@ -97,16 +127,27 @@ class TelemetryProbe:
         One probe observes exactly one run.  ``server=None`` supports
         multi-server (rack) runs: attach the loop here, then forward the
         probe to each replica with ``server.attach_telemetry(probe)``
-        and register the rack via :meth:`register_rack`.
+        and register the rack via :meth:`register_rack`; such a probe
+        keeps its own tail monitor.
+
+        If ``server``'s scheduler already has a :class:`Tracer` whose
+        tail monitor has this probe's percentile and no samples yet, the
+        probe adopts that monitor and feeds none of its own.
         """
         if self._loop is not None:
             raise TelemetryError("probe already installed; use one probe per run")
         self._loop = loop
         self._server = server
         self._injector = injector
-        self._last_scrape_at = loop.now
+        self._next_scrape_at = due_time(loop.now, self.scrape_interval_us)
         loop.attach_observer(self)
         if server is not None:
+            tracer = server.scheduler.tracer
+            if isinstance(tracer, Tracer):
+                monitor = tracer.tail_monitor
+                if monitor.pct == self.tail_monitor.pct and monitor.count() == 0:
+                    self.tail_monitor = monitor
+                    self._feeds_monitor = False
             server.attach_telemetry(self)
         self.tail_monitor.register_gauges(self.registry)
         self.scrape(loop.now)
@@ -143,7 +184,8 @@ class TelemetryProbe:
         completed.inc()
         latency = loop.now - request.arrival_time
         latencies.observe(latency)
-        self.tail_monitor.observe(tid, latency)
+        if self._feeds_monitor:
+            self.tail_monitor.observe(tid, latency)
         self.completions += 1
 
     def _bind_completion(self, tid) -> Tuple[Any, Any]:
@@ -281,14 +323,17 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     # the scrape loop (piggybacked on executed events)
     # ------------------------------------------------------------------
-    def on_loop_event(self, loop) -> None:
-        """Notified by the event loop after every executed event."""
+    def on_loop_event(self, loop) -> float:
+        """Scrape when due; return the virtual time of the next scrape.
+
+        A scrape is due once ``scrape_interval_us`` has passed since the
+        last one (or since install).
+        """
         now = loop.now
-        last = self._last_scrape_at
-        if last is not None and now - last < self.scrape_interval_us:
-            return
-        self._last_scrape_at = now
-        self.scrape(now)
+        if now >= self._next_scrape_at:
+            self.scrape(now)
+            self._next_scrape_at = due_time(now, self.scrape_interval_us)
+        return self._next_scrape_at
 
     def scrape(self, now: float) -> None:
         """Sample every pull source and append to the timeline."""
@@ -317,29 +362,33 @@ class TelemetryProbe:
         loop = self._loop
         if loop is None:
             return
-        registry = self.registry
-        registry.counter(
-            "repro_sim_events_processed_total",
-            "Events executed by the discrete-event loop.",
-        ).set_total(loop.events_processed)
-        registry.gauge(
-            "repro_sim_pending_events",
-            "Events in the loop heap (including lazily cancelled ones).",
-        ).set(loop.pending_count)
+        series = self._engine_series
+        if series is None:
+            registry = self.registry
+            series = self._engine_series = (
+                registry.counter(
+                    "repro_sim_events_processed_total",
+                    "Events executed by the discrete-event loop.",
+                ),
+                registry.gauge(
+                    "repro_sim_pending_events",
+                    "Events in the loop heap (including lazily cancelled ones).",
+                ),
+            )
+        processed, pending = series
+        processed.set_total(loop.events_processed)
+        pending.set(loop.pending_count)
 
     def _pull_server(self, now: float) -> None:
         server = self._server
         if server is None:
             return
-        registry = self.registry
-        registry.counter(
-            "repro_server_received_total",
-            "Requests that reached Server.ingress.",
-        ).set_total(server.received)
-        registry.counter(
-            "repro_dispatcher_drops_total",
-            "Requests dropped by the dispatcher's inbound queue (NIC ring).",
-        ).set_total(server.dispatcher_drops)
+        series = self._server_series
+        if series is None:
+            series = self._server_series = self._bind_server()
+        received, dispatcher_drops, busy_g, free_g, failed_g, slowed_g = series
+        received.set_total(server.received)
+        dispatcher_drops.set_total(server.dispatcher_drops)
         busy = free = failed = slowed = 0
         for w in server.workers:
             if w.failed:
@@ -350,19 +399,30 @@ class TelemetryProbe:
                 free += 1
             if not w.failed and w.speed_factor != 1.0:
                 slowed += 1
-        registry.gauge(
-            "repro_workers_busy", "Workers currently serving a request."
-        ).set(busy)
-        registry.gauge(
-            "repro_workers_free", "Workers currently idle."
-        ).set(free)
-        registry.gauge(
-            "repro_workers_failed", "Workers currently crashed."
-        ).set(failed)
-        registry.gauge(
-            "repro_workers_slowed",
-            "Live workers currently running degraded (speed_factor != 1).",
-        ).set(slowed)
+        busy_g.set(busy)
+        free_g.set(free)
+        failed_g.set(failed)
+        slowed_g.set(slowed)
+
+    def _bind_server(self) -> Tuple[Any, ...]:
+        registry = self.registry
+        return (
+            registry.counter(
+                "repro_server_received_total",
+                "Requests that reached Server.ingress.",
+            ),
+            registry.counter(
+                "repro_dispatcher_drops_total",
+                "Requests dropped by the dispatcher's inbound queue (NIC ring).",
+            ),
+            registry.gauge("repro_workers_busy", "Workers currently serving a request."),
+            registry.gauge("repro_workers_free", "Workers currently idle."),
+            registry.gauge("repro_workers_failed", "Workers currently crashed."),
+            registry.gauge(
+                "repro_workers_slowed",
+                "Live workers currently running degraded (speed_factor != 1).",
+            ),
+        )
 
     def _pull_scheduler(self, now: float) -> None:
         server = self._server
@@ -370,54 +430,75 @@ class TelemetryProbe:
             return
         scheduler = server.scheduler
         registry = self.registry
-        registry.gauge(
-            "repro_scheduler_pending",
-            "Requests queued at the scheduler (not being served).",
-        ).set(scheduler.pending_count())
+        pending = self._pending_series
+        if pending is None:
+            pending = self._pending_series = registry.gauge(
+                "repro_scheduler_pending",
+                "Requests queued at the scheduler (not being served).",
+            )
+        pending.set(scheduler.pending_count())
+        depths = self._depth_series
         for label_key, label_value, depth in _queue_depths(scheduler):
-            registry.gauge(
-                "repro_queue_depth",
-                "Scheduler queue depth, by typed queue / worker queue.",
-                # Once per queue per scrape interval, not once per event.
-                **{label_key: label_value},  # repro-analyze: disable=A401
-            ).set(depth)
+            gauge = depths.get((label_key, label_value))
+            if gauge is None:
+                gauge = depths[label_key, label_value] = registry.gauge(
+                    "repro_queue_depth",
+                    "Scheduler queue depth, by typed queue / worker queue.",
+                    # Once per queue, on its first scrape.
+                    **{label_key: label_value},  # repro-analyze: disable=A401
+                )
+            gauge.set(depth)
 
     def _pull_recorder(self, now: float) -> None:
         server = self._server
         if server is None:
             return
         recorder = server.recorder
-        registry = self.registry
-        registry.counter(
-            "repro_recorder_completions_total",
-            "Completion rows booked by the Recorder.",
-        ).set_total(recorder.completed)
-        registry.counter(
-            "repro_recorder_drops_total",
-            "Drops booked by the Recorder (policy + dispatcher).",
-        ).set_total(recorder.dropped)
+        series = self._recorder_series
+        if series is None:
+            registry = self.registry
+            series = self._recorder_series = (
+                registry.counter(
+                    "repro_recorder_completions_total",
+                    "Completion rows booked by the Recorder.",
+                ),
+                registry.counter(
+                    "repro_recorder_drops_total",
+                    "Drops booked by the Recorder (policy + dispatcher).",
+                ),
+            )
+        completions, drops = series
+        completions.set_total(recorder.completed)
+        drops.set_total(recorder.dropped)
+        orphans = self._orphan_series
         # Sorted once per scrape interval, not once per event.
-        orphans = sorted(recorder.orphan_counters().items())  # repro-analyze: disable=A401
-        for key, value in orphans:
-            registry.counter(
-                "repro_recorder_orphans_total",
-                "Orphan-request ledger (resilience layer), by kind.",
-                kind=key,
-            ).set_total(value)
+        totals = sorted(recorder.orphan_counters().items())  # repro-analyze: disable=A401
+        for key, value in totals:
+            counter = orphans.get(key)
+            if counter is None:
+                counter = orphans[key] = self.registry.counter(
+                    "repro_recorder_orphans_total",
+                    "Orphan-request ledger (resilience layer), by kind.",
+                    kind=key,
+                )
+            counter.set_total(value)
 
     def _pull_faults(self, now: float) -> None:
         injector = self._injector
         if injector is None:
             return
-        registry = self.registry
+        bound = self._injector_series
         # Sorted once per scrape interval, not once per event.
         totals = sorted(injector.counters().items())  # repro-analyze: disable=A401
         for key, value in totals:
-            registry.counter(
-                "repro_fault_injector_total",
-                "Fault-injector lifetime counters, by kind.",
-                kind=key,
-            ).set_total(value)
+            counter = bound.get(key)
+            if counter is None:
+                counter = bound[key] = self.registry.counter(
+                    "repro_fault_injector_total",
+                    "Fault-injector lifetime counters, by kind.",
+                    kind=key,
+                )
+            counter.set_total(value)
 
     def _pull_netstack(self, now: float) -> None:
         for index, nic in enumerate(self._netstack_nics):

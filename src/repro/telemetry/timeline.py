@@ -9,11 +9,19 @@ long chaos run's metrics file proportional to activity, not duration.
 Series values expand back to step functions (the value holds until the
 next recorded change), which is also exactly how the dashboard's
 sparklines draw them.
+
+A scrape walks flat lists of ``(points, series)`` pairs, one per
+counter or gauge and one ``(count points, sum points, histogram)``
+triple per histogram.  They are rebuilt, in the registry's family
+order, only when the registry's series count changes, so a steady-state
+scrape does no key or generator work.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from .registry import HISTOGRAM
 
 
 class SeriesTrack:
@@ -54,6 +62,11 @@ class MetricsTimeline:
         self.times: List[float] = []
         #: series key -> track, in first-appearance order.
         self.series: Dict[str, SeriesTrack] = {}
+        # The bound walk: (points, counter or gauge) and (count points,
+        # sum points, histogram), for a registry of _bound_count series.
+        self._scalars: List[Tuple[List[Tuple[int, float]], Any]] = []
+        self._histograms: List[Tuple[list, list, Any]] = []
+        self._bound_count = 0
 
     # ------------------------------------------------------------------
     # recording
@@ -65,16 +78,47 @@ class MetricsTimeline:
         """
         index = len(self.times)
         self.times.append(now)
+        if len(registry) != self._bound_count:
+            self._bind(registry)
         changed = 0
-        for key, family, value in registry.sample_items():
-            track = self.series.get(key)
-            if track is None:
-                track = SeriesTrack(key, family)
-                self.series[key] = track
-            if not track.points or track.points[-1][1] != value:
-                track.points.append((index, value))
+        for points, metric in self._scalars:
+            value = metric.value
+            if not points or points[-1][1] != value:
+                points.append((index, value))
+                changed += 1
+        for count_points, sum_points, histogram in self._histograms:
+            count = histogram.count
+            if not count_points or count_points[-1][1] != count:
+                count_points.append((index, float(count)))
+                changed += 1
+            total = histogram.sum
+            if not sum_points or sum_points[-1][1] != total:
+                sum_points.append((index, total))
                 changed += 1
         return changed
+
+    def _bind(self, registry) -> None:
+        """Rebuild the walk over every series of ``registry``, creating
+        the tracks of new series in the order
+        :meth:`~repro.telemetry.registry.MetricsRegistry.sample_items`
+        yields them."""
+        scalars: List[Tuple[List[Tuple[int, float]], Any]] = []
+        histograms: List[Tuple[list, list, Any]] = []
+        for family, kind, _help, metrics in registry.families():
+            for metric in metrics:
+                points = []
+                for key, _value in metric.sample_items():
+                    track = self.series.get(key)
+                    if track is None:
+                        track = self.series[key] = SeriesTrack(key, family)
+                    points.append(track.points)
+                if kind == HISTOGRAM:
+                    histograms.append((points[0], points[1], metric))
+                else:
+                    scalars.append((points[0], metric))
+        self._scalars = scalars
+        self._histograms = histograms
+        self._bound_count = len(registry)
 
     # ------------------------------------------------------------------
     # views

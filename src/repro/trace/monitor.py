@@ -7,8 +7,10 @@ markers are O(1) memory and O(1) per update; accuracy against the exact
 array percentile is covered by ``tests/trace/test_monitor.py`` on
 heavy-tailed (bimodal / lognormal) samples.
 
-The monitor is fed by :meth:`Tracer.on_complete`, but is equally usable
-standalone as a completion sink.
+The monitor is fed by :meth:`Tracer.on_complete` (and by
+:meth:`TelemetryProbe.on_complete` when the probe has no tracer's
+monitor to share), but is equally usable standalone as a completion
+sink.
 """
 
 from __future__ import annotations
@@ -76,19 +78,23 @@ class TailMonitor:
         tails appear on the dashboard without storing raw samples.
         """
         pct_label = f"{self.pct:g}"
+        # type id -> its gauge, bound on the type's first scrape.
+        gauges: Dict[int, object] = {}
 
         def sample(reg, now: float) -> None:
             for tid in sorted(self._estimators):
                 est = self._estimators[tid]
                 if est.count == 0:
                     continue
-                key = "overall" if tid == OVERALL else str(tid)
-                reg.gauge(
-                    "repro_tail_latency_us",
-                    "Streaming P2 tail-latency estimate, by type.",
-                    pct=pct_label,
-                    type=key,
-                ).set(est.value())
+                gauge = gauges.get(tid)
+                if gauge is None:
+                    gauge = gauges[tid] = reg.gauge(
+                        "repro_tail_latency_us",
+                        "Streaming P2 tail-latency estimate, by type.",
+                        pct=pct_label,
+                        type="overall" if tid == OVERALL else str(tid),
+                    )
+                gauge.set(est.value())
 
         registry.register_source(sample)
 

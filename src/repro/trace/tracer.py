@@ -11,9 +11,10 @@ loop, server, scheduler, classifier and (optionally) fault injector via
   preemptions, and fault events from :mod:`repro.faults`;
 * **samples** — periodic queue-depth / worker-state snapshots.
 
-Sampling is piggybacked on executed events (the loop notifies the tracer
-after each one, mirroring the sanitizer hook) rather than scheduled as
-events of its own, so an armed tracer adds *nothing* to the event heap:
+Sampling is piggybacked on executed events (the loop calls the tracer
+after the first event at or past its next sample time, which
+``on_loop_event`` returns) rather than scheduled as events of its own,
+so an armed tracer adds *nothing* to the event heap:
 the simulated event sequence — and therefore every recorded latency —
 is bit-identical with tracing on or off.  With no tracer attached each
 hook site costs a single ``is None`` test.
@@ -28,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TraceError
+from ..sim.engine import due_time
 from .monitor import TailMonitor
 from .span import (
     COMPLETE,
@@ -102,7 +104,9 @@ class Tracer:
         sample_interval_us: float = DEFAULT_SAMPLE_INTERVAL_US,
         tail_pct: float = 99.9,
     ):
-        if sample_interval_us <= 0:
+        # Negated so that NaN, from which no sample time follows, is
+        # refused along with values <= 0.
+        if not sample_interval_us > 0:
             raise TraceError(
                 f"sample_interval_us must be > 0, got {sample_interval_us}"
             )
@@ -116,7 +120,8 @@ class Tracer:
         self.tail_monitor = TailMonitor(pct=tail_pct)
         self._loop = None
         self._server = None
-        self._last_sample_at: Optional[float] = None
+        #: Virtual time of the next sample (set at install).
+        self._next_sample_at = 0.0
         # Aggregate counters (cheap reconciliation without walking spans).
         self.spans_opened = 0
         self.completions = 0
@@ -140,7 +145,7 @@ class Tracer:
             raise TraceError("tracer already installed; use one tracer per run")
         self._loop = loop
         self._server = server
-        self._last_sample_at = loop.now
+        self._next_sample_at = due_time(loop.now, self.sample_interval_us)
         loop.attach_observer(self)
         server.attach_tracer(self)
         if injector is not None:
@@ -277,14 +282,17 @@ class Tracer:
     # ------------------------------------------------------------------
     # periodic sampling (piggybacked on executed events)
     # ------------------------------------------------------------------
-    def on_loop_event(self, loop) -> None:
-        """Notified by the event loop after every executed event."""
+    def on_loop_event(self, loop) -> float:
+        """Sample when due; return the virtual time of the next sample.
+
+        A sample is due once ``sample_interval_us`` has passed since the
+        last one (or since install).
+        """
         now = loop.now
-        last = self._last_sample_at
-        if last is not None and now - last < self.sample_interval_us:
-            return
-        self._last_sample_at = now
-        self._take_sample(now)
+        if now >= self._next_sample_at:
+            self._take_sample(now)
+            self._next_sample_at = due_time(now, self.sample_interval_us)
+        return self._next_sample_at
 
     def _take_sample(self, now: float) -> None:
         server = self._server

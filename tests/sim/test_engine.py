@@ -1,9 +1,13 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import EventLoop
+from repro.sim.engine import EventLoop, due_time
 
 
 class TestScheduling:
@@ -242,3 +246,125 @@ class TestChurn:
         # skip popped every one of them without running or counting it.
         assert loop.events_processed == n
         assert loop.pending_count == 0
+
+
+class IntervalObserver:
+    """Samples once ``interval`` has passed since its last sample, the
+    way ``Tracer`` and ``TelemetryProbe`` do, and logs every call."""
+
+    def __init__(self, loop, interval):
+        self.interval = interval
+        self.next_at = due_time(loop.now, interval)
+        self.calls = []
+        self.samples = []
+
+    def on_loop_event(self, loop):
+        now = loop.now
+        self.calls.append(now)
+        if now >= self.next_at:
+            self.samples.append(now)
+            self.next_at = due_time(now, self.interval)
+        return self.next_at
+
+
+def _per_event_samples(start, times, interval):
+    """The sample times of the per-event rule ``now - last < interval``."""
+    last, out = start, []
+    for now in times:
+        if not now - last < interval:
+            out.append(now)
+            last = now
+    return out
+
+
+def _irregular_times(n, seed=7):
+    """Event times with gaps from 1e-3 to ~3 us, some of them equal."""
+    state, t, out = seed, 0.0, []
+    for _ in range(n):
+        state = (state * 1103515245 + 12345) % 2**31
+        gap = (state % 3000) / 1000.0
+        t += 0.0 if gap < 0.3 else gap
+        out.append(t)
+    return out
+
+
+finite_lasts = st.floats(min_value=0.0, max_value=1e15)
+intervals = st.floats(min_value=1e-6, max_value=1e9)
+
+
+class TestDueTime:
+    @given(last=finite_lasts, interval=intervals, offset=st.floats(0.0, 4e9))
+    @example(last=1e15, interval=1e-6, offset=0.0)
+    @example(last=0.1, interval=0.2, offset=0.2)
+    @example(last=1e15 - 0.125, interval=0.3, offset=0.375)
+    def test_due_exactly_when_per_event_rule_samples(self, last, interval, offset):
+        due = due_time(last, interval)
+        below = math.nextafter(due, -math.inf)
+        assert below >= last
+        for t in (last + offset, due, below, math.nextafter(due, math.inf)):
+            assert (t >= due) == (not (t - last < interval))
+
+    def test_the_plain_sum_can_be_too_early(self):
+        # last + interval rounds down here: the per-event rule does not
+        # sample at the sum, only one step later.
+        last, interval = 233013.37165339774, 0.001
+        due = due_time(last, interval)
+        assert (last + interval) - last < interval
+        assert due == math.nextafter(last + interval, math.inf)
+
+
+class TestObserverDueTimes:
+    def _run(self, times, *intervals):
+        loop = EventLoop()
+        observers = [IntervalObserver(loop, interval) for interval in intervals]
+        for observer in observers:
+            loop.attach_observer(observer)
+        for t in times:
+            loop.call_at(t, lambda: None)
+        loop.run()
+        return observers
+
+    @pytest.mark.parametrize("interval", [0.1, 1.0, 2.5, 40.0])
+    def test_called_only_at_due_instants_with_samples_unchanged(self, interval):
+        times = _irregular_times(2000)
+        (observer,) = self._run(times, interval)
+        assert observer.samples == _per_event_samples(0.0, times, interval)
+        # The first event of a run calls every observer; after that the
+        # loop calls it only at its sample instants.
+        assert observer.calls[0] == times[0]
+        assert observer.calls[1:] == [t for t in observer.samples if t != times[0]]
+        if interval > 10.0:
+            assert len(observer.calls) < len(times) / 10
+
+    def test_two_observers_sample_as_if_called_after_every_event(self):
+        times = _irregular_times(2000, seed=11)
+        fast, slow = self._run(times, 1.5, 9.0)
+        assert fast.samples == _per_event_samples(0.0, times, 1.5)
+        assert slow.samples == _per_event_samples(0.0, times, 9.0)
+        # Both are called whenever either is due, and only then.
+        assert fast.calls == slow.calls
+        assert set(fast.calls[1:]) <= set(fast.samples) | set(slow.samples)
+
+    def test_observer_attached_between_runs_is_called_after_next_event(self):
+        loop = EventLoop()
+        loop.call_at(1.0, lambda: None)
+        loop.run()
+        observer = IntervalObserver(loop, 5.0)
+        loop.attach_observer(observer)
+        loop.call_at(2.0, lambda: None)
+        loop.call_at(7.0, lambda: None)
+        loop.run()
+        assert observer.calls == [2.0, 7.0]
+        assert observer.samples == [7.0]
+
+    @pytest.mark.parametrize("returned", [None, float("nan")])
+    def test_observer_must_return_its_due_time(self, returned):
+        class Legacy:
+            def on_loop_event(self, loop):
+                return returned
+
+        loop = EventLoop()
+        loop.attach_observer(Legacy())
+        loop.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="not the virtual time"):
+            loop.run()

@@ -40,6 +40,11 @@ class TestScrapeLoop:
         times = probe.timeline.times
         assert all(t1 <= t2 for t1, t2 in zip(times, times[1:]))
 
+    @pytest.mark.parametrize("interval", [float("nan"), 0.0, -1.0])
+    def test_bad_scrape_interval_refused_at_construction(self, interval):
+        with pytest.raises(TelemetryError, match="scrape_interval_us"):
+            TelemetryProbe(scrape_interval_us=interval)
+
     def test_one_probe_per_run(self, darc_run):
         probe, result = darc_run
         with pytest.raises(TelemetryError):

@@ -217,6 +217,15 @@ class TestWiring:
             assert all(b - a >= 50.0 for a, b in zip(times, times[1:]))
         assert result.recorder.completed == 1500
 
+    @pytest.mark.parametrize("interval", [float("nan"), 0.0, -1.0])
+    def test_bad_sample_interval_refused_at_construction(self, interval):
+        from repro.rack.tracing import RackTracer
+
+        with pytest.raises(TraceError, match="sample_interval_us"):
+            Tracer(sample_interval_us=interval)
+        with pytest.raises(TraceError, match="sample_interval_us"):
+            RackTracer(sample_interval_us=interval)
+
     def test_uninstalled_tracer_hook_raises_trace_error(self):
         tracer = Tracer()
         request = Request(rid=1, type_id=0, service_time=1.0, arrival_time=0.0)
