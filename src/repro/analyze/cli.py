@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence
 from ..errors import ReproError
 from .baseline import diff_baseline, load_baseline, write_baseline
 from .findings import ANALYSIS_RULES, AnalysisFinding
-from .hotpath import load_profile, rank_findings
+from .hotpath import load_profile, rank_findings, unmatched_spans
 from .model import build_program, iter_python_files
 from .runner import analyze_paths, analyze_program, has_errors
 from .sarif import sarif_text
@@ -364,13 +364,24 @@ def _main(argv: Optional[List[str]] = None) -> int:
             def emit_ranked(shown: Sequence[AnalysisFinding], fmt: str) -> None:
                 if profile is None or fmt != "text":
                     _emit(shown, fmt)
-                    return
-                for weight, finding in rank_findings(program, shown, profile):
-                    print(f"{weight * 1e3:9.3f}ms {finding.format()}")
-                print(
-                    f"repro-analyze: {len(shown)} hot-path finding(s), "
-                    "ranked by measured span cost"
-                )
+                else:
+                    for weight, finding in rank_findings(program, shown, profile):
+                        print(f"{weight * 1e3:9.3f}ms {finding.format()}")
+                    print(
+                        f"repro-analyze: {len(shown)} hot-path finding(s), "
+                        "ranked by measured span cost"
+                    )
+                unmatched = unmatched_spans(program, profile) if profile else {}
+                if unmatched:
+                    # A JSON report stays parseable: the list goes to stderr.
+                    out = sys.stdout if fmt == "text" else sys.stderr
+                    print(
+                        f"repro-analyze: {len(unmatched)} span name(s) match no "
+                        "function; their time ranks no finding:",
+                        file=out,
+                    )
+                    for name, seconds in unmatched.items():
+                        print(f"{seconds * 1e3:9.3f}ms {name}", file=out)
 
             return _gate(
                 findings,

@@ -7,11 +7,14 @@ of a correct simulator must produce byte-identical digests; any
 divergence means hidden state (wall clock, unseeded RNG, hash-order
 iteration, cross-run leakage) reached a scheduling decision.
 
-A third run attaches a :class:`~repro.trace.Tracer` and must produce the
+A third run attaches a :class:`~repro.trace.Tracer` and a
+:class:`~repro.telemetry.TelemetryProbe` together and must produce the
 same digest too.  Observers never perturb a run, and a traced Shinjuku
 run books every quantum boundary as its own event while an untraced one
 settles certain hand-backs in bulk, so this run also checks that the two
-paths agree.
+paths agree.  It runs the observed configuration users get from
+``--trace`` with ``--metrics``: the probe shares the tracer's tail
+monitor, and the loop calls both only at their sample times.
 
 Exposed as ``repro-analyze determinism``; the pinned-digest pytest suite
 (``tests/lint/test_determinism.py``) drives it too.  The digests
@@ -48,7 +51,7 @@ class DeterminismReport(NamedTuple):
     identical: bool
     first: RunDigest
     second: RunDigest
-    #: The same run with a tracer attached, when one was made.
+    #: The same run with a tracer and a probe attached, when one was made.
     traced: Optional[RunDigest] = None
 
     def describe(self) -> str:
@@ -136,13 +139,15 @@ def check_system(
     sanitize: "bool | str" = False,
 ) -> DeterminismReport:
     """Run ``system`` twice with the same seed, then once more with a
-    tracer attached, and compare the three digests."""
+    tracer and a probe attached, and compare the three digests."""
+    from ..telemetry import TelemetryProbe
     from ..trace import Tracer
 
     first = digest_run(system, spec, utilization, n_requests, seed, sanitize)
     second = digest_run(system, spec, utilization, n_requests, seed, sanitize)
     traced = digest_run(
-        system, spec, utilization, n_requests, seed, sanitize, tracer=Tracer()
+        system, spec, utilization, n_requests, seed, sanitize,
+        tracer=Tracer(), telemetry=TelemetryProbe(),
     )
     return _report(first, second, traced)
 
@@ -234,13 +239,15 @@ def digest_chaos_run(
     sanitize: "bool | str" = False,
     plan=None,
     tracer=None,
+    telemetry=None,
 ) -> RunDigest:
     """Simulate one fault-injected episode and hash its outcome.
 
     The digest additionally covers the orphan-request ledger (timeouts /
     retries / failures / late completions) and the injector's counters,
-    so a divergence anywhere in the fault path shows up.  ``tracer``
-    optionally attaches a :class:`repro.trace.Tracer`."""
+    so a divergence anywhere in the fault path shows up.  ``tracer`` and
+    ``telemetry`` optionally attach a :class:`repro.trace.Tracer` and a
+    :class:`repro.telemetry.TelemetryProbe`."""
     from ..faults.runner import run_chaos
     from ..workload.resilience import RetryPolicy
 
@@ -262,6 +269,7 @@ def digest_chaos_run(
         retry=retry,
         sanitize=sanitize,
         tracer=tracer,
+        telemetry=telemetry,
     )
     recorder = result.recorder
     loop = result.server.loop
@@ -285,8 +293,9 @@ def check_chaos_all(
     sanitize: "bool | str" = False,
 ) -> List[DeterminismReport]:
     """Twice-run every system through the default fault plan, then once
-    more with a tracer attached; fresh spec *and* fresh plan per run so
-    no state can leak between runs."""
+    more with a tracer and a probe attached; fresh spec *and* fresh plan
+    per run so no state can leak between runs."""
+    from ..telemetry import TelemetryProbe
     from ..trace import Tracer
 
     if spec_factory is None:
@@ -305,7 +314,7 @@ def check_chaos_all(
         )
         traced = digest_chaos_run(
             system, spec_factory(), utilization, n_requests, seed, sanitize,
-            plan=default_chaos_plan(), tracer=Tracer(),
+            plan=default_chaos_plan(), tracer=Tracer(), telemetry=TelemetryProbe(),
         )
         reports.append(_report(first, second, traced))
     return reports

@@ -73,8 +73,9 @@ SCHEDULER_HOT_METHODS = (
 )
 
 #: Methods treated as hot on every observer-shaped class (a class that
-#: defines ``on_loop_event``, which the event loop calls after every
-#: event): the loop hook itself plus the per-request push hooks.  Hook
+#: defines ``on_loop_event``, which the event loop calls after events
+#: that reach the observer's due time): the loop hook itself plus the
+#: per-request push hooks.  Hook
 #: sites reach observers through attributes (``self.tracer``) that call
 #: resolution cannot follow, so the roots are named here.
 OBSERVER_HOT_METHODS = (
@@ -664,6 +665,23 @@ def function_weights(
             for key in seen:
                 weights[key] = weights.get(key, 0.0) + seconds
     return weights
+
+
+def unmatched_spans(program: Program, profile: Dict[str, float]) -> Dict[str, float]:
+    """The span names in ``profile`` that match no function's qualname,
+    with their summed seconds, in name order.
+
+    Their time weights no finding.  The suite names some spans after
+    what they measure rather than after one function
+    (``EventLoop.schedule`` covers both ``call_at`` and ``call_after``),
+    so a report lists them instead of dropping them.
+    """
+    qualnames = {fn.qualname for fn in program.functions.values()}
+    return {
+        name: seconds
+        for name, seconds in sorted(profile.items())
+        if name not in qualnames
+    }
 
 
 def rank_findings(

@@ -232,6 +232,34 @@ class TestHotpathCommand:
         assert "1500.000ms" in out
         assert "ranked by measured span cost" in out
 
+    def test_profile_lists_spans_that_match_no_function(self, tree, tmp_path, capsys):
+        root = tree(HOT_TREE)
+        spans = tmp_path / "spans.jsonl"
+        rows = [
+            {"name": "Core.on_request", "layer": "core", "start": 1.0, "end": 2.5},
+            {"name": "EventLoop.schedule", "layer": "sim", "start": 1.25, "end": 1.5},
+            {"name": "EventLoop.schedule", "layer": "sim", "start": 2.0, "end": 2.125},
+        ]
+        spans.write_text(
+            "".join(
+                json.dumps({"workload": "w", "id": i, "parent": 0, "rid": 0, **row})
+                + "\n"
+                for i, row in enumerate(rows)
+            )
+        )
+        assert main(["hotpath", root, "--root", root, "--profile", str(spans)]) == 0
+        out = capsys.readouterr().out
+        assert "1 span name(s) match no function" in out
+        assert "  375.000ms EventLoop.schedule" in out
+        assert "Core.on_request" not in out.split("match no function")[1]
+
+        assert main(
+            ["hotpath", root, "--root", root, "--profile", str(spans), "--format", "json"]
+        ) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "375.000ms EventLoop.schedule" in captured.err
+
     def test_invalid_profile_is_usage_error(self, tree, tmp_path, capsys):
         root = tree(HOT_TREE)
         bad = tmp_path / "bad.json"

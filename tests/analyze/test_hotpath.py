@@ -14,6 +14,7 @@ from repro.analyze.hotpath import (
     hot_roots,
     load_profile,
     rank_findings,
+    unmatched_spans,
 )
 from repro.errors import AnalysisError
 
@@ -430,6 +431,11 @@ class TestProfileWeighting:
         path.write_text("{nope")
         with pytest.raises(AnalysisError):
             load_profile(str(path))
+
+    def test_unmatched_spans_keep_their_time(self, build):
+        program = build(SEEDED_TREE)
+        profile = {"Scheduler.on_request": 2.0, "EventLoop.schedule": 0.25}
+        assert unmatched_spans(program, profile) == {"EventLoop.schedule": 0.25}
 
     def test_weights_flow_through_closure(self, build):
         program = build(SEEDED_TREE)

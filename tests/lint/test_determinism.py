@@ -49,6 +49,32 @@ class TestSameSeedSameDigest:
         shinjuku = [r.system for r in reports if "Shinjuku" in r.system]
         assert len(set(shinjuku)) == 3
 
+    def test_third_run_attaches_tracer_and_probe_sharing_one_monitor(
+        self, monkeypatch
+    ):
+        from repro.analyze.determinism import check_chaos_all
+        from repro.telemetry import TelemetryProbe
+        from repro.trace import Tracer
+
+        installed = []
+        for cls in (Tracer, TelemetryProbe):
+            original = cls.install
+
+            def install(self, *args, _original=original, **kwargs):
+                installed.append(self)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "install", install)
+        system = SYSTEM_FACTORIES["persephone"]
+        report = check_system(system(), high_bimodal(), n_requests=300, seed=5)
+        (chaos,) = check_chaos_all([system()], n_requests=300, seed=5)
+        assert report.identical and chaos.identical
+        assert len(installed) == 4
+        for tracer, probe in zip(installed[0::2], installed[1::2]):
+            assert isinstance(tracer, Tracer) and isinstance(probe, TelemetryProbe)
+            assert probe.tail_monitor is tracer.tail_monitor
+            assert tracer.samples and probe.scrapes > 1
+
     def test_report_describe_mentions_verdict(self):
         report = check_system(
             SYSTEM_FACTORIES["shenango"](), high_bimodal(), n_requests=300, seed=5
