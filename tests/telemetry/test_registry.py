@@ -216,3 +216,55 @@ class TestLookupCache:
         ]
         # The rebuilt registry resolves raw calls onto its restored series.
         assert rebuilt.counter("repro_x_total", type=1) is rebuilt.get('repro_x_total{type="1"}')
+
+
+class TestTimeline:
+    @staticmethod
+    def _reference(scrapes, registry, times, series):
+        """One scrape as a walk over ``registry.sample_items()``."""
+        index = len(times)
+        times.append(len(times))
+        changed = 0
+        for key, family, value in registry.sample_items():
+            if key not in series:
+                series[key] = (family, [])
+            points = series[key][1]
+            if not points or points[-1][1] != value:
+                points.append((index, value))
+                changed += 1
+        scrapes.append(changed)
+
+    def test_bound_walk_matches_a_walk_over_sample_items(self):
+        from repro.telemetry.timeline import MetricsTimeline
+
+        reg = MetricsRegistry()
+        timeline = MetricsTimeline()
+        expected_changes, times, series = [], [], {}
+        changes = []
+
+        def scrape():
+            changes.append(timeline.record(float(len(timeline.times)), reg))
+            self._reference(expected_changes, reg, times, series)
+
+        reg.counter("repro_b_total", type=1).inc()
+        reg.gauge("repro_level").set(2)
+        scrape()
+        scrape()
+        # A later series of the first family, a histogram, then a NaN.
+        reg.counter("repro_b_total", type=0).inc(3)
+        hist = reg.histogram("repro_lat_us", bounds=(1.0, 10.0))
+        hist.observe(5.0)
+        scrape()
+        reg.gauge("repro_level").set(float("nan"))
+        hist.observe(0.5)
+        scrape()
+        scrape()
+        reg.gauge("repro_a", type=7).set(1)
+        reg.counter("repro_b_total", type=2)
+        scrape()
+        assert changes == expected_changes
+        assert list(timeline.series) == list(series)
+        for key, (family, points) in series.items():
+            track = timeline.series[key]
+            assert track.family == family
+            assert repr(track.points) == repr(points)
