@@ -54,7 +54,7 @@ CONTRACTS: Tuple[ContractSpec, ...] = (
             "bind",
             "on_worker_crash",
             "on_worker_recover",
-            "attach_tracer",
+            "attach_observer",
         ),
     ),
     ContractSpec(

@@ -125,10 +125,10 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "error",
             "contracts",
             "An override of a chained contract method (__init__, "
-            "on_worker_crash, on_worker_recover, attach_tracer) never "
+            "on_worker_crash, on_worker_recover, attach_observer) never "
             "calls super().  The base class maintains engine-side state "
             "in these methods (service-event registry, capacity "
-            "bookkeeping, tracer forwarding); skipping the chain strands "
+            "bookkeeping, observer hook binding); skipping the chain strands "
             "that state.",
         ),
         RuleMeta(

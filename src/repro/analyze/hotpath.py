@@ -76,8 +76,9 @@ SCHEDULER_HOT_METHODS = (
 #: defines ``on_loop_event``, which the event loop calls after events
 #: that reach the observer's due time): the loop hook itself plus the
 #: per-request push hooks.  Hook
-#: sites reach observers through attributes (``self.tracer``) that call
-#: resolution cannot follow, so the roots are named here.
+#: sites reach observers through hook slots bound at attach time
+#: (``self._complete_hooks``), which call resolution cannot follow, so
+#: the roots are named here.
 OBSERVER_HOT_METHODS = (
     "on_loop_event",
     "on_ingress",

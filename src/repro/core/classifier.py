@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import ClassifierError
+from ..sim.engine import bind_hooks
 from ..sim.units import nanoseconds
 from ..workload.request import UNKNOWN_TYPE, Request
 
@@ -33,9 +34,12 @@ class RequestClassifier(ABC):
         self.cost_us = cost_us
         self.classified = 0
         self.unknown = 0
-        #: Optional :class:`~repro.trace.tracer.Tracer` (set by DARC's
-        #: ``attach_tracer``); None when tracing is off.
-        self.tracer = None
+        #: ``on_classified`` hook slot, bound by :meth:`attach_observer`.
+        self._classified_hooks = None
+
+    def attach_observer(self, observer) -> None:
+        """Bind ``observer``'s ``on_classified`` hook, if it has one."""
+        bind_hooks(self, observer, ("on_classified",))
 
     @abstractmethod
     def _classify(self, request: Request) -> int:
@@ -48,8 +52,9 @@ class RequestClassifier(ABC):
         self.classified += 1
         if type_id == UNKNOWN_TYPE:
             self.unknown += 1
-        if self.tracer is not None:
-            self.tracer.on_classified(request, type_id)
+        if self._classified_hooks is not None:
+            for hook in self._classified_hooks:
+                hook(request, type_id)
         return type_id
 
 

@@ -246,11 +246,11 @@ class DarcScheduler(Scheduler):
     # ------------------------------------------------------------------
     # binding / oracle setup
     # ------------------------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Forward the tracer to the classifier so the decision log sees
-        every classification on the dispatch path."""
-        super().attach_tracer(tracer)
-        self.classifier.tracer = tracer
+    def attach_observer(self, observer) -> None:
+        """Forward the observer to the classifier too, so it sees every
+        classification on the dispatch path."""
+        super().attach_observer(observer)
+        self.classifier.attach_observer(observer)
 
     def on_bound(self) -> None:
         self._waste_last_t = self.loop.now
@@ -515,9 +515,9 @@ class DarcScheduler(Scheduler):
     # changes any worker or queue: here, in on_request, and at crash and
     # recovery.  completion_hook and on_worker_free run inside _complete,
     # at the instant it has already ticked.
-    def _complete(self, worker: Worker, request: Request) -> None:
+    def _complete(self, worker: Worker, request: Request, overhead: float = 0.0) -> None:
         self._tick_waste()
-        super()._complete(worker, request)
+        super()._complete(worker, request, overhead)
 
     def on_worker_crash(self, worker: Worker, requeue: bool = True) -> Optional[Request]:
         self._tick_waste()
@@ -699,17 +699,9 @@ class DarcScheduler(Scheduler):
                 for tid in covered
             }
             self.reservation_log.append((self.loop.now, reserved_counts))
-            if self.tracer is not None:
-                self.tracer.on_reservation(
-                    self._last_entries,
-                    reserved_counts,
-                    self.reservation.spillway_worker,
-                    len(alive),
-                )
-            if self.telemetry is not None:
-                self.telemetry.on_reservation(
-                    self.reservation, reserved_counts, len(alive)
-                )
+            if self._reservation_hooks is not None:
+                for hook in self._reservation_hooks:
+                    hook(self._last_entries, self.reservation, reserved_counts, len(alive))
         # Newly-permitted idle workers should pick up pending work now.
         for tid in self._order:
             self._dispatch_type(tid)

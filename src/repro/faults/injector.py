@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..server.server import Server
-from ..sim.engine import EventLoop
+from ..sim.engine import EventLoop, bind_hooks
 from ..workload.request import Request
 from .plan import (
     FaultPlan,
@@ -60,8 +60,8 @@ class FaultInjector:
         self._sink = None
         self._armed = False
         self._dup_seq = 0
-        #: Optional :class:`~repro.trace.tracer.Tracer` fed fault events.
-        self._tracer = None
+        #: ``on_fault`` hook slot, bound by :meth:`attach_observer`.
+        self._fault_hooks = None
 
         #: Chronological record of injected faults: (time, kind, detail).
         self.log: List[Tuple[float, str, int]] = []
@@ -110,9 +110,17 @@ class FaultInjector:
                     loop.call_at(event.until, self._slowdown_end, event)  # repro-analyze: disable=A002
             # Packet windows are consulted per-arrival in ingress().
 
-    def attach_tracer(self, tracer) -> None:
-        """Feed fault events into a tracer's scheduler decision log."""
-        self._tracer = tracer
+    def attach_observer(self, observer) -> None:
+        """Feed fault events to ``observer``'s ``on_fault`` hook (a
+        tracer books them in its decision log)."""
+        bind_hooks(self, observer, ("on_fault",))
+
+    def _book(self, now: float, kind: str, detail: int, **payload) -> None:
+        """Log one injected fault and report it to the observers."""
+        self.log.append((now, kind, detail))
+        if self._fault_hooks is not None:
+            for hook in self._fault_hooks:
+                hook(kind, **payload)
 
     # ------------------------------------------------------------------
     # worker faults
@@ -129,14 +137,14 @@ class FaultInjector:
                 self.requeued += 1
             else:
                 self.dropped_in_flight += 1
-        self.log.append((self._loop.now, "crash", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault(
-                "crash",
-                worker=event.worker_id,
-                victim_rid=None if victim is None else victim.rid,
-                requeue=event.requeue,
-            )
+        self._book(
+            self._loop.now,
+            "crash",
+            event.worker_id,
+            worker=event.worker_id,
+            victim_rid=None if victim is None else victim.rid,
+            requeue=event.requeue,
+        )
 
     def _recover(self, event: WorkerRecover) -> None:
         assert self._server is not None and self._loop is not None
@@ -145,9 +153,7 @@ class FaultInjector:
             return
         self._server.scheduler.on_worker_recover(worker)
         self.recoveries += 1
-        self.log.append((self._loop.now, "recover", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault("recover", worker=event.worker_id)
+        self._book(self._loop.now, "recover", event.worker_id, worker=event.worker_id)
 
     def _slowdown_start(self, event: WorkerSlowdown) -> None:
         assert self._server is not None and self._loop is not None
@@ -155,11 +161,9 @@ class FaultInjector:
         worker.set_speed(event.factor)
         self._server.scheduler.on_worker_speed(worker)
         self.slowdowns += 1
-        self.log.append((self._loop.now, "slowdown", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault(
-                "slowdown", worker=event.worker_id, factor=event.factor
-            )
+        self._book(
+            self._loop.now, "slowdown", event.worker_id, worker=event.worker_id, factor=event.factor
+        )
 
     def _slowdown_end(self, event: WorkerSlowdown) -> None:
         assert self._server is not None and self._loop is not None
@@ -168,9 +172,7 @@ class FaultInjector:
         # restoring to full speed twice is harmless.
         worker.set_speed(1.0)
         self._server.scheduler.on_worker_speed(worker)
-        self.log.append((self._loop.now, "slowdown-end", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault("slowdown-end", worker=event.worker_id)
+        self._book(self._loop.now, "slowdown-end", event.worker_id, worker=event.worker_id)
 
     # ------------------------------------------------------------------
     # packet faults (the ingress interposition point)
@@ -183,9 +185,7 @@ class FaultInjector:
         for window in self._drop_windows:
             if window.active(now) and self.rng.random() < window.probability:
                 self.packets_dropped += 1
-                self.log.append((now, "packet-drop", request.rid))
-                if self._tracer is not None:
-                    self._tracer.on_fault("packet-drop", rid=request.rid)
+                self._book(now, "packet-drop", request.rid, rid=request.rid)
                 return  # lost on the wire; only a client timeout rescues it
         self._sink(request)
         for window in self._dup_windows:
@@ -199,11 +199,7 @@ class FaultInjector:
                 dup.retry_of = request.rid
                 self._dup_seq += 1
                 self.packets_duplicated += 1
-                self.log.append((now, "packet-dup", request.rid))
-                if self._tracer is not None:
-                    self._tracer.on_fault(
-                        "packet-dup", rid=request.rid, dup_rid=dup.rid
-                    )
+                self._book(now, "packet-dup", request.rid, rid=request.rid, dup_rid=dup.rid)
                 self._sink(dup)
 
     # ------------------------------------------------------------------

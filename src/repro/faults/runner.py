@@ -152,7 +152,7 @@ def run_chaos(
 
     ``metrics_path`` (or an explicit ``telemetry`` probe) collects the
     virtual-time metrics plane over the episode — including the
-    ``repro_faults_injected_total`` family and the netstack gauges — and
+    injector's ``repro_fault_injector_total{kind}`` counters — and
     writes the ``.prom``/``.jsonl``/``.html`` exports next to the trace.
     """
     if utilization <= 0:

@@ -8,7 +8,7 @@ long-running monitors where storing every sample is undesirable.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,103 +59,116 @@ class P2Quantile:
         self._n: Optional[List[int]] = None
         self._np: Optional[List[float]] = None
         self._heights: Optional[List[float]] = None
-        #: Per-update moves of the three middle desired positions,
-        #: computed once the markers initialise.
-        self._dn: Tuple[float, float, float] = (0.0, 0.0, 0.0)
         self.count = 0
 
     def update(self, x: float) -> None:
-        self.count += 1
-        heights = self._heights
-        if heights is None:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._n = [0, 1, 2, 3, 4]
-                q = self.q
-                self._np = [0.0, 2 * q, 4 * q, 2 + 2 * q, 4.0]
-                self._dn = (q / 2, q, (1 + q) / 2)
-            return
-        n = self._n
-        n_desired = self._np
-        # Find the cell k containing x and clamp the extremes.  The
-        # comparisons run in the order the textbook loop makes them, so
-        # an unordered x (NaN) still lands in cell 0.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        elif x < heights[1]:
-            k = 0
-        elif x < heights[2]:
-            k = 1
-        elif x < heights[3]:
-            k = 2
-        elif x < heights[4]:
-            k = 3
-        else:
-            k = 0
-        if k < 1:
-            n[1] += 1
-        if k < 2:
-            n[2] += 1
-        if k < 3:
-            n[3] += 1
-        n[4] += 1
-        # Desired positions move by (0, q/2, q, (1+q)/2, 1); marker 0's
-        # stays at exactly 0.0, so adding its zero increment is skipped.
-        dn1, dn2, dn3 = self._dn
-        n_desired[1] += dn1
-        n_desired[2] += dn2
-        n_desired[3] += dn3
-        n_desired[4] += 1.0
-        # Adjust the three middle markers with the parabolic formula, in
-        # order: each adjustment moves n[i], which the next one reads.
-        d = n_desired[1] - n[1]
-        if d >= 1:
-            if n[2] - n[1] > 1:
-                self._adjust(1, 1)
-        elif d <= -1 and n[0] - n[1] < -1:
-            self._adjust(1, -1)
-        d = n_desired[2] - n[2]
-        if d >= 1:
-            if n[3] - n[2] > 1:
-                self._adjust(2, 1)
-        elif d <= -1 and n[1] - n[2] < -1:
-            self._adjust(2, -1)
-        d = n_desired[3] - n[3]
-        if d >= 1:
-            if n[4] - n[3] > 1:
-                self._adjust(3, 1)
-        elif d <= -1 and n[2] - n[3] < -1:
-            self._adjust(3, -1)
+        self.update_many((x,))
 
-    def _adjust(self, i: int, sign: int) -> None:
-        """Move marker ``i`` one position toward its desired position."""
-        assert self._heights is not None and self._n is not None
-        heights = self._heights
-        candidate = self._parabolic(i, sign)
-        if heights[i - 1] < candidate < heights[i + 1]:
-            heights[i] = candidate
-        else:
-            heights[i] = self._linear(i, sign)
-        self._n[i] += sign
-
-    def _parabolic(self, i: int, sign: int) -> float:
-        assert self._heights is not None and self._n is not None
-        h, n = self._heights, self._n
-        return h[i] + sign / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, sign: int) -> float:
-        assert self._heights is not None and self._n is not None
-        h, n = self._heights, self._n
-        return h[i] + sign * (h[i + sign] - h[i]) / (n[i + sign] - n[i])
+    def update_many(self, xs: Sequence[float]) -> None:
+        """Feed every value of ``xs``, in order, with the markers in
+        locals for the whole block.  The float operations are the
+        textbook loop's, in its order, so the markers come out
+        bit-identical however a stream is split into blocks."""
+        self.count += len(xs)
+        it = iter(xs)
+        if self._heights is None:
+            initial = self._initial
+            for x in it:
+                initial.append(x)
+                if len(initial) == 5:
+                    initial.sort()
+                    self._heights = list(initial)
+                    self._n = [0, 1, 2, 3, 4]
+                    q = self.q
+                    self._np = [0.0, 2 * q, 4 * q, 2 + 2 * q, 4.0]
+                    break
+            else:
+                return
+        h0, h1, h2, h3, h4 = self._heights
+        # Marker 0's positions stay 0, so they are left out; marker 4's
+        # position and desired position both start at 4 and gain 1 per
+        # value, so they are one number.  Positions are held as floats,
+        # exact for integers below 2**53, so every operation is float.
+        _, n1, n2, n3, _ = map(float, self._n)
+        _, np1, np2, np3, n4 = self._np
+        # Per-value moves of the middle desired positions.
+        q = self.q
+        dn1, dn2, dn3 = q / 2, q, (1 + q) / 2
+        for x in it:
+            # Find x's cell, clamp the extremes and move the positions
+            # above it.  The comparisons run in the textbook's order, so
+            # an unordered x (NaN) still lands in cell 0.
+            if x < h0:
+                h0 = x
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif x < h1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x < h2:
+                n2 += 1.0
+                n3 += 1.0
+            elif x < h3:
+                n3 += 1.0
+            elif not x < h4:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            n4 += 1.0
+            np1 += dn1
+            np2 += dn2
+            np3 += dn3
+            # Move each middle marker one position toward its desired
+            # position, in order: each move changes a position the next
+            # marker reads.  Parabolic prediction, linear as fallback.
+            d = np1 - n1
+            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n1 > 1.0):
+                s = 1.0 if d > 0.0 else -1.0
+                c = h1 + s / n2 * (
+                    (n1 + s) * (h2 - h1) / (n2 - n1) + (n2 - n1 - s) * (h1 - h0) / n1
+                )
+                if h0 < c < h2:
+                    h1 = c
+                elif s > 0.0:
+                    h1 = h1 + s * (h2 - h1) / (n2 - n1)
+                else:
+                    h1 = h1 + s * (h0 - h1) / -n1
+                n1 += s
+            d = np2 - n2
+            if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+                s = 1.0 if d > 0.0 else -1.0
+                c = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                )
+                if h1 < c < h3:
+                    h2 = c
+                elif s > 0.0:
+                    h2 = h2 + s * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 = h2 + s * (h1 - h2) / (n1 - n2)
+                n2 += s
+            d = np3 - n3
+            if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+                s = 1.0 if d > 0.0 else -1.0
+                c = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                )
+                if h2 < c < h4:
+                    h3 = c
+                elif s > 0.0:
+                    h3 = h3 + s * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 = h3 + s * (h2 - h3) / (n2 - n3)
+                n3 += s
+        self._heights = [h0, h1, h2, h3, h4]
+        self._n = [0, int(n1), int(n2), int(n3), int(n4)]
+        self._np = [0.0, np1, np2, np3, n4]
 
     def value(self) -> float:
         """Current quantile estimate; NaN before any samples."""

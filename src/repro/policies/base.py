@@ -15,16 +15,22 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..server.worker import Worker, WorkerCounts, shared_counts
-from ..sim.engine import EventLoop
+from ..sim.engine import EventLoop, bind_hooks
 from ..sim.events import Event
 from ..workload.request import Request
 
 CompletionCallback = Callable[[Request], None]
 DropCallback = Callable[[Request], None]
+
+#: The observer hooks a scheduler's sites call (see :func:`bind_hooks`).
+SCHEDULER_HOOKS = (
+    "on_dispatch", "on_complete", "on_drop", "on_evict",
+    "on_preempt", "on_steal", "on_reservation",
+)
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,13 @@ class Scheduler(ABC):
         self._on_complete: Optional[CompletionCallback] = None
         self._on_drop: Optional[DropCallback] = None
         self._bound = False
-        #: Optional :class:`~repro.trace.tracer.Tracer`; None when off,
-        #: making every hook site a single ``is None`` test.
-        self.tracer = None
-        #: Optional :class:`~repro.telemetry.probe.TelemetryProbe`;
-        #: same contract as the tracer (pure observer, None when off).
-        self.telemetry = None
+        #: Attached observers (a Tracer, a TelemetryProbe, ...), in
+        #: attach order.
+        self.observers: Tuple[Any, ...] = ()
+        # One slot per hook in SCHEDULER_HOOKS: None while unobserved.
+        self._dispatch_hooks = self._complete_hooks = self._drop_hooks = None
+        self._evict_hooks = self._preempt_hooks = self._steal_hooks = None
+        self._reservation_hooks = None
         #: worker_id -> the pending service event (completion, quantum
         #: boundary, ...) for the request currently on that core.  Fault
         #: injection cancels this event when the core crashes mid-service.
@@ -110,21 +117,15 @@ class Scheduler(ABC):
     def on_bound(self) -> None:
         """Hook for subclasses to build per-worker state after binding."""
 
-    def attach_tracer(self, tracer) -> None:
-        """Install (or detach, with ``None``) a request tracer.
+    def attach_observer(self, observer) -> None:
+        """Bind each of ``observer``'s :data:`SCHEDULER_HOOKS` to its
+        site; every attached observer defining a hook gets every call.
 
         Subclasses with additional observable components (DARC's
-        classifier) override this to forward the tracer to them.
+        classifier) override this to forward the observer to them.
         """
-        self.tracer = tracer
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Install (or detach, with ``None``) a telemetry probe.
-
-        The probe's push hooks fire at the same sites as the tracer's
-        (completion, drop, eviction, preemption, steal, reservation).
-        """
-        self.telemetry = telemetry
+        self.observers += (observer,)
+        bind_hooks(self, observer, SCHEDULER_HOOKS)
 
     # ------------------------------------------------------------------
     # the policy surface
@@ -163,8 +164,9 @@ class Scheduler(ABC):
         now = self.loop.now
         request.dispatch_time = now
         worker.begin(request, now)
-        if self.tracer is not None:
-            self.tracer.on_dispatch(request, worker)
+        if self._dispatch_hooks is not None:
+            for hook in self._dispatch_hooks:
+                hook(request, worker, now)
         occupancy = request.remaining_time * worker.speed_factor
         if worker.speed_factor != 1.0:
             # A straggling core holds the request longer than its nominal
@@ -172,18 +174,19 @@ class Scheduler(ABC):
             request.overhead_time += occupancy - request.remaining_time
         self.schedule_service_event(worker, occupancy, self._complete, worker, request)
 
-    def _complete(self, worker: Worker, request: Request) -> None:
+    def _complete(self, worker: Worker, request: Request, overhead: float = 0.0) -> None:
+        """``request`` finished on ``worker``; ``overhead`` is the part of
+        its occupancy that was scheduling cost (a steal's)."""
         assert self.loop is not None
         now = self.loop.now
         self._service_events.pop(worker.worker_id, None)
-        worker.end(now)
+        worker.end(now, overhead)
         worker.completed += 1
         request.remaining_time = 0.0
         request.finish_time = now
-        if self.tracer is not None:
-            self.tracer.on_complete(request, worker)
-        if self.telemetry is not None:
-            self.telemetry.on_complete(request, worker)
+        if self._complete_hooks is not None:
+            for hook in self._complete_hooks:
+                hook(request, worker, now)
         if self._on_complete is not None:
             self._on_complete(request)
         self.completion_hook(worker, request)
@@ -196,10 +199,9 @@ class Scheduler(ABC):
     def drop(self, request: Request) -> None:
         """Flow control: reject ``request`` (bounded queue overflow)."""
         request.dropped = True
-        if self.tracer is not None:
-            self.tracer.on_drop(request)
-        if self.telemetry is not None:
-            self.telemetry.on_drop(request)
+        if self._drop_hooks is not None:
+            for hook in self._drop_hooks:
+                hook(request)
         if self._on_drop is not None:
             self._on_drop(request)
 
@@ -221,10 +223,9 @@ class Scheduler(ABC):
             if event is not None:
                 event.cancel()
             victim = worker.end(self.loop.now)
-            if self.tracer is not None:
-                self.tracer.on_evict(victim, worker, requeue)
-            if self.telemetry is not None:
-                self.telemetry.on_evict(victim, worker, requeue)
+            if self._evict_hooks is not None:
+                for hook in self._evict_hooks:
+                    hook(victim, worker, requeue)
             # The crashed attempt is wasted occupancy, not service.
             victim.worker_id = None
             victim.dispatch_time = None

@@ -234,49 +234,25 @@ class WorkStealingFCFS(DecentralizedFCFS):
         request = self.queues[victim].popleft()
         self.queued -= 1
         self.steals += 1
-        if self.tracer is not None:
-            self.tracer.on_decision(
-                "steal",
-                rid=request.rid,
-                thief=worker.worker_id,
-                victim=self.workers[victim].worker_id,
-                cost_us=self.steal_cost_us,
-            )
-        if self.telemetry is not None:
-            self.telemetry.on_steal(
-                request, worker, self.workers[victim].worker_id, self.steal_cost_us
-            )
+        if self._steal_hooks is not None:
+            for hook in self._steal_hooks:
+                hook(request, worker, self.workers[victim].worker_id, self.steal_cost_us)
         if self.steal_cost_us > 0:
             # The steal costs coordination time before service starts.
             now = self.loop.now
             request.overhead_time += self.steal_cost_us
             worker.begin(request, now)
             request.dispatch_time = now
-            if self.tracer is not None:
-                self.tracer.on_dispatch(request, worker)
+            if self._dispatch_hooks is not None:
+                for hook in self._dispatch_hooks:
+                    hook(request, worker, now)
             self.schedule_service_event(
                 worker,
                 request.remaining_time * worker.speed_factor + self.steal_cost_us,
-                self._complete_stolen,
+                self._complete,
                 worker,
                 request,
+                self.steal_cost_us,
             )
         else:
             self.begin_service(worker, request)
-
-    def _complete_stolen(self, worker: Worker, request: Request) -> None:
-        assert self.loop is not None
-        now = self.loop.now
-        self._service_events.pop(worker.worker_id, None)
-        worker.end(now, overhead=self.steal_cost_us)
-        worker.completed += 1
-        request.remaining_time = 0.0
-        request.finish_time = now
-        if self.tracer is not None:
-            self.tracer.on_complete(request, worker)
-        if self.telemetry is not None:
-            self.telemetry.on_complete(request, worker)
-        if self._on_complete is not None:
-            self._on_complete(request)
-        self.completion_hook(worker, request)
-        self.on_worker_free(worker)

@@ -112,12 +112,14 @@ class ShortestRemainingProcessingTime(Scheduler):
             request.overhead_time += cost
             self.schedule_service_event(worker, cost, self._preempt_done, worker, request, cost)
         else:
-            worker.end(now)
-            self._push(request)
-            self.on_worker_free(worker)
+            self._preempt_done(worker, request, 0.0)
 
     def _preempt_done(self, worker: Worker, request: Request, cost: float) -> None:
+        """The core is released after ``cost`` of preemption overhead."""
         worker.end(self.loop.now, overhead=cost)
+        if self._preempt_hooks is not None:
+            for hook in self._preempt_hooks:
+                hook(request, worker, cost)
         self._push(request)
         self.on_worker_free(worker)
 
@@ -126,6 +128,9 @@ class ShortestRemainingProcessingTime(Scheduler):
         if request.dispatch_time is None:
             request.dispatch_time = now
         worker.begin(request, now)
+        if self._dispatch_hooks is not None:
+            for hook in self._dispatch_hooks:
+                hook(request, worker, now)
         finish_event = self.schedule_service_event(
             worker, request.remaining_time, self._finish, worker, request
         )
@@ -138,16 +143,8 @@ class ShortestRemainingProcessingTime(Scheduler):
         return super().on_worker_crash(worker, requeue=requeue)
 
     def _finish(self, worker: Worker, request: Request) -> None:
-        now = self.loop.now
         self._running.pop(worker.worker_id, None)
-        worker.end(now)
-        worker.completed += 1
-        request.remaining_time = 0.0
-        request.finish_time = now
-        if self._on_complete is not None:
-            self._on_complete(request)
-        self.completion_hook(worker, request)
-        self.on_worker_free(worker)
+        self._complete(worker, request)
 
     def on_worker_free(self, worker: Worker) -> None:
         if not worker.is_free:

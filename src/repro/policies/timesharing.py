@@ -42,8 +42,9 @@ Settled laps are credited to :attr:`EventLoop.events_processed`, so the
 event count matches the per-quantum path's.  When an enqueue ends the
 certainty of some chains, the earliest of their laps becomes one real
 boundary event (the stand-in) that runs the full boundary decision.
-Runs with a tracer, a telemetry probe or any loop observer stay on the
-per-quantum path, so every slice is observed at its own time.
+Runs with a scheduler observer (a tracer, a telemetry probe) or any
+loop observer stay on the per-quantum path, so every slice is observed
+at its own time.
 """
 
 from __future__ import annotations
@@ -346,8 +347,9 @@ class TimeSharing(Scheduler):
         if request.dispatch_time is None:
             request.dispatch_time = now
         worker.begin(request, now)
-        if self.tracer is not None:
-            self.tracer.on_dispatch(request, worker)
+        if self._dispatch_hooks is not None:
+            for hook in self._dispatch_hooks:
+                hook(request, worker, now)
         self._book_slice(worker, request)
 
     def _book_slice(self, worker: Worker, request: Request) -> None:
@@ -387,7 +389,7 @@ class TimeSharing(Scheduler):
         """True when every boundary of the slice being booked will hand
         ``request`` back unless another type is enqueued first, and no
         observer needs to see each slice."""
-        if self.tracer is not None or self.telemetry is not None or self.loop.observers:
+        if self.observers or self.loop.observers:
             return False
         if self.mode == "single":
             return not self.queued
@@ -857,19 +859,7 @@ class TimeSharing(Scheduler):
                 self._settle_type(chain.tid, now)
                 self._replay(chain, len(chain.times))
                 self._drop_chain(chain, len(chain.times))
-        self._service_events.pop(worker.worker_id, None)
-        worker.end(now)
-        worker.completed += 1
-        request.remaining_time = 0.0
-        request.finish_time = now
-        if self.tracer is not None:
-            self.tracer.on_complete(request, worker)
-        if self.telemetry is not None:
-            self.telemetry.on_complete(request, worker)
-        if self._on_complete is not None:
-            self._on_complete(request)
-        self.completion_hook(worker, request)
-        self.on_worker_free(worker)
+        self._complete(worker, request)
 
     def _slice_preempted(
         self, worker: Worker, request: Request, slice_us: float, cost: float
@@ -901,10 +891,9 @@ class TimeSharing(Scheduler):
         else:
             self._service_events.pop(worker.worker_id, None)
             worker.end(now, overhead=cost)
-        if self.tracer is not None:
-            self.tracer.on_preempt(request, worker, cost)
-        if self.telemetry is not None:
-            self.telemetry.on_preempt(request, worker, cost)
+        if self._preempt_hooks is not None:
+            for hook in self._preempt_hooks:
+                hook(request, worker, cost)
         request.remaining_time -= slice_us
         request.preemption_count += 1
         request.overhead_time += cost
@@ -917,8 +906,9 @@ class TimeSharing(Scheduler):
             # core hand-over: the same vtime charge, dispatch and booking.
             if tid is not None:
                 self._charge_vtime(tid, request)
-            if self.tracer is not None:
-                self.tracer.on_dispatch(request, worker)
+            if self._dispatch_hooks is not None:
+                for hook in self._dispatch_hooks:
+                    hook(request, worker, now)
             self._book_slice(worker, request)
         if self._lazy:
             # The next uncertain lap, if any, gets its own boundary.

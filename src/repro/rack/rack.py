@@ -396,7 +396,7 @@ def run_rack(
     if telemetry is not None:
         telemetry.install(loop)
         for server in servers:
-            server.attach_telemetry(telemetry)
+            server.attach_observer(telemetry)
         telemetry.register_rack(rack)
 
     per_server_peak = spec.peak_load(config.n_workers)

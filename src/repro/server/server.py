@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, List, Optional
 from ..errors import ConfigurationError
 from ..metrics.recorder import Recorder
 from ..metrics.utilization import UtilizationReport
-from ..sim.engine import EventLoop
+from ..sim.engine import EventLoop, bind_hooks
 
 if TYPE_CHECKING:  # avoid a circular import (policies.base uses Worker)
     from ..policies.base import Scheduler
@@ -59,10 +59,8 @@ class Server:
             completion_sink if completion_sink is not None else self.recorder.on_complete
         )
         self._drop_sink = drop_sink if drop_sink is not None else self.recorder.on_drop
-        #: Optional per-request observer (``repro.trace``); None when off.
-        self._tracer = None
-        #: Optional metrics probe (``repro.telemetry``); None when off.
-        self._telemetry = None
+        # Ingress hook slots (see attach_observer): None while unobserved.
+        self._ingress_hooks = self._dispatcher_drop_hooks = None
         scheduler.bind(loop, self.workers, self._completion_sink, self._drop_sink)
         #: Ingress runs once per arrival; the config is immutable for the
         #: server's lifetime, so the property sums and the scheduler's
@@ -73,22 +71,17 @@ class Server:
         self._dispatcher_queue_capacity = self.config.dispatcher_queue_capacity
         self._on_request = scheduler.on_request
 
-    def attach_tracer(self, tracer) -> None:
-        """Install a :class:`~repro.trace.tracer.Tracer` on the ingress
-        path and forward it to the scheduler's own hook sites."""
-        self._tracer = tracer
-        self.scheduler.attach_tracer(tracer)
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Install a :class:`~repro.telemetry.probe.TelemetryProbe` and
-        forward it to the scheduler's push-hook sites."""
-        self._telemetry = telemetry
-        self.scheduler.attach_telemetry(telemetry)
+    def attach_observer(self, observer) -> None:
+        """Bind ``observer``'s ``on_ingress``/``on_dispatcher_drop``
+        hooks on the ingress path and forward it to the scheduler's own
+        hook sites (:meth:`Scheduler.attach_observer`)."""
+        bind_hooks(self, observer, ("on_ingress", "on_dispatcher_drop"))
+        self.scheduler.attach_observer(observer)
 
     def ingress(self, request: Request) -> None:
         """Entry point for arriving requests (the generator's sink)."""
         self.received += 1
-        tracer = self._tracer
+        hooks = self._ingress_hooks
         loop = self.loop
         delay = self._ingress_delay_us
         cost = self._dispatcher_service_us
@@ -100,24 +93,31 @@ class Server:
                 # The dispatcher cannot keep up; the NIC ring overflows.
                 self.dispatcher_drops += 1
                 request.dropped = True
-                if tracer is not None:
-                    tracer.on_ingress(request, now)
-                    tracer.on_dispatcher_drop(request)
+                if hooks is not None:
+                    for hook in hooks:
+                        hook(request, now, now)
+                if self._dispatcher_drop_hooks is not None:
+                    for hook in self._dispatcher_drop_hooks:
+                        hook(request)
                 self._drop_sink(request)
                 return
             self._dispatcher_free_at = max(now, self._dispatcher_free_at) + cost
             sched_at = self._dispatcher_free_at + delay
-            if tracer is not None:
-                tracer.on_ingress(request, sched_at)
+            if hooks is not None:
+                for hook in hooks:
+                    hook(request, sched_at, now)
             loop.call_at(sched_at, self._on_request, request)
-        elif delay > 0:
-            if tracer is not None:
-                tracer.on_ingress(request, loop.now + delay)
-            loop.call_after(delay, self._on_request, request)
         else:
-            if tracer is not None:
-                tracer.on_ingress(request, loop.now)
-            self._on_request(request)
+            if hooks is not None:
+                now = loop.now
+                # No delay: one float for both, as spans keep both.
+                sched_at = now + delay if delay > 0 else now
+                for hook in hooks:
+                    hook(request, sched_at, now)
+            if delay > 0:
+                loop.call_after(delay, self._on_request, request)
+            else:
+                self._on_request(request)
 
     def utilization(self) -> UtilizationReport:
         """Utilization over the elapsed simulation time."""

@@ -85,6 +85,21 @@ def due_time(last: float, interval: float) -> float:
     return t
 
 
+def bind_hooks(owner: Any, observer: Any, hooks: Tuple[str, ...]) -> None:
+    """Append ``observer``'s bound ``on_<name>`` methods, for each name
+    in ``hooks`` it defines, to ``owner``'s ``_<name>_hooks`` slots.
+
+    A slot is None while no attached observer defines its hook, so an
+    unobserved site makes one ``is None`` test; otherwise the site calls
+    each bound method in the slot's tuple, in attach order.
+    """
+    for hook in hooks:
+        method = getattr(observer, hook, None)
+        if method is not None:
+            slot = f"_{hook[3:]}_hooks"
+            setattr(owner, slot, (getattr(owner, slot) or ()) + (method,))
+
+
 class EventLoop:
     """A deterministic discrete-event executor.
 

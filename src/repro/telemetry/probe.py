@@ -6,8 +6,10 @@ run via :meth:`install`, after which two kinds of instrumentation feed
 it:
 
 * **push hooks** — the scheduler base, time sharing, work stealing and
-  DARC call ``telemetry.on_*`` at the same sites that feed the tracer
-  (completion, drop, eviction, preemption, steal, reservation install);
+  DARC call the probe's ``on_*`` methods at the same hook sites that
+  feed the tracer (completion, drop, eviction, preemption, steal,
+  reservation install); :meth:`install` binds them with the server's
+  ``attach_observer``;
 * **pull sources** — at every scrape the probe reads engine counters,
   dispatcher state, worker occupancy, per-type queue depths, recorder
   totals, fault-injector counters and the streaming tail monitor.
@@ -23,9 +25,10 @@ armed probe leaves the simulated outcome bit-identical
 One monitor per server: when the server already carries a
 :class:`~repro.trace.tracer.Tracer` whose tail monitor has the probe's
 percentile and no samples yet, :meth:`install` adopts that monitor
-instead of feeding a second one.  Both hooks fire at the same completion
-sites with the same ``(type, latency)``, so the shared estimates are the
-ones two monitors would hold, at half the P² updates per completion.
+instead of feeding a second one (the first such tracer, when several
+are attached).  Both hooks fire at the same completion sites with the
+same ``(type, latency)``, so the shared estimates are the ones two
+monitors would hold, at half the P² updates per completion.
 
 Conservation: :meth:`reconcile` checks the final push counters against
 the :class:`~repro.metrics.recorder.Recorder` ledger the same way
@@ -79,7 +82,6 @@ class TelemetryProbe:
         self._server = None
         self._injector = None
         self._rack = None
-        self._netstack_nics: List[Any] = []
         #: Virtual time of the next scrape (set at install).
         self._next_scrape_at = 0.0
         self._finalized = False
@@ -100,8 +102,6 @@ class TelemetryProbe:
         self._drop_series: Dict[Any, Any] = {}
         #: requeued flag -> eviction counter
         self._evict_series: Dict[bool, Any] = {}
-        #: fault kind -> fault-event counter
-        self._fault_series: Dict[str, Any] = {}
         self._preempt_series: Optional[Tuple[Any, Any]] = None
         self._steal_series: Optional[Tuple[Any, Any]] = None
         # Pull-source series, bound on the first scrape for the same
@@ -126,7 +126,7 @@ class TelemetryProbe:
 
         One probe observes exactly one run.  ``server=None`` supports
         multi-server (rack) runs: attach the loop here, then forward the
-        probe to each replica with ``server.attach_telemetry(probe)``
+        probe to each replica with ``server.attach_observer(probe)``
         and register the rack via :meth:`register_rack`; such a probe
         keeps its own tail monitor.
 
@@ -142,19 +142,17 @@ class TelemetryProbe:
         self._next_scrape_at = due_time(loop.now, self.scrape_interval_us)
         loop.attach_observer(self)
         if server is not None:
-            tracer = server.scheduler.tracer
-            if isinstance(tracer, Tracer):
+            for tracer in server.scheduler.observers:
+                if not isinstance(tracer, Tracer):
+                    continue
                 monitor = tracer.tail_monitor
                 if monitor.pct == self.tail_monitor.pct and monitor.count() == 0:
                     self.tail_monitor = monitor
                     self._feeds_monitor = False
-            server.attach_telemetry(self)
+                    break
+            server.attach_observer(self)
         self.tail_monitor.register_gauges(self.registry)
         self.scrape(loop.now)
-
-    def register_netstack(self, nic) -> None:
-        """Add a NIC whose in-flight packet count is sampled each scrape."""
-        self._netstack_nics.append(nic)
 
     def register_rack(self, rack) -> None:
         """Sample a ``repro.rack`` rack every scrape: per-replica queue
@@ -162,27 +160,18 @@ class TelemetryProbe:
         counters, and the stale-view error gauge."""
         self._rack = rack
 
-    @property
-    def now(self) -> float:
-        if self._loop is None:
-            raise TelemetryError("probe not installed")
-        return self._loop.now
-
     # ------------------------------------------------------------------
     # push hooks (called from policies / DARC)
     # ------------------------------------------------------------------
-    def on_complete(self, request, worker) -> None:
+    def on_complete(self, request, worker, now: float) -> None:
         """``request`` finished application processing on ``worker``."""
-        loop = self._loop
-        if loop is None:
-            raise TelemetryError("probe not installed")
         tid = request.type_id
         series = self._completion_series.get(tid)
         if series is None:
             series = self._bind_completion(tid)
         completed, latencies = series
         completed.inc()
-        latency = loop.now - request.arrival_time
+        latency = now - request.arrival_time
         latencies.observe(latency)
         if self._feeds_monitor:
             self.tail_monitor.observe(tid, latency)
@@ -269,8 +258,11 @@ class TelemetryProbe:
         cost.inc(cost_us)
         self.steals += 1
 
-    def on_reservation(self, reservation, reserved_counts: Dict[int, int], n_alive: int) -> None:
-        """DARC installed a new reservation (Algorithm 2 output).
+    def on_reservation(
+        self, entries, reservation, reserved_counts: Dict[int, int], n_alive: int
+    ) -> None:
+        """DARC installed a new reservation (Algorithm 2 output) over
+        ``n_alive`` live workers; the profile ``entries`` go unused.
 
         ``reserved`` gauges the workers a type's group owns outright;
         ``yielding`` gauges the owned workers that shorter groups may
@@ -309,17 +301,6 @@ class TelemetryProbe:
         ).inc()
         self.reservation_updates += 1
 
-    def on_fault(self, kind: str, **payload: Any) -> None:
-        """A fault-injection event fired (crash/recover/slowdown/...)."""
-        events = self._fault_series.get(kind)
-        if events is None:
-            events = self._fault_series[kind] = self.registry.counter(
-                "repro_fault_events_total",
-                "Fault-plan events executed, by kind.",
-                kind=kind,
-            )
-        events.inc()
-
     # ------------------------------------------------------------------
     # the scrape loop (piggybacked on executed events)
     # ------------------------------------------------------------------
@@ -342,7 +323,6 @@ class TelemetryProbe:
         self._pull_scheduler(now)
         self._pull_recorder(now)
         self._pull_faults(now)
-        self._pull_netstack(now)
         self._pull_rack(now)
         self.registry.collect(now)
         self.timeline.record(now, self.registry)
@@ -499,14 +479,6 @@ class TelemetryProbe:
                     kind=key,
                 )
             counter.set_total(value)
-
-    def _pull_netstack(self, now: float) -> None:
-        for index, nic in enumerate(self._netstack_nics):
-            self.registry.gauge(
-                "repro_net_in_flight_packets",
-                "Packets queued in the NIC, by nic index.",
-                nic=index,
-            ).set(nic.pending())
 
     def _pull_rack(self, now: float) -> None:
         rack = self._rack

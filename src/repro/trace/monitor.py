@@ -11,17 +11,25 @@ The monitor is fed by :meth:`Tracer.on_complete` (and by
 :meth:`TelemetryProbe.on_complete` when the probe has no tracer's
 monitor to share), but is equally usable standalone as a completion
 sink.
+
+Feeding is batched: :meth:`TailMonitor.observe` appends to buffers
+that drain through the exact :meth:`P2Quantile.update_many` at
+:data:`FEED_BLOCK` values and before every read, so reads match
+per-value updates and memory stays O(1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..errors import TraceError
 from ..metrics.percentiles import P2Quantile
 
 #: Pseudo type id for the across-all-types estimator.
 OVERALL = -2
+
+#: Latencies buffered before the estimators are fed in one block.
+FEED_BLOCK = 256
 
 
 class TailMonitor:
@@ -32,30 +40,46 @@ class TailMonitor:
             raise TraceError(f"pct must be in (0,100), got {pct}")
         self.pct = pct
         self._q = pct / 100.0
-        self._overall = P2Quantile(self._q)
-        self._estimators: Dict[int, P2Quantile] = {OVERALL: self._overall}
+        self._estimators: Dict[int, P2Quantile] = {OVERALL: P2Quantile(self._q)}
+        #: type id -> latencies not yet fed to its estimator.
+        self._buffers: Dict[int, List[float]] = {OVERALL: []}
+        self._overall_buffer = self._buffers[OVERALL]
 
     def observe(self, type_id: int, latency_us: float) -> None:
         """Feed one completed request's latency."""
-        est = self._estimators.get(type_id)
-        if est is None:
-            est = P2Quantile(self._q)
-            self._estimators[type_id] = est
-        est.update(latency_us)
-        self._overall.update(latency_us)
+        buffer = self._buffers.get(type_id)
+        if buffer is None:
+            self._estimators[type_id] = P2Quantile(self._q)
+            buffer = self._buffers[type_id] = []
+        buffer.append(latency_us)
+        overall = self._overall_buffer
+        overall.append(latency_us)
+        if len(overall) >= FEED_BLOCK:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Feed every buffered latency to its estimator."""
+        estimators = self._estimators
+        for tid, buffer in self._buffers.items():
+            if buffer:
+                estimators[tid].update_many(buffer)
+                buffer.clear()
 
     def estimate(self, type_id: Optional[int] = None) -> float:
         """Current tail estimate for ``type_id`` (None = across all
         types); NaN before any samples of that type."""
+        self._drain()
         est = self._estimators.get(OVERALL if type_id is None else type_id)
         return float("nan") if est is None else est.value()
 
     def count(self, type_id: Optional[int] = None) -> int:
+        self._drain()
         est = self._estimators.get(OVERALL if type_id is None else type_id)
         return 0 if est is None else est.count
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """JSON-friendly {type: {pct, estimate, count}} digest."""
+        self._drain()
         out: Dict[str, Dict[str, float]] = {}
         for tid in sorted(self._estimators):
             est = self._estimators[tid]
@@ -82,6 +106,7 @@ class TailMonitor:
         gauges: Dict[int, object] = {}
 
         def sample(reg, now: float) -> None:
+            self._drain()
             for tid in sorted(self._estimators):
                 est = self._estimators[tid]
                 if est.count == 0:

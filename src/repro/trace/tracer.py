@@ -2,7 +2,8 @@
 
 One tracer instance observes one run: it is installed onto the event
 loop, server, scheduler, classifier and (optionally) fault injector via
-:meth:`Tracer.install`, after which every instrumentation site feeds it:
+:meth:`Tracer.install`, which binds its ``on_*`` hooks to their sites
+(``attach_observer``), after which every instrumentation site feeds it:
 
 * **spans** — per-request lifecycle events (ingress, classification,
   dispatch, preemption slices, eviction, completion/drop);
@@ -16,8 +17,10 @@ after the first event at or past its next sample time, which
 ``on_loop_event`` returns) rather than scheduled as events of its own,
 so an armed tracer adds *nothing* to the event heap:
 the simulated event sequence — and therefore every recorded latency —
-is bit-identical with tracing on or off.  With no tracer attached each
-hook site costs a single ``is None`` test.
+is bit-identical with tracing on or off.  With no observer attached
+each hook site costs a single ``is None`` test.  The per-request hooks
+(``on_ingress``, ``on_dispatch``, ``on_complete``) take the site's
+``now``; the rarer ones read the loop's clock.
 
 Determinism: the tracer reads only ``EventLoop.now`` and the objects it
 observes; it never consults a wall clock, never draws randomness, and
@@ -147,9 +150,9 @@ class Tracer:
         self._server = server
         self._next_sample_at = due_time(loop.now, self.sample_interval_us)
         loop.attach_observer(self)
-        server.attach_tracer(self)
+        server.attach_observer(self)
         if injector is not None:
-            injector.attach_tracer(self)
+            injector.attach_observer(self)
 
     @property
     def now(self) -> float:
@@ -167,10 +170,9 @@ class Tracer:
     # ------------------------------------------------------------------
     # span hooks (called from server / policies / classifier)
     # ------------------------------------------------------------------
-    def on_ingress(self, request, sched_at: float) -> None:
-        """``request`` reached ``Server.ingress``; the dispatcher will
-        hand it to the scheduler at ``sched_at``."""
-        now = self.now
+    def on_ingress(self, request, sched_at: float, now: float) -> None:
+        """``request`` reached ``Server.ingress`` at ``now``; the
+        dispatcher will hand it to the scheduler at ``sched_at``."""
         rid = request.rid
         if rid in self.spans:
             raise TraceError(f"duplicate ingress for rid={rid}")
@@ -196,9 +198,12 @@ class Tracer:
         if span is not None:
             span.classified_type = type_id
 
-    def on_dispatch(self, request, worker) -> None:
+    def on_dispatch(self, request, worker, now: float) -> None:
         """``request`` started (or resumed) service on ``worker``."""
-        self._span(request.rid).open_slice(worker.worker_id, self.now)
+        span = self.spans.get(request.rid)
+        if span is None:
+            raise TraceError(f"no span open for rid={request.rid}")
+        span.open_slice(worker.worker_id, now)
 
     def on_preempt(self, request, worker, overhead_us: float) -> None:
         """A preemptive policy sliced ``request`` off ``worker``."""
@@ -206,16 +211,8 @@ class Tracer:
         span.close_slice(self.now, SLICE_PREEMPT)
         span.overhead_us += overhead_us
         self.preempt_slices += 1
-        self.decisions.append(
-            Decision(
-                self.now,
-                "preempt",
-                {
-                    "rid": request.rid,
-                    "worker": worker.worker_id,
-                    "overhead_us": overhead_us,
-                },
-            )
+        self.on_decision(
+            "preempt", rid=request.rid, worker=worker.worker_id, overhead_us=overhead_us
         )
 
     def on_evict(self, request, worker, requeued: bool) -> None:
@@ -226,10 +223,11 @@ class Tracer:
             span.requeues += 1
         self.evictions += 1
 
-    def on_complete(self, request, worker) -> None:
+    def on_complete(self, request, worker, now: float) -> None:
         """``request`` finished application processing on ``worker``."""
-        now = self.now
-        span = self._span(request.rid)
+        span = self.spans.get(request.rid)
+        if span is None:
+            raise TraceError(f"no span open for rid={request.rid}")
         span.close_slice(now, SLICE_COMPLETE)
         span.overhead_us = request.overhead_time
         span.set_terminal(COMPLETE, now)
@@ -254,25 +252,31 @@ class Tracer:
     def on_decision(self, kind: str, **payload: Any) -> None:
         """Append one scheduler/fault decision at the current sim time."""
         self.decisions.append(Decision(self.now, kind, payload))
-        if kind == "steal":
-            self.steal_attempts += 1
+
+    def on_steal(self, request, thief, victim_worker_id: int, cost_us: float) -> None:
+        """An idle worker stole the head of a victim's queue."""
+        self.on_decision(
+            "steal", rid=request.rid, thief=thief.worker_id, victim=victim_worker_id, cost_us=cost_us
+        )
+        self.steal_attempts += 1
 
     def on_reservation(
         self,
         entries: List[Tuple[int, float, float]],
+        reservation,
         reserved_counts: Dict[int, int],
-        spillway_worker: Optional[int],
-        n_workers: int,
+        n_alive: int,
     ) -> None:
         """A DARC reservation recomputation: Algorithm 2's inputs (the
         profiled (type, mean service, ratio) entries) and outputs (the
-        per-type reserved worker counts + spillway)."""
+        per-type reserved worker counts + spillway) over ``n_alive``
+        live workers."""
         self.on_decision(
             "reservation",
             entries=[[int(t), float(s), float(r)] for (t, s, r) in entries],
             reserved={int(k): int(v) for k, v in reserved_counts.items()},
-            spillway=spillway_worker,
-            n_workers=n_workers,
+            spillway=reservation.spillway_worker,
+            n_workers=n_alive,
         )
 
     def on_fault(self, kind: str, **payload: Any) -> None:

@@ -229,6 +229,26 @@ class TestSuperChains:
             "repro.policies.crashy.Crashy.on_worker_crash"
         ]
 
+    def test_unchained_attach_observer_fires(self, analyze):
+        """Forwarding an observer to a component without super() leaves
+        the policy's own hook sites unbound."""
+        base = BASE["repro/policies/base.py"] + """
+        def attach_observer(self, observer):
+            self.observers = (observer,)
+    """
+        files = {
+            "repro/policies/base.py": base,
+            "repro/policies/watched.py": GOOD_POLICY.replace("class Fcfs", "class Watched")
+            + """
+    def attach_observer(self, observer):
+        self.classifier.attach_observer(observer)
+""",
+        }
+        findings = analyze(files, select=["A202"])
+        assert [f.symbol for f in findings] == [
+            "repro.policies.watched.Watched.attach_observer"
+        ]
+
     def test_override_of_abstract_method_needs_no_chain(self, analyze):
         """on_request is abstract in the base — implementing it is not
         'overriding engine-side state', no chain required."""

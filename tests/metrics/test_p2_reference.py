@@ -1,12 +1,16 @@
-"""The unrolled :meth:`P2Quantile.update` against the textbook loop form.
+"""The batched :meth:`P2Quantile.update_many` against the textbook loop
+form.
 
 :class:`ReferenceP2` is the loop-form update exactly as the estimator
 first shipped it: a per-update increments list, a cell-search loop and a
-marker-adjustment loop.  The shipped estimator unrolls that work, and it
+marker-adjustment loop.  The shipped estimator unrolls that work and
+runs it over a whole block of values with the markers in locals, and it
 must leave every marker height, marker position and desired position
-bit-identical after every single update — on the heavy-tailed streams
-the tail monitors see, on tie-heavy streams, and on streams too short to
-initialise the markers.
+bit-identical after every block, however a stream is split — on the
+heavy-tailed streams the tail monitors see, on tie-heavy streams, on
+NaN and infinities, and on streams too short to initialise the markers.
+The :class:`TailMonitor` that buffers latencies into such blocks must
+read the same at every read as one fed value by value.
 """
 
 from unittest import mock
@@ -16,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.percentiles import P2Quantile, percentile
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.export import prometheus_text
 from repro.trace import TailMonitor
 from repro.trace import monitor as monitor_module
 
@@ -71,6 +77,10 @@ class ReferenceP2:
                 else:
                     heights[i] = self._linear(i, sign)
                 n[i] += sign
+
+    def update_many(self, xs):
+        for x in xs:
+            self.update(x)
 
     def _parabolic(self, i, sign):
         h, n = self._heights, self._n
@@ -134,6 +144,9 @@ RAMPS = st.tuples(
 
 STREAMS = st.one_of(BIMODAL, lognormal(), TIES, SHORT, RAMPS)
 
+#: NaN and infinities: unordered values still take the textbook's cells.
+UNORDERED = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60)
+
 
 class TestUpdateMatchesLoopForm:
     @given(q=QUANTILES, values=STREAMS)
@@ -146,7 +159,7 @@ class TestUpdateMatchesLoopForm:
             assert _state(est) == _state(ref)
         assert repr(est.value()) == repr(ref.value())
 
-    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60))
+    @given(values=UNORDERED)
     @settings(max_examples=200, deadline=None)
     def test_unordered_values_take_the_same_cells(self, values):
         est, ref = P2Quantile(0.9), ReferenceP2(0.9)
@@ -156,12 +169,44 @@ class TestUpdateMatchesLoopForm:
             assert _state(est) == _state(ref)
 
 
-def _snapshots(pct, typed_values):
+class TestUpdateManyMatchesLoopForm:
+    @given(q=QUANTILES, values=st.one_of(STREAMS, UNORDERED), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_markers_identical_after_every_block(self, q, values, data):
+        cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=8))
+        est, ref = P2Quantile(q), ReferenceP2(q)
+        start = 0
+        for end in sorted(cuts) + [len(values)]:
+            est.update_many(values[start:end])
+            ref.update_many(values[start:end])
+            assert _state(est) == _state(ref)
+            start = end
+
+
+def _snapshots(pct, typed_values, reads=None):
+    """Read ``monitor`` after the values whose index is in ``reads``
+    (every one when None), each read through one of its read paths."""
     monitor = TailMonitor(pct=pct)
+    registry = MetricsRegistry()
+    monitor.register_gauges(registry)
+
+    def gauges():
+        registry.collect(0.0)
+        return prometheus_text(registry)
+
+    readers = (
+        lambda: monitor.snapshot(),
+        lambda: (monitor.count(), monitor.snapshot()),
+        lambda: (monitor.estimate(), monitor.snapshot()),
+        lambda: (monitor.count(7), monitor.estimate(1), monitor.snapshot()),
+        lambda: (gauges(), monitor.snapshot()),
+    )
     out = []
-    for type_id, value in typed_values:
+    for index, (type_id, value) in enumerate(typed_values):
         monitor.observe(type_id, value)
-        out.append(repr(monitor.snapshot()))
+        if reads is None or index in reads:
+            out.append(repr(readers[index % len(readers)]()))
+    out.append(repr(monitor.snapshot()))
     return out
 
 
@@ -184,3 +229,29 @@ class TestTailMonitorMatchesLoopForm:
         with mock.patch.object(monitor_module, "P2Quantile", ReferenceP2):
             expected = _snapshots(pct, typed_values)
         assert _snapshots(pct, typed_values) == expected
+
+    @given(
+        pct=st.sampled_from([90.0, 99.9]),
+        typed_values=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 7]),
+                st.floats(min_value=0.5, max_value=600.0),
+            ),
+            min_size=monitor_module.FEED_BLOCK,
+            max_size=4 * monitor_module.FEED_BLOCK,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reads_across_the_feed_block_match_eager_feeding(
+        self, pct, typed_values, data
+    ):
+        """Sparse reads: blocks fill to the cap and drain on their own
+        between reads, and each read sees what value-by-value feeding
+        of the loop form gives."""
+        indices = st.integers(0, len(typed_values) - 1)
+        reads = set(data.draw(st.lists(indices, max_size=6)))
+        eager = mock.patch.object(monitor_module, "FEED_BLOCK", 1)
+        with mock.patch.object(monitor_module, "P2Quantile", ReferenceP2), eager:
+            expected = _snapshots(pct, typed_values, reads)
+        assert _snapshots(pct, typed_values, reads) == expected

@@ -87,3 +87,36 @@ class TestSrpt:
     def test_invalid_cost(self):
         with pytest.raises(ConfigurationError):
             SRPT(preempt_cost_us=-1.0)
+
+
+class TestObserved:
+    @pytest.mark.parametrize("cost", [0.0, 2.0])
+    def test_observer_sees_every_slice(self, cost):
+        """Dispatch, preemption (once the core is released, after the
+        preemption cost) and completion all reach an attached observer."""
+        sched = SRPT(preempt_cost_us=cost)
+        h = make_harness(sched, n_workers=1)
+        calls = []
+
+        class Spy:
+            def on_dispatch(self, request, worker, now):
+                calls.append(("dispatch", now, request.rid))
+
+            def on_preempt(self, request, worker, overhead_us):
+                calls.append(("preempt", h.loop.now, request.rid, overhead_us))
+
+            def on_complete(self, request, worker, now):
+                calls.append(("complete", now, request.rid))
+
+        sched.attach_observer(Spy())
+        long_req = h.submit(1, 100.0)
+        short_req = h.submit(0, 1.0, at=10.0)
+        h.run()
+        assert calls == [
+            ("dispatch", 0.0, long_req.rid),
+            ("preempt", 10.0 + cost, long_req.rid, cost),
+            ("dispatch", 10.0 + cost, short_req.rid),
+            ("complete", 11.0 + cost, short_req.rid),
+            ("dispatch", 11.0 + cost, long_req.rid),
+            ("complete", 101.0 + cost, long_req.rid),
+        ]

@@ -224,17 +224,17 @@ class _Spy:
         self.loop = loop
         self.calls = []
 
-    def _record(self, kind, request):
-        self.calls.append((kind, self.loop.now, request.rid))
+    def _record(self, kind, request, now=None):
+        self.calls.append((kind, self.loop.now if now is None else now, request.rid))
 
-    def on_dispatch(self, request, worker):
-        self._record("dispatch", request)
+    def on_dispatch(self, request, worker, now):
+        self._record("dispatch", request, now)
 
     def on_preempt(self, request, worker, overhead_us):
         self._record("preempt", request)
 
-    def on_complete(self, request, worker):
-        self._record("complete", request)
+    def on_complete(self, request, worker, now):
+        self._record("complete", request, now)
 
 
 @pytest.fixture
@@ -341,7 +341,7 @@ class TestHandBack:
         sched = TimeSharing(quantum_us=5.0, preempt_overhead_us=1.0)
         h = make_harness(sched, n_workers=1)
         spy = _Spy(h.loop)
-        sched.attach_tracer(spy)
+        sched.attach_observer(spy)
         r = h.submit(0, 10.0)
         h.run()
         assert spy.calls == [

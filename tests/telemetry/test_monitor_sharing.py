@@ -8,6 +8,10 @@ hold identical P² state, on every ingress path that ships: the
 generator, the resilient client's retries, the injector's duplicates and
 the Figure 7 phase schedule.  That is why a probe installed on a traced
 server adopts the tracer's monitor instead of feeding its own.
+
+The monitor buffers latencies and feeds them to its P² estimators in
+blocks through ``P2Quantile.update_many``; the counts below are values
+fed that way, and the buffers never outgrow ``FEED_BLOCK``.
 """
 
 from repro.experiments import figure7
@@ -21,6 +25,7 @@ from repro.systems.persephone import PersephoneSystem
 from repro.systems.shinjuku import ShinjukuSystem
 from repro.telemetry import TelemetryProbe
 from repro.trace import Tracer
+from repro.trace import monitor as monitor_module
 from repro.workload.presets import high_bimodal
 from repro.workload.resilience import RetryPolicy
 
@@ -147,6 +152,19 @@ def _darc_run(**observers):
     )
 
 
+def _count_fed(monkeypatch):
+    """Count the values fed to every P² estimator from now on."""
+    fed = [0]
+    original = P2Quantile.update_many
+
+    def update_many(self, xs):
+        fed[0] += len(xs)
+        original(self, xs)
+
+    monkeypatch.setattr(P2Quantile, "update_many", update_many)
+    return fed
+
+
 class TestOneMonitorPerServer:
     def test_probe_on_a_traced_server_adopts_the_tracers_monitor(self):
         tracer, probe = Tracer(), TelemetryProbe()
@@ -154,13 +172,18 @@ class TestOneMonitorPerServer:
         assert probe.tail_monitor is tracer.tail_monitor
         assert tracer.tail_monitor.count() == tracer.completions == probe.completions
 
-    def test_rack_probe_keeps_its_own_monitor(self):
+    def test_rack_probe_keeps_its_own_monitor(self, monkeypatch):
+        """P² markers do not merge, so the rack probe's estimate cannot
+        be built from the replicas' monitors: a traced and metered rack
+        feeds each completion to its replica's monitor and to the
+        probe's, two values each."""
+        fed = _count_fed(monkeypatch)
         probe = TelemetryProbe()
         result = run_rack(
             PersephoneSystem(n_workers=4, oracle=False, min_samples=200),
             high_bimodal(),
             balancer="pow2",
-            n_servers=2,
+            n_servers=4,
             n_requests=1500,
             seed=36,
             tracer=RackTracer(),
@@ -168,7 +191,9 @@ class TestOneMonitorPerServer:
         )
         replica_monitors = [t.tail_monitor for t in result.tracer.tracers]
         assert all(probe.tail_monitor is not m for m in replica_monitors)
+        assert sum(m.count() for m in replica_monitors) == 1500
         assert probe.tail_monitor.count() == probe.completions == 1500
+        assert fed[0] == 4 * 1500
 
     def test_probe_with_another_pct_keeps_its_own_monitor(self):
         tracer, probe = Tracer(tail_pct=99.9), TelemetryProbe(tail_pct=99.0)
@@ -178,15 +203,26 @@ class TestOneMonitorPerServer:
         assert probe.tail_monitor.count() == tracer.tail_monitor.count() > 0
 
     def test_two_p2_updates_per_completion(self, monkeypatch):
-        updates = []
-        original = P2Quantile.update
-
-        def update(self, x):
-            updates.append(x)
-            original(self, x)
-
-        monkeypatch.setattr(P2Quantile, "update", update)
+        fed = _count_fed(monkeypatch)
         tracer, probe = Tracer(), TelemetryProbe()
         _darc_run(tracer=tracer, telemetry=probe)
-        # One per-type and one overall update, once per completion.
-        assert len(updates) == 2 * tracer.completions
+        tracer.tail_monitor.count()  # drains what the last scrape left
+        # One per-type and one overall value, once per completion.
+        assert fed[0] == 2 * tracer.completions
+
+    def test_unread_monitor_buffers_stay_within_the_feed_block(self, monkeypatch):
+        """A tracer alone has no scrape reading its monitor: the buffers
+        drain on their own at FEED_BLOCK values, so memory stays O(1)."""
+        held = []
+        observe = monitor_module.TailMonitor.observe
+
+        def watched(self, type_id, latency_us):
+            observe(self, type_id, latency_us)
+            held.append(sum(len(b) for b in self._buffers.values()))
+
+        monkeypatch.setattr(monitor_module.TailMonitor, "observe", watched)
+        tracer = Tracer()
+        _darc_run(tracer=tracer)
+        assert len(held) == tracer.completions == 2000
+        # Overall and per-type buffers together hold twice the block.
+        assert max(held) == 2 * (monitor_module.FEED_BLOCK - 1)

@@ -123,6 +123,39 @@ class TestReconciliation:
             == probe.completions
         )
 
+    def test_two_probes_on_one_server_see_the_same_run(self, tmp_path):
+        """Every hook site calls every attached probe: both match the
+        recorder and a lone probe's exports, byte for byte."""
+        from repro.telemetry.export import write_metrics
+
+        first, second, alone = TelemetryProbe(), TelemetryProbe(), TelemetryProbe()
+
+        def install_both(loop, server=None, injector=None):
+            TelemetryProbe.install(first, loop, server)
+            TelemetryProbe.install(second, loop, server)
+
+        first.install = install_both
+        exports = []
+        for probe in (first, alone):
+            result = run_once(
+                PersephoneSystem(n_workers=8, oracle=False, min_samples=200),
+                high_bimodal(),
+                0.8,
+                n_requests=2000,
+                seed=35,
+                telemetry=probe,
+            )
+            recorder = result.server.recorder
+            for observer in (probe, second) if probe is first else (alone,):
+                assert observer.reconcile(recorder)["ok"]
+                assert observer.completions == 2000
+                base = str(tmp_path / str(len(exports)))
+                paths = write_metrics(base, observer, recorder=recorder)
+                exports.append(
+                    [open(paths[k], "rb").read() for k in ("prometheus", "jsonl")]
+                )
+        assert exports[0] == exports[1] == exports[2]
+
     def test_counter_totals_shape(self, darc_run):
         probe, _ = darc_run
         totals = probe.counter_totals()

@@ -181,6 +181,48 @@ class TestZeroInterference:
             assert sample.busy + sample.free + sample.failed == 8
 
 
+class TestEveryPolicyIsObserved:
+    def test_srpt_server_reconciles(self):
+        """SRPT has no system model; a server built on it directly is
+        traced and metered like any other."""
+        from repro.metrics.digest import digest_outcome
+        from repro.policies.srpt import ShortestRemainingProcessingTime
+        from repro.server.config import ServerConfig
+        from repro.server.server import Server
+        from repro.sim.randomness import RngRegistry
+        from repro.telemetry import TelemetryProbe
+        from repro.workload.arrivals import PoissonArrivals
+        from repro.workload.generator import OpenLoopGenerator
+
+        def run(*observers):
+            spec, rngs, loop = high_bimodal(), RngRegistry(seed=5), EventLoop()
+            sched = ShortestRemainingProcessingTime(preempt_cost_us=0.5)
+            server = Server(loop, sched, config=ServerConfig(n_workers=4))
+            for observer in observers:
+                observer.install(loop, server)
+            OpenLoopGenerator(
+                loop,
+                spec,
+                PoissonArrivals(0.8 * spec.peak_load(4)),
+                server.ingress,
+                type_rng=rngs.stream("types"),
+                service_rng=rngs.stream("service"),
+                arrival_rng=rngs.stream("arrivals"),
+                limit=2000,
+            ).start()
+            loop.run()
+            return server, sched, digest_outcome(server.recorder, loop)
+
+        tracer, probe = Tracer(), TelemetryProbe()
+        server, sched, digest = run(tracer, probe)
+        probe.finalize()
+        assert tracer.reconcile(server.recorder)["ok"]
+        assert probe.reconcile(server.recorder)["ok"]
+        assert sched.preemptions > 0
+        assert tracer.preempt_slices == probe.preemptions == sched.preemptions
+        assert digest == run()[2]
+
+
 class TestWiring:
     def test_same_observer_attached_twice_raises(self):
         loop = EventLoop()
@@ -226,11 +268,42 @@ class TestWiring:
         with pytest.raises(TraceError, match="sample_interval_us"):
             RackTracer(sample_interval_us=interval)
 
+    def test_two_tracers_on_one_server_see_the_same_run(self, tmp_path):
+        """Every hook site calls every attached tracer: both match the
+        recorder and a lone tracer's export, byte for byte."""
+        from repro.trace.export import write_trace
+
+        first, second, alone = Tracer(), Tracer(), Tracer()
+
+        def install_both(loop, server, injector=None):
+            Tracer.install(first, loop, server)
+            Tracer.install(second, loop, server)
+
+        first.install = install_both
+        exports = []
+        for tracer in (first, alone):
+            result = run_once(
+                PersephoneSystem(n_workers=8, oracle=False, min_samples=200),
+                high_bimodal(),
+                0.8,
+                n_requests=2000,
+                seed=35,
+                tracer=tracer,
+            )
+            recorder = result.server.recorder
+            for observer in (tracer, second) if tracer is first else (alone,):
+                assert observer.reconcile(recorder)["ok"]
+                assert observer.spans_opened == 2000
+                path = tmp_path / f"{len(exports)}.trace.json"
+                write_trace(str(path), observer, recorder=recorder)
+                exports.append(path.read_bytes())
+        assert exports[0] == exports[1] == exports[2]
+
     def test_uninstalled_tracer_hook_raises_trace_error(self):
         tracer = Tracer()
         request = Request(rid=1, type_id=0, service_time=1.0, arrival_time=0.0)
         with pytest.raises(TraceError, match="not installed"):
-            tracer.on_ingress(request, 0.0)
+            tracer.on_dispatcher_drop(request)
         with pytest.raises(TraceError, match="not installed"):
             _ = tracer.now
 
@@ -245,9 +318,9 @@ class TestWiring:
         tracer = Tracer()
         tracer._loop = EventLoop()
         request = Request(rid=1, type_id=0, arrival_time=0.0, service_time=1.0)
-        tracer.on_ingress(request, 0.0)
+        tracer.on_ingress(request, 0.0, 0.0)
         with pytest.raises(TraceError, match="duplicate ingress"):
-            tracer.on_ingress(request, 0.0)
+            tracer.on_ingress(request, 0.0, 0.0)
 
     def test_drop_of_unknown_rid_is_tolerated(self):
         tracer = Tracer()
