@@ -72,7 +72,7 @@ class CoreAllocator:
         scheduler = self.scheduler
         scheduler.workers = self._all_workers[:n_cores]
         if scheduler.reservation is not None:
-            entries = list(scheduler.profiler.snapshot())
+            entries = scheduler.profiler.window_entries()
             if entries:
                 # Re-run Algorithm 2 over the resized machine; newly
                 # granted idle cores pick up pending work immediately.

@@ -3,14 +3,20 @@
 The dispatcher maintains, per request type, a moving average of service
 time (the S_i of Eq. 1) and an occurrence count within the current
 *profiling window* (the R_i).  Completions feed :meth:`WorkloadProfiler.observe`;
-reservation updates snapshot the profile and open a new window.
+reservation updates read the window's entries
+(:meth:`WorkloadProfiler.window_entries`) and open a new window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
+from .grouping import TypeEntry, demand_total
+
+
+def _mean_of(entry: TypeEntry) -> float:
+    return entry[1]
 
 
 class TypeProfile:
@@ -27,14 +33,6 @@ class TypeProfile:
         #: Completions observed since the profiler was created.
         self.total_count = 0
 
-    def observe(self, service_us: float, alpha: float) -> None:
-        if self.ema_service is None:
-            self.ema_service = service_us
-        else:
-            self.ema_service += alpha * (service_us - self.ema_service)
-        self.window_count += 1
-        self.total_count += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TypeProfile(type={self.type_id}, S~{self.ema_service}, "
@@ -50,8 +48,8 @@ class ProfileSnapshot:
     spillway until they reappear — Fig. 7 phase 4).
     """
 
-    def __init__(self, entries: List[Tuple[int, float, float]]):
-        self.entries = sorted(entries, key=lambda e: e[1])
+    def __init__(self, entries: List[TypeEntry]):
+        self.entries = sorted(entries, key=_mean_of)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -70,7 +68,7 @@ class ProfileSnapshot:
 
     def demand_shares(self) -> Dict[int, float]:
         """Δ_i per Eq. 1: S_i R_i / Σ_j S_j R_j."""
-        total = sum(mean * ratio for _, mean, ratio in self.entries)
+        total = demand_total(self.entries)
         if total <= 0:
             return {tid: 0.0 for tid, _, _ in self.entries}
         return {tid: mean * ratio / total for tid, mean, ratio in self.entries}
@@ -98,33 +96,53 @@ class WorkloadProfiler:
         self.window_samples = 0
         self.windows_closed = 0
 
-    def observe(self, type_id: int, service_us: float) -> None:
-        """Record one completed request of ``type_id``.
+    def observe(self, type_id: int, service_us: float) -> float:
+        """Record one completed request of ``type_id`` and return the
+        type's updated mean service time.
 
         The paper measured this at ~75 cycles in the C++ prototype; here
-        it is one EMA update and two counter increments.
+        it is one EMA update and three counter increments, in one call
+        (DARC makes it on every completion).
         """
         profile = self.profiles.get(type_id)
         if profile is None:
             profile = TypeProfile(type_id)
             self.profiles[type_id] = profile
-        profile.observe(service_us, self.ema_alpha)
+        ema = profile.ema_service
+        if ema is None:
+            ema = service_us
+        else:
+            ema += self.ema_alpha * (service_us - ema)
+        profile.ema_service = ema
+        profile.window_count += 1
+        profile.total_count += 1
         self.window_samples += 1
+        return ema
 
     def mean_service(self, type_id: int) -> Optional[float]:
         profile = self.profiles.get(type_id)
         return profile.ema_service if profile else None
 
+    def window_entries(self) -> List[TypeEntry]:
+        """The current window as ``(type_id, mean_service, ratio)``
+        entries: types seen this window, their EMA service times and
+        window occurrence ratios, stable-sorted by mean (ties keep the
+        order the types were first seen).
+
+        :meth:`snapshot` wraps these; DARC's breach re-check reads them
+        directly, with no snapshot or share dict.
+        """
+        total = self.window_samples
+        entries: List[TypeEntry] = []
+        for p in self.profiles.values():
+            if p.window_count > 0:
+                entries.append((p.type_id, p.ema_service, p.window_count / total))
+        entries.sort(key=_mean_of)
+        return entries
+
     def snapshot(self) -> ProfileSnapshot:
-        """Close over the current window: types seen this window, their
-        EMA service times and window occurrence ratios."""
-        seen = [p for p in self.profiles.values() if p.window_count > 0]
-        total = sum(p.window_count for p in seen)
-        entries: List[Tuple[int, float, float]] = []
-        for p in seen:
-            assert p.ema_service is not None
-            entries.append((p.type_id, p.ema_service, p.window_count / total))
-        return ProfileSnapshot(entries)
+        """Close over the current window (:meth:`window_entries`)."""
+        return ProfileSnapshot(self.window_entries())
 
     def reset_window(self) -> None:
         """Open the next profiling window (counts reset, EMAs persist)."""

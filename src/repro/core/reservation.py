@@ -15,10 +15,10 @@ UNKNOWN requests.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .grouping import TypeEntry, TypeGroup, group_types
+from .grouping import TypeEntry, TypeGroup, demand_total, group_demands, groups_at
 
 ROUNDING_MODES = ("round", "ceil", "floor")
 
@@ -162,18 +162,6 @@ class Reservation:
         return f"Reservation({len(self.allocations)} groups, W={self.n_workers})"
 
 
-def _round_demand(demand: float, mode: str) -> int:
-    if mode == "round":
-        # Banker's rounding would under-grant exactly-half demands; the
-        # paper's round() is conventional half-up.
-        return int(math.floor(demand + 0.5))
-    if mode == "ceil":
-        return int(math.ceil(demand))
-    if mode == "floor":
-        return int(math.floor(demand))
-    raise ConfigurationError(f"unknown rounding mode {mode!r}")
-
-
 class GrantPlan:
     """Algorithm 2's first step: the δ-groups and each group's integral
     worker grant, before any worker id is assigned.
@@ -183,20 +171,35 @@ class GrantPlan:
     pool size and the spillway switch.
     """
 
-    __slots__ = ("entries", "n_workers", "groups", "total_demand", "demands", "grants")
+    __slots__ = (
+        "entries",
+        "n_workers",
+        "groups",
+        "type_ids",
+        "cuts",
+        "total_demand",
+        "demands",
+        "grants",
+    )
 
     def __init__(
         self,
         entries: Sequence[TypeEntry],
         n_workers: int,
-        groups: List[TypeGroup],
+        ordered: Sequence[TypeEntry],
+        cuts: List[int],
         total_demand: float,
         demands: List[float],
         grants: List[int],
     ):
         self.entries = entries
         self.n_workers = n_workers
-        self.groups = groups
+        self.groups = groups_at(ordered, cuts)
+        #: Every grouped type id, in ascending-mean (group) order.  A
+        #: plan is built only when the grants may change (see groups_at).
+        self.type_ids = [tid for tid, _, _ in ordered]  # repro-analyze: disable=A401
+        #: Per group, the end index of its types in ``type_ids``.
+        self.cuts = cuts
         #: S of Algorithm 2: Σ g.S over every group.
         self.total_demand = total_demand
         #: Per group, the fractional worker demand d = (g.S / S) * W.
@@ -207,12 +210,50 @@ class GrantPlan:
     def same_grants(self, other: "GrantPlan") -> bool:
         """True when both plans group the same type ids, in the same
         order, with the same grants over the same ``n_workers``."""
-        if self.n_workers != other.n_workers or self.grants != other.grants:
-            return False
-        for mine, theirs in zip(self.groups, other.groups):
-            if mine.type_ids != theirs.type_ids:
-                return False
-        return True
+        return (
+            self.n_workers == other.n_workers
+            and self.grants == other.grants
+            and self.cuts == other.cuts
+            and self.type_ids == other.type_ids
+        )
+
+
+def grant_step(
+    ordered: Sequence[TypeEntry], n_workers: int, delta: float, rounding: str
+) -> Tuple[List[int], float, List[float], List[int]]:
+    """The arithmetic of Algorithm 2's grant step over ``ordered``
+    (entries in ascending mean order): ``(cuts, total_demand, demands,
+    grants)``, where ``cuts`` are :func:`group_demands`'s group ends.
+
+    The one implementation of demand and rounding: both
+    :func:`plan_grants` and :func:`grants_may_differ` (DARC's breach
+    re-check) call it.  Each group's g.S is summed in entry order, S
+    sums the groups in group order, and d = g.S / S * W.
+    """
+    cuts, contributions = group_demands(ordered, delta)
+    total_demand = 0.0
+    for contribution in contributions:
+        total_demand += contribution
+    if total_demand <= 0:
+        raise ConfigurationError("total CPU demand is zero")
+    if rounding not in ROUNDING_MODES:
+        raise ConfigurationError(f"unknown rounding mode {rounding!r}")
+    demands: List[float] = []
+    grants: List[int] = []
+    for contribution in contributions:
+        demand = contribution / total_demand * n_workers
+        demands.append(demand)
+        if rounding == "round":
+            # Banker's rounding would under-grant exactly-half demands;
+            # the paper's round() is conventional half-up.
+            grant = math.floor(demand + 0.5)
+        elif rounding == "ceil":
+            grant = math.ceil(demand)
+        else:
+            grant = math.floor(demand)
+        # max(1, round(d)): every group gets a worker.
+        grants.append(grant if grant >= 1 else 1)
+    return cuts, total_demand, demands, grants
 
 
 def plan_grants(
@@ -230,23 +271,40 @@ def plan_grants(
         raise ConfigurationError(f"rounding must be one of {ROUNDING_MODES}")
     if not entries:
         raise ConfigurationError("cannot reserve for an empty profile")
+    if delta < 1.0:
+        raise ConfigurationError(f"delta must be >= 1.0, got {delta}")
 
-    # This step runs at each reservation update and, while an SLO breach
-    # is pending, at each completion (DARC's re-check).  It allocates the
-    # groups and two grant lists once per call, no more.
-    groups = group_types(entries, delta)
-    total_demand = sum(  # repro-analyze: disable=A401
-        g.demand_contribution() for g in groups
-    )
-    if total_demand <= 0:
-        raise ConfigurationError("total CPU demand is zero")
-    demands: List[float] = []
-    grants: List[int] = []
-    for group in groups:
-        demand = group.demand_contribution() / total_demand * n_workers
-        demands.append(demand)
-        grants.append(max(1, _round_demand(demand, rounding)))
-    return GrantPlan(entries, n_workers, groups, total_demand, demands, grants)
+    # Runs when a reservation is installed and when a breach re-check
+    # finds that the grants may differ (grants_may_differ); the sort, the
+    # groups and the plan are allocated once per call.
+    ordered = sorted(entries, key=lambda e: e[1])  # repro-analyze: disable=A401
+    cuts, total_demand, demands, grants = grant_step(ordered, n_workers, delta, rounding)
+    return GrantPlan(entries, n_workers, ordered, cuts, total_demand, demands, grants)
+
+
+def grants_may_differ(
+    plan: GrantPlan,
+    ordered: Sequence[TypeEntry],
+    n_workers: int,
+    delta: float,
+    rounding: str,
+) -> bool:
+    """``not plan_grants(ordered, n_workers, delta, rounding).same_grants(plan)``
+    for entries already in ascending mean order, without building the
+    new plan or its groups.
+
+    Used by DARC's breach re-check on every completion while a breach is
+    pending: the type ids are compared first, then :func:`grant_step`'s
+    cuts and grants.
+    """
+    type_ids = plan.type_ids
+    if n_workers != plan.n_workers or len(ordered) != len(type_ids):
+        return True
+    for entry, tid in zip(ordered, type_ids):
+        if entry[0] != tid:
+            return True
+    cuts, _, _, grants = grant_step(ordered, n_workers, delta, rounding)
+    return cuts != plan.cuts or grants != plan.grants
 
 
 def assign_workers(
@@ -329,13 +387,46 @@ def demand_deviation(old_shares: Dict[int, float], new_shares: Dict[int, float])
 
     DARC triggers a reservation update when this exceeds the configured
     threshold (10% in the paper, §4.3.3).  Types absent from one side
-    count with share zero there.
+    count with share zero there.  DARC itself measures the deviation of
+    a profiling window with :func:`window_deviation`, which gives this
+    function's result without a share dict; this is the reference.
     """
-    # Runs once per profiler window when deciding whether to recompute
-    # the reservation — not per request.
     keys = set(old_shares) | set(new_shares)
     if not keys:
         return 0.0
-    return max(  # repro-analyze: disable=A401
+    return max(
         abs(new_shares.get(k, 0.0) - old_shares.get(k, 0.0)) for k in keys
     )
+
+
+def window_deviation(old_shares: Dict[int, float], ordered: Sequence[TypeEntry]) -> float:
+    """``demand_deviation(old_shares, ProfileSnapshot(ordered).demand_shares())``
+    for entries already in ascending mean order, without the share dict.
+
+    The new shares use the snapshot's arithmetic (S_i R_i over
+    :func:`demand_total` of ``ordered``); DARC calls this on every
+    completion while an SLO breach is pending.
+    """
+    total = demand_total(ordered)
+    zero = total <= 0
+    deviation = 0.0
+    matched = 0
+    for tid, mean, ratio in ordered:
+        old = old_shares.get(tid)
+        if old is None:
+            old = 0.0
+        else:
+            matched += 1
+        change = abs((0.0 if zero else mean * ratio / total) - old)
+        if change > deviation:
+            deviation = change
+    if matched < len(old_shares):
+        # A type of the old shares is missing from the window: its new
+        # share is zero.  Rare (a vanished type), so the set is built here.
+        present = {tid for tid, _, _ in ordered}  # repro-analyze: disable=A401
+        for tid, old in old_shares.items():
+            if tid not in present:
+                change = abs(0.0 - old)
+                if change > deviation:
+                    deviation = change
+    return deviation
