@@ -169,6 +169,54 @@ class TestProfiledMode:
         assert all(isinstance(t, float) for t, _ in sched.reservation_log)
 
 
+class TestBreachRecheckAfterCrash:
+    """A breach re-check over an unchanged profile must find the
+    installed grants, which cover the usable cores, and reinstall
+    nothing."""
+
+    @staticmethod
+    def profiled_run():
+        sched = DarcScheduler(profile=True, min_samples=200)
+        h = make_harness(sched, n_workers=14)
+        rng = np.random.default_rng(0)
+        t = 0.0
+        for _ in range(600):
+            t += rng.exponential(10.0)
+            tid = 0 if rng.random() < 0.5 else 1
+            h.submit(tid, 1.0 if tid == 0 else 100.0, at=t)
+        h.run()
+        return sched, h
+
+    @staticmethod
+    def assert_recheck_keeps_reservation(sched):
+        updates = sched.reservation_updates
+        window = sched.profiler.window_samples
+        assert sched.min_samples <= window < 4 * sched.min_samples
+        sched._slo_breached = True
+        sched._maybe_update_reservation()
+        assert sched.reservation_updates == updates
+        assert sched._slo_breached  # still pending, nothing reinstalled
+        assert sched.profiler.window_samples == window
+
+    def test_recheck_plans_over_the_surviving_cores(self):
+        # The reservation after a crash covers the 13 surviving cores,
+        # not a 14-core plan.
+        sched, h = self.profiled_run()
+        sched.on_worker_crash(h.workers[3])
+        assert sched.reservation.n_workers == 13
+        self.assert_recheck_keeps_reservation(sched)
+
+    def test_recheck_plans_over_the_leased_cores(self):
+        from repro.core.allocator import CoreAllocator
+
+        # A core allocator leases 8 of the 14 cores, one of them crashed.
+        sched, h = self.profiled_run()
+        CoreAllocator(sched).revoke(6)
+        sched.on_worker_crash(h.workers[2])
+        assert sched.reservation.n_workers == 7
+        self.assert_recheck_keeps_reservation(sched)
+
+
 class TestWasteAccounting:
     def test_no_waste_when_idle_without_pending(self):
         h = make_harness(oracle_darc(), n_workers=4)

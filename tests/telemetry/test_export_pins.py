@@ -112,10 +112,16 @@ PINS = {
         "jsonl": "5ca5e3870b49cdb35620c0ad572fa11f2c9a1df0b31e74a1b707d250284bbdba",
         "trace": "b465678daaf3719ec6697dcf157d6be59cbf95e54699827dd337449dfd08ce41",
     },
+    # Re-pinned when DARC's breach re-check began planning over the
+    # surviving cores: the run no longer reinstalls the same 4-core
+    # reservation at 4140.7 us during the outage (updates 8 -> 7), so
+    # that reservation decision leaves the trace, the recovery installs
+    # record the entries of the 1894 us install, and the updates counter
+    # reads 7.  The recorder digest and waste are unchanged.
     "chaos": {
-        "prom": "10ce5e1553a8e1a85085dfc05e761fe574df688e530efe0c1539fb4b2b93c002",
-        "jsonl": "2703e73cdb87e1bbf3cbbe9cb18f316faaf01644a37777d0f27258d398277b64",
-        "trace": "4cd9184f304d5c668435de8b97c826dd4aba38fd3bc9e67e4c6b94428843f5c6",
+        "prom": "5cf99557807c9eaaf3462802fd581a67f30565afc4046962532c9ce51aa023a6",
+        "jsonl": "02c8fa0115cc50b787ed62fed6d43adf5777ce1800d27fe6cd9a3b5de19de8c0",
+        "trace": "3550a5b919582f8b864ed6738cf77e55bec70687f31d6d95ed87d1ebd828a41e",
     },
 }
 
