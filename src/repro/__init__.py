@@ -28,73 +28,57 @@ Quickstart::
     print(result.summary.describe())
 """
 
-from .core.classifier import OracleClassifier, RandomClassifier
-from .core.darc import DarcScheduler
-from .errors import SanitizerViolation
-from .experiments.common import RunResult, run_once, run_sweep
-from .faults import ChaosResult, FaultInjector, FaultPlan, run_chaos
-from .metrics.sanitizer import SimSanitizer
-from .metrics.summary import RunSummary
-from .policies.fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
-from .policies.timesharing import TimeSharing
-from .server.server import Server
-from .sim.engine import EventLoop
-from .systems.persephone import (
-    PersephoneCfcfsSystem,
-    PersephoneDfcfsSystem,
-    PersephoneStaticSystem,
-    PersephoneSystem,
-)
-from .systems.shenango import ShenangoSystem
-from .systems.shinjuku import ShinjukuSystem
-from .workload.presets import by_name as workload_by_name
-from .workload.resilience import ResilientClient, RetryPolicy
-from .workload.spec import WorkloadSpec
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .experiments.common import RunResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DarcScheduler",
-    "OracleClassifier",
-    "RandomClassifier",
-    "RunResult",
-    "RunSummary",
-    "run_once",
-    "run_sweep",
-    "quick_run",
-    "CentralizedFCFS",
-    "DecentralizedFCFS",
-    "WorkStealingFCFS",
-    "TimeSharing",
-    "Server",
-    "EventLoop",
-    "SimSanitizer",
-    "SanitizerViolation",
-    "PersephoneSystem",
-    "PersephoneStaticSystem",
-    "PersephoneCfcfsSystem",
-    "PersephoneDfcfsSystem",
-    "ShenangoSystem",
-    "ShinjukuSystem",
-    "WorkloadSpec",
-    "workload_by_name",
-    "FaultPlan",
-    "FaultInjector",
-    "ChaosResult",
-    "run_chaos",
-    "RetryPolicy",
-    "ResilientClient",
-]
-
-_POLICY_SYSTEMS = {
-    "darc": lambda w: PersephoneSystem(n_workers=w, oracle=True),
-    "darc-profiled": lambda w: PersephoneSystem(n_workers=w, oracle=False),
-    "c-fcfs": lambda w: PersephoneCfcfsSystem(n_workers=w),
-    "d-fcfs": lambda w: PersephoneDfcfsSystem(n_workers=w),
-    "shenango": lambda w: ShenangoSystem(n_workers=w),
-    "shinjuku": lambda w: ShinjukuSystem(n_workers=w),
-}
-
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".": ("quick_run",),
+        ".core.classifier": ("OracleClassifier", "RandomClassifier"),
+        ".core.darc": ("DarcScheduler",),
+        ".errors": ("SanitizerViolation",),
+        ".experiments.common": ("RunResult", "run_once", "run_sweep"),
+        ".faults.injector": ("FaultInjector",),
+        ".faults.plan": ("FaultPlan",),
+        ".faults.runner": ("ChaosResult", "run_chaos"),
+        ".metrics.sanitizer": ("SimSanitizer",),
+        ".metrics.summary": ("RunSummary",),
+        ".policies.fcfs": ("CentralizedFCFS", "DecentralizedFCFS", "WorkStealingFCFS"),
+        ".policies.timesharing": ("TimeSharing",),
+        ".server.server": ("Server",),
+        ".sim.engine": ("EventLoop",),
+        ".systems.persephone": (
+            "PersephoneSystem",
+            "PersephoneStaticSystem",
+            "PersephoneCfcfsSystem",
+            "PersephoneDfcfsSystem",
+        ),
+        ".systems.shenango": ("ShenangoSystem",),
+        ".systems.shinjuku": ("ShinjukuSystem",),
+        ".workload.presets": ("by_name as workload_by_name",),
+        ".workload.resilience": ("ResilientClient", "RetryPolicy"),
+        ".workload.spec": ("WorkloadSpec",),
+    },
+    # The simulator loads with the package: run_once and the shipped
+    # systems, which bring the engine, the workload, the server and every
+    # scheduler class a system builds.  Tools that patch Scheduler
+    # subclasses right after ``import repro`` rely on these being defined.
+    eager=(
+        ".experiments.common",
+        ".systems.persephone",
+        ".systems.shenango",
+        ".systems.shinjuku",
+    ),
+)
 
 def quick_run(
     policy: str = "darc",
@@ -109,12 +93,28 @@ def quick_run(
     ``policy`` is one of ``darc``, ``darc-profiled``, ``c-fcfs``,
     ``d-fcfs``, ``shenango``, ``shinjuku``.
     """
+    from .experiments.common import run_once
+    from .systems.persephone import (
+        PersephoneCfcfsSystem,
+        PersephoneDfcfsSystem,
+        PersephoneSystem,
+    )
+    from .systems.shenango import ShenangoSystem
+    from .systems.shinjuku import ShinjukuSystem
+    from .workload.presets import by_name
+
+    systems = {
+        "darc": lambda w: PersephoneSystem(n_workers=w, oracle=True),
+        "darc-profiled": lambda w: PersephoneSystem(n_workers=w, oracle=False),
+        "c-fcfs": lambda w: PersephoneCfcfsSystem(n_workers=w),
+        "d-fcfs": lambda w: PersephoneDfcfsSystem(n_workers=w),
+        "shenango": lambda w: ShenangoSystem(n_workers=w),
+        "shinjuku": lambda w: ShinjukuSystem(n_workers=w),
+    }
     try:
-        factory = _POLICY_SYSTEMS[policy]
+        factory = systems[policy]
     except KeyError:
-        raise KeyError(
-            f"unknown policy {policy!r}; choices: {sorted(_POLICY_SYSTEMS)}"
-        ) from None
+        raise KeyError(f"unknown policy {policy!r}; choices: {sorted(systems)}") from None
     system = factory(n_workers)
-    spec = workload_by_name(workload)
+    spec = by_name(workload)
     return run_once(system, spec, utilization, n_requests=n_requests, seed=seed)

@@ -51,72 +51,49 @@ The runtime twin of the eventflow analysis is the tie-break shadow check
 in :class:`repro.metrics.sanitizer.SimSanitizer`.
 """
 
-from .baseline import BaselineDiff, diff_baseline, load_baseline, write_baseline
-from .contracts import analyze_contracts
-from .dataflow import (
-    AbstractValue,
-    FunctionSummary,
-    analyze_function,
-    compute_summaries,
-    join,
-    transfer_binop,
-)
-from .eventflow import analyze_eventflow, collect_schedule_sites
-from .filerules import analyze_filerules
-from .findings import ANALYSIS_RULES, AnalysisFinding, RuleMeta, fingerprint, make_finding
-from .forksafety import analyze_forksafety
-from .hotpath import (
-    analyze_hotpath,
-    function_weights,
-    hot_functions,
-    hot_roots,
-    load_profile,
-    rank_findings,
-)
-from .model import Program, build_program, iter_python_files
-from .purity import analyze_purity
-from .rngflow import analyze_rngflow
-from .runner import analyze_paths, analyze_program, has_errors
-from .sarif import findings_from_sarif, sarif_text, to_sarif
-from .unitsflow import analyze_unitsflow
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANALYSIS_RULES",
-    "AbstractValue",
-    "AnalysisFinding",
-    "BaselineDiff",
-    "FunctionSummary",
-    "Program",
-    "RuleMeta",
-    "analyze_contracts",
-    "analyze_eventflow",
-    "analyze_filerules",
-    "analyze_forksafety",
-    "analyze_function",
-    "analyze_hotpath",
-    "analyze_paths",
-    "analyze_program",
-    "analyze_purity",
-    "analyze_rngflow",
-    "analyze_unitsflow",
-    "build_program",
-    "collect_schedule_sites",
-    "compute_summaries",
-    "diff_baseline",
-    "findings_from_sarif",
-    "fingerprint",
-    "function_weights",
-    "has_errors",
-    "hot_functions",
-    "hot_roots",
-    "iter_python_files",
-    "join",
-    "load_baseline",
-    "load_profile",
-    "make_finding",
-    "rank_findings",
-    "sarif_text",
-    "to_sarif",
-    "transfer_binop",
-    "write_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".baseline": (
+            "BaselineDiff",
+            "diff_baseline",
+            "load_baseline",
+            "write_baseline",
+        ),
+        ".contracts": ("analyze_contracts",),
+        ".dataflow": (
+            "AbstractValue",
+            "FunctionSummary",
+            "analyze_function",
+            "compute_summaries",
+            "join",
+            "transfer_binop",
+        ),
+        ".eventflow": ("analyze_eventflow", "collect_schedule_sites"),
+        ".filerules": ("analyze_filerules",),
+        ".findings": (
+            "ANALYSIS_RULES",
+            "AnalysisFinding",
+            "RuleMeta",
+            "fingerprint",
+            "make_finding",
+        ),
+        ".forksafety": ("analyze_forksafety",),
+        ".hotpath": (
+            "analyze_hotpath",
+            "function_weights",
+            "hot_functions",
+            "hot_roots",
+            "load_profile",
+            "rank_findings",
+        ),
+        ".model": ("Program", "build_program", "iter_python_files"),
+        ".purity": ("analyze_purity",),
+        ".rngflow": ("analyze_rngflow",),
+        ".runner": ("analyze_paths", "analyze_program", "has_errors"),
+        ".sarif": ("findings_from_sarif", "sarif_text", "to_sarif"),
+        ".unitsflow": ("analyze_unitsflow",),
+    },
+)

@@ -140,8 +140,8 @@ def check_system(
 ) -> DeterminismReport:
     """Run ``system`` twice with the same seed, then once more with a
     tracer and a probe attached, and compare the three digests."""
-    from ..telemetry import TelemetryProbe
-    from ..trace import Tracer
+    from ..telemetry.probe import TelemetryProbe
+    from ..trace.tracer import Tracer
 
     first = digest_run(system, spec, utilization, n_requests, seed, sanitize)
     second = digest_run(system, spec, utilization, n_requests, seed, sanitize)
@@ -295,8 +295,8 @@ def check_chaos_all(
     """Twice-run every system through the default fault plan, then once
     more with a tracer and a probe attached; fresh spec *and* fresh plan
     per run so no state can leak between runs."""
-    from ..telemetry import TelemetryProbe
-    from ..trace import Tracer
+    from ..telemetry.probe import TelemetryProbe
+    from ..trace.tracer import Tracer
 
     if spec_factory is None:
         from ..workload.presets import high_bimodal

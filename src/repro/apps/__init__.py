@@ -1,35 +1,28 @@
 """Application substrates: KV store, RocksDB-like store, TPC-C engine."""
 
-from .inference import (
-    BATCH_TYPE,
-    FULL_TYPE,
-    LIGHT_TYPE,
-    GbdtModel,
-    InferenceService,
-    RegressionTree,
-    make_demo_model,
-)
-from .kvstore import DEFAULT_COSTS, OP_TYPE_IDS, KvStore
-from .rocksdb import DEFAULT_KEYS, GET_TYPE, GET_US, SCAN_TYPE, SCAN_US, RocksDbLike
-from .tpcc import TXN_PROFILE, TpccDatabase
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GbdtModel",
-    "InferenceService",
-    "RegressionTree",
-    "make_demo_model",
-    "LIGHT_TYPE",
-    "FULL_TYPE",
-    "BATCH_TYPE",
-    "KvStore",
-    "DEFAULT_COSTS",
-    "OP_TYPE_IDS",
-    "RocksDbLike",
-    "GET_US",
-    "SCAN_US",
-    "GET_TYPE",
-    "SCAN_TYPE",
-    "DEFAULT_KEYS",
-    "TpccDatabase",
-    "TXN_PROFILE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".inference": (
+            "BATCH_TYPE",
+            "FULL_TYPE",
+            "LIGHT_TYPE",
+            "GbdtModel",
+            "InferenceService",
+            "RegressionTree",
+            "make_demo_model",
+        ),
+        ".kvstore": ("DEFAULT_COSTS", "OP_TYPE_IDS", "KvStore"),
+        ".rocksdb": (
+            "DEFAULT_KEYS",
+            "GET_TYPE",
+            "GET_US",
+            "SCAN_TYPE",
+            "SCAN_US",
+            "RocksDbLike",
+        ),
+        ".tpcc": ("TXN_PROFILE", "TpccDatabase"),
+    },
+)

@@ -5,47 +5,30 @@ and worker reservation (Algorithm 2), the DARC dispatcher (Algorithm 1),
 and the manually-tuned DARC-static variant (§5.3).
 """
 
-from .allocator import CoreAllocator, UtilizationGovernor
-from .classifier import (
-    DEFAULT_CLASSIFIER_COST_US,
-    CallableClassifier,
-    ConfusionClassifier,
-    OracleClassifier,
-    PartialClassifier,
-    RandomClassifier,
-    RequestClassifier,
-)
-from .darc import DarcScheduler
-from .grouping import TypeEntry, TypeGroup, group_types
-from .profiler import ProfileSnapshot, TypeProfile, WorkloadProfiler
-from .reservation import (
-    GroupAllocation,
-    Reservation,
-    compute_reservation,
-    demand_deviation,
-)
-from .static import DarcStatic
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CoreAllocator",
-    "UtilizationGovernor",
-    "RequestClassifier",
-    "OracleClassifier",
-    "RandomClassifier",
-    "CallableClassifier",
-    "PartialClassifier",
-    "ConfusionClassifier",
-    "DEFAULT_CLASSIFIER_COST_US",
-    "WorkloadProfiler",
-    "TypeProfile",
-    "ProfileSnapshot",
-    "TypeGroup",
-    "TypeEntry",
-    "group_types",
-    "Reservation",
-    "GroupAllocation",
-    "compute_reservation",
-    "demand_deviation",
-    "DarcScheduler",
-    "DarcStatic",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".allocator": ("CoreAllocator", "UtilizationGovernor"),
+        ".classifier": (
+            "DEFAULT_CLASSIFIER_COST_US",
+            "CallableClassifier",
+            "ConfusionClassifier",
+            "OracleClassifier",
+            "PartialClassifier",
+            "RandomClassifier",
+            "RequestClassifier",
+        ),
+        ".darc": ("DarcScheduler",),
+        ".grouping": ("TypeEntry", "TypeGroup", "group_types"),
+        ".profiler": ("ProfileSnapshot", "TypeProfile", "WorkloadProfiler"),
+        ".reservation": (
+            "GroupAllocation",
+            "Reservation",
+            "compute_reservation",
+            "demand_deviation",
+        ),
+        ".static": ("DarcStatic",),
+    },
+)

@@ -72,10 +72,12 @@ class CoreAllocator:
         scheduler = self.scheduler
         scheduler.workers = self._all_workers[:n_cores]
         if scheduler.reservation is not None:
-            entries = scheduler.profiler.window_entries()
+            # Re-run Algorithm 2 over the resized machine; newly granted
+            # idle cores pick up pending work immediately.  Right after a
+            # window reset the window is empty, so re-plan from the last
+            # installed entries, as a crash or recovery does.
+            entries = scheduler.profiler.window_entries() or scheduler._last_entries
             if entries:
-                # Re-run Algorithm 2 over the resized machine; newly
-                # granted idle cores pick up pending work immediately.
                 scheduler._install_reservation(entries)
         if scheduler.loop is not None:
             self.lease_log.append((scheduler.loop.now, n_cores))

@@ -7,33 +7,31 @@ that keep pure-Python runtimes reasonable; crank them up for tighter
 tails.
 """
 
-from . import figure1, figure3, figure4, figure5, figure6, figure7, figure8, figure9, figure10, tables
-from .common import (
-    DEFAULT_N_REQUESTS,
-    DEFAULT_WARMUP_FRAC,
-    RunResult,
-    run_once,
-    run_sweep,
-    run_trace,
-)
-from .results import FigureResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "figure1",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "tables",
-    "run_once",
-    "run_sweep",
-    "run_trace",
-    "RunResult",
-    "FigureResult",
-    "DEFAULT_N_REQUESTS",
-    "DEFAULT_WARMUP_FRAC",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".": (
+            "figure1",
+            "figure3",
+            "figure4",
+            "figure5",
+            "figure6",
+            "figure7",
+            "figure8",
+            "figure9",
+            "figure10",
+            "tables",
+        ),
+        ".common": (
+            "DEFAULT_N_REQUESTS",
+            "DEFAULT_WARMUP_FRAC",
+            "RunResult",
+            "run_once",
+            "run_sweep",
+            "run_trace",
+        ),
+        ".results": ("FigureResult",),
+    },
+)

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..metrics.recorder import Recorder
-from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..metrics.utilization import UtilizationReport
 from ..server.server import Server
@@ -169,11 +168,11 @@ def run_once(
     if n_requests < 1:
         raise ConfigurationError(f"n_requests must be >= 1, got {n_requests}")
     if trace_path is not None and tracer is None:
-        from ..trace import Tracer
+        from ..trace.tracer import Tracer
 
         tracer = Tracer()
     if metrics_path is not None and telemetry is None:
-        from ..telemetry import TelemetryProbe
+        from ..telemetry.probe import TelemetryProbe
 
         telemetry = TelemetryProbe()
 
@@ -185,6 +184,8 @@ def run_once(
     server = Server(loop, scheduler, config=config, recorder=recorder)
     sanitizer = None
     if sanitize:
+        from ..metrics.sanitizer import SimSanitizer
+
         sanitizer = SimSanitizer(shadow_tiebreaks=(sanitize == "shadow"))
         sanitizer.attach(loop, server)
     if tracer is not None:

@@ -147,13 +147,13 @@ def _run_system(
         SimSanitizer().attach(loop, server)
     tracer = None
     if trace_path is not None:
-        from ..trace import Tracer
+        from ..trace.tracer import Tracer
 
         tracer = Tracer()
         tracer.install(loop, server)
     telemetry = None
     if metrics_path is not None:
-        from ..telemetry import TelemetryProbe
+        from ..telemetry.probe import TelemetryProbe
 
         telemetry = TelemetryProbe()
         telemetry.install(loop, server)

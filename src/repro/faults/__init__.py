@@ -6,28 +6,21 @@ Same seed + same plan → identical runs; an empty plan is bit-identical
 to no instrumentation at all.
 """
 
-from .injector import DUP_RID_BASE, FaultInjector
-from .plan import (
-    FaultEvent,
-    FaultPlan,
-    PacketDrop,
-    PacketDup,
-    WorkerCrash,
-    WorkerRecover,
-    WorkerSlowdown,
-)
-from .runner import ChaosResult, run_chaos
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChaosResult",
-    "DUP_RID_BASE",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "PacketDrop",
-    "PacketDup",
-    "WorkerCrash",
-    "WorkerRecover",
-    "WorkerSlowdown",
-    "run_chaos",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".injector": ("DUP_RID_BASE", "FaultInjector"),
+        ".plan": (
+            "FaultEvent",
+            "FaultPlan",
+            "PacketDrop",
+            "PacketDup",
+            "WorkerCrash",
+            "WorkerRecover",
+            "WorkerSlowdown",
+        ),
+        ".runner": ("ChaosResult", "run_chaos"),
+    },
+)

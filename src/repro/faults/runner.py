@@ -160,11 +160,11 @@ def run_chaos(
     if n_requests < 1:
         raise ConfigurationError(f"n_requests must be >= 1, got {n_requests}")
     if trace_path is not None and tracer is None:
-        from ..trace import Tracer
+        from ..trace.tracer import Tracer
 
         tracer = Tracer()
     if metrics_path is not None and telemetry is None:
-        from ..telemetry import TelemetryProbe
+        from ..telemetry.probe import TelemetryProbe
 
         telemetry = TelemetryProbe()
     if slo_latency_us is None:

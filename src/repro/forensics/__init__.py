@@ -16,15 +16,13 @@ documents and never touch a live run, so forensics can never perturb a
 simulation — digest neutrality is structural, not promised.
 """
 
-from .blame import BlameReport, analyze_blame
-from .herding import HerdingReport, detect_herding
-from .registry import RunRegistry, diff_groups
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BlameReport",
-    "analyze_blame",
-    "HerdingReport",
-    "detect_herding",
-    "RunRegistry",
-    "diff_groups",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".blame": ("BlameReport", "analyze_blame"),
+        ".herding": ("HerdingReport", "detect_herding"),
+        ".registry": ("RunRegistry", "diff_groups"),
+    },
+)

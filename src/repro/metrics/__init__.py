@@ -1,23 +1,21 @@
 """Measurement: recorders, percentiles, run summaries, time series."""
 
-from .percentiles import P999, P2Quantile, p999, percentile, percentile_profile, tail_credible
-from .recorder import CompletionColumns, Recorder
-from .summary import RunSummary, TypeSummary
-from .timeseries import AllocationTimeline, WindowedStats
-from .utilization import UtilizationReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "P999",
-    "P2Quantile",
-    "p999",
-    "percentile",
-    "percentile_profile",
-    "tail_credible",
-    "Recorder",
-    "CompletionColumns",
-    "RunSummary",
-    "TypeSummary",
-    "WindowedStats",
-    "AllocationTimeline",
-    "UtilizationReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".percentiles": (
+            "P999",
+            "P2Quantile",
+            "p999",
+            "percentile",
+            "percentile_profile",
+            "tail_credible",
+        ),
+        ".recorder": ("CompletionColumns", "Recorder"),
+        ".summary": ("RunSummary", "TypeSummary"),
+        ".timeseries": ("AllocationTimeline", "WindowedStats"),
+        ".utilization": ("UtilizationReport",),
+    },
+)

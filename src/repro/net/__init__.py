@@ -1,65 +1,39 @@
 """Network substrate: packets, the request protocol, NIC, SPSC channels."""
 
-from .fragmentation import (
-    COPY_US_PER_BYTE,
-    FRAGMENT_PAYLOAD,
-    FragmentationError,
-    Reassembler,
-    ReassembledMessage,
-    fragment,
-    parse_fragment,
-)
-from .appproto import (
-    MEMCACHED_OPCODES,
-    MemcachedClassifier,
-    RespClassifier,
-    encode_memcached_request,
-    encode_resp_command,
-    parse_memcached_opcode,
-    parse_resp_command,
-)
-from .channel import CHANNEL_OP_CYCLES, CHANNEL_OP_US, SpscChannel
-from .netstack import NetWorker
-from .nic import BufferPool, Nic
-from .packet import DEFAULT_MTU, HEADERS_LEN, Packet, rss_hash
-from .protocol import (
-    HEADER_LEN,
-    MAGIC,
-    ProtocolError,
-    decode_request,
-    encode_request,
-    peek_type,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RespClassifier",
-    "MemcachedClassifier",
-    "encode_resp_command",
-    "parse_resp_command",
-    "encode_memcached_request",
-    "parse_memcached_opcode",
-    "MEMCACHED_OPCODES",
-    "fragment",
-    "parse_fragment",
-    "Reassembler",
-    "ReassembledMessage",
-    "FragmentationError",
-    "FRAGMENT_PAYLOAD",
-    "COPY_US_PER_BYTE",
-    "SpscChannel",
-    "CHANNEL_OP_CYCLES",
-    "CHANNEL_OP_US",
-    "Nic",
-    "NetWorker",
-    "BufferPool",
-    "Packet",
-    "rss_hash",
-    "DEFAULT_MTU",
-    "HEADERS_LEN",
-    "ProtocolError",
-    "encode_request",
-    "decode_request",
-    "peek_type",
-    "MAGIC",
-    "HEADER_LEN",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".appproto": (
+            "MEMCACHED_OPCODES",
+            "MemcachedClassifier",
+            "RespClassifier",
+            "encode_memcached_request",
+            "encode_resp_command",
+            "parse_memcached_opcode",
+            "parse_resp_command",
+        ),
+        ".channel": ("CHANNEL_OP_CYCLES", "CHANNEL_OP_US", "SpscChannel"),
+        ".fragmentation": (
+            "COPY_US_PER_BYTE",
+            "FRAGMENT_PAYLOAD",
+            "FragmentationError",
+            "Reassembler",
+            "ReassembledMessage",
+            "fragment",
+            "parse_fragment",
+        ),
+        ".netstack": ("NetWorker",),
+        ".nic": ("BufferPool", "Nic"),
+        ".packet": ("DEFAULT_MTU", "HEADERS_LEN", "Packet", "rss_hash"),
+        ".protocol": (
+            "HEADER_LEN",
+            "MAGIC",
+            "ProtocolError",
+            "decode_request",
+            "encode_request",
+            "peek_type",
+        ),
+    },
+)

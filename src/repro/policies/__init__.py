@@ -4,40 +4,42 @@ DARC itself lives in :mod:`repro.core`; this package holds the baselines
 and the shared :class:`Scheduler` interface.
 """
 
-from .base import PolicyTraits, Scheduler
-from .fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
-from .srpt import ShortestRemainingProcessingTime
-from .timesharing import TimeSharing
-from .typed import (
-    CSCQ,
-    DeficitRoundRobin,
-    EarliestDeadlineFirst,
-    FixedPriority,
-    ShortestJobFirst,
-    StaticPartitioning,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "PolicyTraits",
-    "CentralizedFCFS",
-    "DecentralizedFCFS",
-    "WorkStealingFCFS",
-    "TimeSharing",
-    "ShortestRemainingProcessingTime",
-    "FixedPriority",
-    "ShortestJobFirst",
-    "EarliestDeadlineFirst",
-    "DeficitRoundRobin",
-    "StaticPartitioning",
-    "CSCQ",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("PolicyTraits", "Scheduler"),
+        ".fcfs": ("CentralizedFCFS", "DecentralizedFCFS", "WorkStealingFCFS"),
+        ".srpt": ("ShortestRemainingProcessingTime",),
+        ".timesharing": ("TimeSharing",),
+        ".typed": (
+            "CSCQ",
+            "DeficitRoundRobin",
+            "EarliestDeadlineFirst",
+            "FixedPriority",
+            "ShortestJobFirst",
+            "StaticPartitioning",
+        ),
+    },
+)
 
 
 def all_policy_traits():
     """Every policy's :class:`PolicyTraits`, for the Table 1/5 benchmarks."""
     from ..core.darc import DarcScheduler
     from ..core.static import DarcStatic
+    from .fcfs import CentralizedFCFS, DecentralizedFCFS, WorkStealingFCFS
+    from .srpt import ShortestRemainingProcessingTime
+    from .timesharing import TimeSharing
+    from .typed import (
+        CSCQ,
+        DeficitRoundRobin,
+        EarliestDeadlineFirst,
+        FixedPriority,
+        ShortestJobFirst,
+        StaticPartitioning,
+    )
 
     classes = [
         DecentralizedFCFS,

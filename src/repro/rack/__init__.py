@@ -9,57 +9,35 @@ and :mod:`repro.rack.faults` crashes whole servers and partitions the
 rack.  See ``docs/rack.md``.
 """
 
-from .balancers import (
-    BALANCER_NAMES,
-    EXTRA_BALANCER_NAMES,
-    PowerOfD,
-    RackBalancer,
-    RandomBalancer,
-    RoundRobinBalancer,
-    SessionAffinity,
-    ShortestExpectedDelay,
-    StaleJSQ,
-    TypeAffinity,
-    affinity_assignment,
-    make_balancer,
-)
-from .faults import (
-    RackFaultInjector,
-    RackFaultPlan,
-    RackPartition,
-    ServerCrash,
-    ServerRecover,
-)
-from .load import diurnal_phases, flash_crowd_phases
-from .rack import DEFAULT_N_USERS, Rack, RackResult, run_rack
-from .tracing import RackTracer, write_rack_trace
-from .views import QueueViews
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BALANCER_NAMES",
-    "DEFAULT_N_USERS",
-    "EXTRA_BALANCER_NAMES",
-    "PowerOfD",
-    "QueueViews",
-    "Rack",
-    "RackBalancer",
-    "RackTracer",
-    "RackFaultInjector",
-    "RackFaultPlan",
-    "RackPartition",
-    "RackResult",
-    "RandomBalancer",
-    "RoundRobinBalancer",
-    "ServerCrash",
-    "ServerRecover",
-    "SessionAffinity",
-    "ShortestExpectedDelay",
-    "StaleJSQ",
-    "TypeAffinity",
-    "affinity_assignment",
-    "diurnal_phases",
-    "flash_crowd_phases",
-    "make_balancer",
-    "run_rack",
-    "write_rack_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".balancers": (
+            "BALANCER_NAMES",
+            "EXTRA_BALANCER_NAMES",
+            "PowerOfD",
+            "RackBalancer",
+            "RandomBalancer",
+            "RoundRobinBalancer",
+            "SessionAffinity",
+            "ShortestExpectedDelay",
+            "StaleJSQ",
+            "TypeAffinity",
+            "affinity_assignment",
+            "make_balancer",
+        ),
+        ".faults": (
+            "RackFaultInjector",
+            "RackFaultPlan",
+            "RackPartition",
+            "ServerCrash",
+            "ServerRecover",
+        ),
+        ".load": ("diurnal_phases", "flash_crowd_phases"),
+        ".rack": ("DEFAULT_N_USERS", "Rack", "RackResult", "run_rack"),
+        ".tracing": ("RackTracer", "write_rack_trace"),
+        ".views": ("QueueViews",),
+    },
+)

@@ -29,13 +29,11 @@ return the same values in the same order.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
-from ..metrics.degradation import DegradationReport
 from ..metrics.digest import digest_outcome
 from ..metrics.recorder import Recorder
-from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..server.server import Server
 from ..sim.engine import EventLoop
@@ -47,8 +45,10 @@ from ..workload.phases import Phase, PhaseSchedule
 from ..workload.request import Request
 from ..workload.spec import WorkloadSpec
 from .balancers import RackBalancer, make_balancer
-from .faults import RackFaultInjector, RackFaultPlan
 from .views import QueueViews
+
+if TYPE_CHECKING:
+    from .faults import RackFaultInjector, RackFaultPlan
 
 #: Default user-population size for session keys — the "millions of
 #: users" scale the rack is meant to absorb.
@@ -237,6 +237,8 @@ class RackResult:
         radius (which replicas blacked out) and how well the balancer
         hid it.
         """
+        from ..metrics.degradation import DegradationReport
+
         balancer_tier = DegradationReport(
             self.recorder.columns(),
             window_us=window_us,
@@ -328,7 +330,7 @@ def run_rack(
     if trace is not None and phases is not None:
         raise ConfigurationError("pass either trace or phases, not both")
     if metrics_path is not None and telemetry is None:
-        from ..telemetry import TelemetryProbe
+        from ..telemetry.probe import TelemetryProbe
 
         telemetry = TelemetryProbe()
 
@@ -383,9 +385,13 @@ def run_rack(
 
     injector = None
     if plan is not None and not plan.is_empty:
+        from .faults import RackFaultInjector
+
         injector = RackFaultInjector(plan)
         injector.arm(loop, servers, rack_balancer)
     if sanitize:
+        from ..metrics.sanitizer import SimSanitizer
+
         # Loop-only attachment: per-server invariants (worker
         # exclusivity, reservation rules) assume a single server, but
         # time monotonicity, the shadow tie-break check and every

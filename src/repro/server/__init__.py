@@ -1,13 +1,12 @@
 """Server model: workers, configuration, the scheduling pipeline."""
 
-from .config import SIMULATION_WORKERS, TESTBED_WORKERS, ServerConfig
-from .server import Server
-from .worker import Worker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Server",
-    "Worker",
-    "ServerConfig",
-    "TESTBED_WORKERS",
-    "SIMULATION_WORKERS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("SIMULATION_WORKERS", "TESTBED_WORKERS", "ServerConfig"),
+        ".server": ("Server",),
+        ".worker": ("Worker",),
+    },
+)

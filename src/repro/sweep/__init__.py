@@ -8,57 +8,28 @@ carried by the cells themselves — each derives its root seed from a
 stable hash of its identity — so execution order, worker count and
 resume boundaries cannot change any result.
 
-The value-object layer (:mod:`~repro.sweep.cells`,
-:mod:`~repro.sweep.stats`) imports eagerly; the orchestration layers
-load on first attribute access to keep ``import repro.sweep`` free of
-the experiments/systems import graph.
+Every name loads on first use, so ``import repro.sweep`` stays free of
+the experiments/systems import graph until an orchestration layer is
+used.
 """
 
-from .cells import Cell, CellResult, PAIRED_KEYS, derive_seed, parse_seeds
-from .stats import CIStat, mean_ci, t_critical
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Cell",
-    "CellResult",
-    "CIStat",
-    "PAIRED_KEYS",
-    "CellOutcome",
-    "CheckpointStore",
-    "MergedSweep",
-    "SweepPlan",
-    "derive_seed",
-    "execute_cells",
-    "experiment_spec",
-    "mean_ci",
-    "merge_results",
-    "parse_seeds",
-    "plan_experiment",
-    "run_cell",
-    "run_plan",
-    "supported_experiments",
-    "t_critical",
-]
-
-_LAZY = {
-    "SweepPlan": ("planner", "SweepPlan"),
-    "experiment_spec": ("planner", "experiment_spec"),
-    "plan_experiment": ("planner", "plan_experiment"),
-    "supported_experiments": ("planner", "supported_experiments"),
-    "run_cell": ("runner", "run_cell"),
-    "CellOutcome": ("executor", "CellOutcome"),
-    "execute_cells": ("executor", "execute_cells"),
-    "CheckpointStore": ("checkpoint", "CheckpointStore"),
-    "MergedSweep": ("merge", "MergedSweep"),
-    "merge_results": ("merge", "merge_results"),
-    "run_plan": ("orchestrator", "run_plan"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{module_name}", __name__), attr)
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cells": ("Cell", "CellResult", "PAIRED_KEYS", "derive_seed", "parse_seeds"),
+        ".checkpoint": ("CheckpointStore",),
+        ".executor": ("CellOutcome", "execute_cells"),
+        ".merge": ("MergedSweep", "merge_results"),
+        ".orchestrator": ("run_plan",),
+        ".planner": (
+            "SweepPlan",
+            "experiment_spec",
+            "plan_experiment",
+            "supported_experiments",
+        ),
+        ".runner": ("run_cell",),
+        ".stats": ("CIStat", "mean_ci", "t_critical"),
+    },
+)

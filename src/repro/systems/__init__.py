@@ -1,22 +1,18 @@
 """System models: Perséphone, Shenango, Shinjuku."""
 
-from .base import SystemModel
-from .persephone import (
-    PersephoneCfcfsSystem,
-    PersephoneDfcfsSystem,
-    PersephoneStaticSystem,
-    PersephoneSystem,
-)
-from .shenango import DEFAULT_STEAL_COST_US, ShenangoSystem
-from .shinjuku import ShinjukuSystem
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SystemModel",
-    "PersephoneSystem",
-    "PersephoneStaticSystem",
-    "PersephoneCfcfsSystem",
-    "PersephoneDfcfsSystem",
-    "ShenangoSystem",
-    "DEFAULT_STEAL_COST_US",
-    "ShinjukuSystem",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("SystemModel",),
+        ".persephone": (
+            "PersephoneCfcfsSystem",
+            "PersephoneDfcfsSystem",
+            "PersephoneStaticSystem",
+            "PersephoneSystem",
+        ),
+        ".shenango": ("DEFAULT_STEAL_COST_US", "ShenangoSystem"),
+        ".shinjuku": ("ShinjukuSystem",),
+    },
+)

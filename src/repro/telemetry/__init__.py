@@ -14,34 +14,24 @@ analysis in :mod:`repro.analyze` (A301) enforces it statically, and
 (bit-identical run digests with metrics on or off).
 """
 
-from .probe import DEFAULT_SCRAPE_INTERVAL_US, TelemetryProbe
-from .registry import (
-    COUNTER,
-    DEFAULT_BOUNDS,
-    GAUGE,
-    HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    log_spaced_bounds,
-    series_key,
-)
-from .timeline import MetricsTimeline, SeriesTrack
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COUNTER",
-    "GAUGE",
-    "HISTOGRAM",
-    "DEFAULT_BOUNDS",
-    "DEFAULT_SCRAPE_INTERVAL_US",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsTimeline",
-    "SeriesTrack",
-    "TelemetryProbe",
-    "log_spaced_bounds",
-    "series_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".probe": ("DEFAULT_SCRAPE_INTERVAL_US", "TelemetryProbe"),
+        ".registry": (
+            "COUNTER",
+            "DEFAULT_BOUNDS",
+            "GAUGE",
+            "HISTOGRAM",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "log_spaced_bounds",
+            "series_key",
+        ),
+        ".timeline": ("MetricsTimeline", "SeriesTrack"),
+    },
+)

@@ -12,47 +12,31 @@ samples, are recorded against monotonic simulated time.  Export with
 converts and validates trace files.
 """
 
-from .breakdown import LatencyBreakdown, StageBreakdown
-from .export import (
-    TraceDocument,
-    build_document,
-    build_trace_events,
-    load_trace,
-    spans_to_csv,
-    validate_chrome_trace,
-    write_trace,
-)
-from .monitor import TailMonitor
-from .span import (
-    COMPLETE,
-    DISPATCHER_DROP,
-    DROP,
-    STAGE_KEYS,
-    TERMINAL_STATES,
-    Slice,
-    Span,
-)
-from .tracer import Decision, Tracer, WorkerSample
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Decision",
-    "WorkerSample",
-    "Span",
-    "Slice",
-    "COMPLETE",
-    "DROP",
-    "DISPATCHER_DROP",
-    "TERMINAL_STATES",
-    "STAGE_KEYS",
-    "LatencyBreakdown",
-    "StageBreakdown",
-    "TailMonitor",
-    "TraceDocument",
-    "build_document",
-    "build_trace_events",
-    "load_trace",
-    "spans_to_csv",
-    "validate_chrome_trace",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".breakdown": ("LatencyBreakdown", "StageBreakdown"),
+        ".export": (
+            "TraceDocument",
+            "build_document",
+            "build_trace_events",
+            "load_trace",
+            "spans_to_csv",
+            "validate_chrome_trace",
+            "write_trace",
+        ),
+        ".monitor": ("TailMonitor",),
+        ".span": (
+            "COMPLETE",
+            "DISPATCHER_DROP",
+            "DROP",
+            "STAGE_KEYS",
+            "TERMINAL_STATES",
+            "Slice",
+            "Span",
+        ),
+        ".tracer": ("Decision", "Tracer", "WorkerSample"),
+    },
+)

@@ -1,75 +1,43 @@
 """Workload modelling: requests, distributions, arrivals, presets, traces."""
 
-from .arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    DeterministicArrivals,
-    PoissonArrivals,
-    arrival_stream,
-)
-from .distributions import (
-    Bimodal,
-    Exponential,
-    Fixed,
-    LogNormal,
-    Pareto,
-    ServiceTimeDistribution,
-    Uniform,
-)
-from .closedloop import ClosedLoopClients
-from .generator import OpenLoopGenerator
-from .phases import Phase, PhaseSchedule
-from .presets import (
-    PRESETS,
-    TPCC_TRANSACTIONS,
-    by_name,
-    extreme_bimodal,
-    facebook_usr,
-    figure1_workload,
-    high_bimodal,
-    rocksdb,
-    tpcc,
-    ycsb_a,
-)
-from .request import UNKNOWN_TYPE, Request, RequestTypeSpec
-from .spec import TypedClass, WorkloadSpec, bimodal_spec, nmodal_spec
-from .trace import Trace, TraceReplayer, record_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "BurstyArrivals",
-    "arrival_stream",
-    "ServiceTimeDistribution",
-    "Fixed",
-    "Exponential",
-    "LogNormal",
-    "Pareto",
-    "Uniform",
-    "Bimodal",
-    "OpenLoopGenerator",
-    "ClosedLoopClients",
-    "Phase",
-    "PhaseSchedule",
-    "PRESETS",
-    "TPCC_TRANSACTIONS",
-    "by_name",
-    "high_bimodal",
-    "extreme_bimodal",
-    "figure1_workload",
-    "tpcc",
-    "rocksdb",
-    "ycsb_a",
-    "facebook_usr",
-    "Request",
-    "RequestTypeSpec",
-    "UNKNOWN_TYPE",
-    "TypedClass",
-    "WorkloadSpec",
-    "bimodal_spec",
-    "nmodal_spec",
-    "Trace",
-    "TraceReplayer",
-    "record_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".arrivals": (
+            "ArrivalProcess",
+            "BurstyArrivals",
+            "DeterministicArrivals",
+            "PoissonArrivals",
+            "arrival_stream",
+        ),
+        ".closedloop": ("ClosedLoopClients",),
+        ".distributions": (
+            "Bimodal",
+            "Exponential",
+            "Fixed",
+            "LogNormal",
+            "Pareto",
+            "ServiceTimeDistribution",
+            "Uniform",
+        ),
+        ".generator": ("OpenLoopGenerator",),
+        ".phases": ("Phase", "PhaseSchedule"),
+        ".presets": (
+            "PRESETS",
+            "TPCC_TRANSACTIONS",
+            "by_name",
+            "extreme_bimodal",
+            "facebook_usr",
+            "figure1_workload",
+            "high_bimodal",
+            "rocksdb",
+            "tpcc",
+            "ycsb_a",
+        ),
+        ".request": ("UNKNOWN_TYPE", "Request", "RequestTypeSpec"),
+        ".spec": ("TypedClass", "WorkloadSpec", "bimodal_spec", "nmodal_spec"),
+        ".trace": ("Trace", "TraceReplayer", "record_trace"),
+    },
+)

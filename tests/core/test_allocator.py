@@ -88,6 +88,25 @@ class TestCoreAllocator:
         with pytest.raises(ConfigurationError):
             CoreAllocator(scheduler)
 
+    def test_revoke_right_after_window_reset(self):
+        # A profiled scheduler whose first window has just closed: the
+        # reservation is installed and the window reset, so it is empty.
+        scheduler = DarcScheduler(profile=True, min_samples=200)
+        harness = make_harness(scheduler, n_workers=14)
+        allocator = CoreAllocator(scheduler)
+        for i in range(200):
+            harness.submit(i % 2, 1.0 if i % 2 == 0 else 100.0, at=float(i))
+        harness.run()
+        assert scheduler.reservation.n_workers == 14
+        assert not scheduler.profiler.window_entries()
+        # The revoke must re-plan over the 8 leased cores from the last
+        # installed entries, or dispatch indexes past the lease.
+        allocator.revoke(6)
+        longs = [harness.submit(1, 100.0) for _ in range(14)]
+        harness.run()
+        assert scheduler.reservation.n_workers == 8
+        assert all(r.completed for r in longs)
+
     def test_invalid_min_cores(self):
         harness, _ = build(4)
         with pytest.raises(ConfigurationError):
