@@ -1261,6 +1261,127 @@ class TestStaleJSQViewPins:
         assert self.outcome(name) == self.PINS[name]
 
 
+def _view_path_outcome(result):
+    """``_rack_draw_outcome`` plus the exact error sum and the spills."""
+    digest, counters, route_counts = _rack_draw_outcome(result)
+    views = result.views
+    return (digest, counters, views.error_sum, route_counts, result.balancer.spills)
+
+
+class TestViewPathPins:
+    """Rack runs through every view-reading path the benchmark rack does
+    not take: stale JSQ with a dispatcher and ingress delay (requests
+    reach the scheduler after routing), sampled JSQ(k), type affinity
+    with spills, power of three choices, and shortest expected delay,
+    steady and through ``TestRackDrawPins``'s shrinking pool.  Captured
+    with ``QueueViews.least`` recomputing every pooled replica's load
+    per pick and ``sed`` calling ``QueueViews.load`` once per replica."""
+
+    #: name -> (digest, views.counters(), error_sum, route_counts, spills).
+    PINS = {
+        "jsq-stale-delayed": (
+            "35a6b608b8989dec2f3e62f09bc38073ca2a6d6cf4f4ff9360303fb06d24d937",
+            {"stale_reads": 318176, "fresh_reads": 1824,
+             "mean_view_error": 5.260931057025043},
+            1673902.0,
+            [257, 225, 238, 314, 312, 240, 381, 318, 335, 375, 311, 261, 320, 320, 433,
+             433, 305, 291, 251, 274, 207, 284, 317, 218, 408, 310, 291, 434, 267, 336,
+             423, 311],
+            0,
+        ),
+        "jsq-k": (
+            "50ac1d7f992061fbc1626468b3325fba2aede1a00da6e3ad5804735f426d55a7",
+            {"stale_reads": 78208, "fresh_reads": 1792,
+             "mean_view_error": 3.7097867225859247},
+            290135.0,
+            [329, 308, 335, 314, 306, 286, 265, 314, 289, 324, 302, 345, 307, 335, 316,
+             307, 292, 337, 349, 291, 324, 334, 328, 301, 301, 318, 341, 322, 318, 287,
+             302, 273],
+            0,
+        ),
+        "type-affinity": (
+            "6db61b205f0f385917ce996195496b8303cbd65c35a7bec98d94a86f4209450e",
+            {"stale_reads": 179783, "fresh_reads": 1823,
+             "mean_view_error": 3.4607721530956765},
+            622188.0,
+            [4636, 359, 247, 264, 269, 242, 329, 276, 266, 212, 252, 168, 179, 259, 210,
+             173, 184, 187, 196, 190, 174, 184, 105, 259, 80, 100, 0, 0, 0, 0, 0, 0],
+            343,
+        ),
+        "pow3": (
+            "573b5d6c0af2cafbb88bcfddb3ea69e3ca32b6a946101b57e34b0db8274a9b1a",
+            {"stale_reads": 28277, "fresh_reads": 1723,
+             "mean_view_error": 2.3502846836651696},
+            66459.0,
+            [312, 316, 307, 304, 292, 310, 335, 303, 313, 334, 322, 294, 298, 325, 311,
+             282, 307, 326, 314, 329, 314, 293, 318, 342, 299, 309, 334, 320, 292, 310,
+             308, 327],
+            0,
+        ),
+        "sed-steady": (
+            "d76eb788386a27ac187d2934068e738c7f404919a7f5e5ecb6155c8b78b871a1",
+            {"stale_reads": 318176, "fresh_reads": 1824,
+             "mean_view_error": 5.904810545107111},
+            1878769.0,
+            [515, 559, 532, 559, 505, 349, 356, 503, 401, 360, 509, 328, 376, 358, 401,
+             369, 366, 317, 364, 359, 370, 327, 325, 235, 173, 184, 0, 0, 0, 0, 0, 0],
+            0,
+        ),
+        "sed-shrink": (
+            "439ec183923bdb1a7a69b54cdcd1b9a97bbf23ff6bf2aa6fb8bded5401e6a01d",
+            {"stale_reads": 233992, "fresh_reads": 1352,
+             "mean_view_error": 6.07182724195699},
+            1420759.0,
+            [1092, 1107, 1179, 543, 501, 464, 352, 485, 397, 365, 507, 317, 186, 164,
+             188, 197, 212, 178, 155, 177, 181, 183, 161, 163, 194, 181, 171, 0, 0, 0, 0,
+             0],
+            0,
+        ),
+    }
+
+    @staticmethod
+    def _pow3(servers, views, rngs, spec):
+        from repro.rack.balancers import PowerOfD
+
+        return PowerOfD(servers, views, rngs.stream("rack.pow2"), d=3)
+
+    @staticmethod
+    def _affinity(servers, views, rngs, spec):
+        from repro.rack.balancers import TypeAffinity, affinity_assignment
+
+        assignment, default = affinity_assignment(spec, len(servers))
+        return TypeAffinity(servers, views, assignment, default, spill_threshold=2)
+
+    @classmethod
+    def outcome(cls, name):
+        from repro.rack.rack import run_rack
+
+        run = TestRackDrawPins._run
+        if name == "jsq-stale-delayed":
+            result = run_rack(
+                PersephoneSystem(n_workers=8, prototype_costs=True), high_bimodal(),
+                balancer="jsq-stale", n_servers=32, utilization=0.7,
+                n_requests=10_000, seed=11, staleness_us=50.0,
+            )
+        elif name == "jsq-k":
+            result = run("jsq-k")
+        elif name == "type-affinity":
+            result = run(cls._affinity)
+        elif name == "pow3":
+            result = run(cls._pow3)
+        elif name == "sed-steady":
+            result = run("sed")
+        elif name == "sed-shrink":
+            result = run("sed", plan=TestRackDrawPins._shrink_plan())
+        else:
+            raise KeyError(name)
+        return _view_path_outcome(result)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_run_matches_pin(self, name):
+        assert self.outcome(name) == self.PINS[name]
+
+
 def _timesharing_accounting(scheduler, workers):
     """sha256 over what ``digest_outcome`` does not hash: every worker's
     busy, overhead and idle clocks and completion count, the scheduler's
