@@ -106,6 +106,9 @@ class Scheduler(ABC):
                 f"{type(self).__name__} overrides pending_count(); "
                 "keep Scheduler.queued instead"
             )
+        if any(worker.bit != 1 << i for i, worker in enumerate(workers)):
+            # first_free_worker indexes the list by free-mask bit.
+            raise SchedulingError("worker i must have worker_id i")
         self.loop = loop
         self.workers = workers
         self.counts = shared_counts(workers)
@@ -113,6 +116,26 @@ class Scheduler(ABC):
         self._on_drop = on_drop
         self._bound = True
         self.on_bound()
+
+    def watch_sinks(self, listener) -> None:
+        """Call ``listener()`` before each completion or drop is passed
+        to its sink (a rack's load marks, :meth:`Server.watch_load`), so
+        a sink that routes more work sees the mark already raised."""
+        complete = self._on_complete
+        drop = self._on_drop
+
+        def on_complete(request: Request) -> None:
+            listener()
+            if complete is not None:
+                complete(request)
+
+        def on_drop(request: Request) -> None:
+            listener()
+            if drop is not None:
+                drop(request)
+
+        self._on_complete = on_complete
+        self._on_drop = on_drop
 
     def on_bound(self) -> None:
         """Hook for subclasses to build per-worker state after binding."""
@@ -276,15 +299,12 @@ class Scheduler(ABC):
     # conveniences
     # ------------------------------------------------------------------
     def first_free_worker(self) -> Optional[Worker]:
-        counts = self.counts
-        # Busy and crashed cores are disjoint (the crash handler evicts
-        # before it fails a core), so a full tally means no free core.
-        if counts.busy + counts.failed >= counts.size:
+        """The free worker with the lowest id, read from the free mask
+        (:meth:`bind` checks that worker ``i`` owns bit ``i``)."""
+        free = self.counts.free
+        if not free:
             return None
-        for w in self.workers:
-            if w.is_free:
-                return w
-        return None
+        return self.workers[(free & -free).bit_length() - 1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(workers={len(self.workers)})"

@@ -310,8 +310,9 @@ def run_rack(
     ``plan`` arms a :class:`~repro.rack.faults.RackFaultPlan` (whole
     -server crashes, partitions).  ``sanitize`` attaches the runtime
     invariant sanitizer in loop-only mode (monotonic-time and shadow
-    checks, and each replica's queued counter against a scan of its
-    queues; the other server-specific invariants need a single server).
+    checks, each replica's queued counter against a scan of its queues,
+    and the views' pushed loads and errors against fresh reads; the
+    other server-specific invariants need a single server).
     ``trace_path`` (or an explicit ``tracer``, a
     :class:`~repro.rack.tracing.RackTracer`) turns on rack-scale span
     tracing: one per-replica tracer tee plus the balancer decision log,
@@ -394,10 +395,10 @@ def run_rack(
 
         # Loop-only attachment: per-server invariants (worker
         # exclusivity, reservation rules) assume a single server, but
-        # time monotonicity, the shadow tie-break check and every
-        # replica's queued counter still apply.
+        # time monotonicity, the shadow tie-break check, every
+        # replica's queued counter and the views' pushed state apply.
         SimSanitizer(
-            shadow_tiebreaks=(sanitize == "shadow"), replicas=servers
+            shadow_tiebreaks=(sanitize == "shadow"), replicas=servers, views=views
         ).attach(loop)
     if telemetry is not None:
         telemetry.install(loop)

@@ -284,6 +284,33 @@ class TestQueueDepth:
         assert excinfo.value.invariant == "queue-depth"
         assert excinfo.value.context == {"pending": 3, "pending_scan": 2}
 
+    def test_rack_view_error_without_a_mark_is_caught(self):
+        # A request queued behind the scheduler's back: counter and queue
+        # agree, so queue-depth passes, but no load mark reached the
+        # views, whose stored error is now stale.
+        from repro.rack.views import QueueViews
+
+        loop = EventLoop()
+        servers = [
+            Server(loop, CentralizedFCFS(), config=ServerConfig(n_workers=1))
+            for _ in range(2)
+        ]
+        views = QueueViews(loop, servers, staleness_us=50.0)
+        SimSanitizer(replicas=servers, views=views).attach(loop)
+        feed(loop, servers[1], requests(3, service=100.0))
+        loop.call_at(5.0, views.least, [0, 1])  # wires the marks
+        loop.run(until=10.0)
+        scheduler = servers[1].scheduler
+        scheduler.queue.append(Request(99, 0, 10.0, 5.0))
+        scheduler.queued += 1  # the bug: no mark
+        loop.call_at(10.5, lambda: None)
+        with pytest.raises(SanitizerViolation) as excinfo:
+            loop.run(until=11.0)
+        assert excinfo.value.invariant == "view-error"
+        assert excinfo.value.context == {
+            "replica": 1, "stored": (3, 0), "actual": (4, 1),
+        }
+
     def test_policy_overriding_pending_count_is_refused_at_bind(self):
         class LegacyFCFS(CentralizedFCFS):
             """Written to the old contract: counts by override, never
