@@ -17,11 +17,9 @@ should be robust to both.  These benchmarks check that:
 import numpy as np
 import pytest
 
-from repro.experiments.common import (
-    overall_slowdown_metric,
-    run_once,
-    run_replicated_sweep,
-)
+from repro.experiments import figure3
+from repro.experiments.common import overall_slowdown_metric, run_once
+from repro.experiments.results import load_name_parts, run_serial
 from repro.metrics.recorder import Recorder
 from repro.metrics.summary import RunSummary
 from repro.server.config import ServerConfig
@@ -135,13 +133,14 @@ def test_seed_variance():
     """
 
     def replicated_slowdown(system):
-        replicates = run_replicated_sweep(
-            system, high_bimodal(), [UTILIZATION], seeds=(1, 2, 3, 4, 5),
-            experiment="sensitivity", n_requests=20_000,
+        # High Bimodal cells of a "sensitivity" grid holding one system.
+        spec = figure3.SPEC._replace(
+            name="sensitivity", systems_for=lambda workload: [system]
         )
-        return mean_ci(
-            [overall_slowdown_metric(sweep[0]) for sweep in replicates.values()]
+        runs = run_serial(
+            spec, 1, (1, 2, 3, 4, 5), load_name_parts, 20_000, [UTILIZATION]
         )
+        return mean_ci([overall_slowdown_metric(result) for _, result, _ in runs])
 
     def run_reps():
         darc = replicated_slowdown(PersephoneSystem(n_workers=N_WORKERS, oracle=True))

@@ -13,27 +13,17 @@ optionally archives the underlying data as CSV::
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .experiments import (
-    chaos,
-    figure1,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    rack,
-    tables,
-)
+from .experiments import tables
 from .experiments.export import figure_to_csv, findings_to_csv
 from .experiments.results import FigureResult
+from .sweep.planner import supported_experiments
 
 #: Load-sweep request counts for --quick runs.
 QUICK_N = 8_000
@@ -55,143 +45,31 @@ def _tables_run(n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir)
     return None
 
 
-#: name -> (run(n, seed, sanitize, trace_dir, metrics_dir, seeds,
-#: forensics_dir) -> result, render(result) -> str).  ``seeds`` is None
-#: for the legacy single-seed path or a sequence for replicated
-#: (CI-table) runs.
-EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
-    "chaos": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: chaos.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        chaos.render,
-    ),
-    "figure1": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure1.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure1.render,
-    ),
-    "figure3": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure3.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure3.render,
-    ),
-    "figure4": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure4.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        lambda r: r.render(),
-    ),
-    "figure5": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure5.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure5.render,
-    ),
-    "figure6": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure6.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure6.render,
-    ),
-    "figure7": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure7.run(
+def _driver(name: str) -> Tuple[Callable, Callable]:
+    """``(run, render)`` for one registered experiment's module."""
+    module = importlib.import_module(f"{__package__}.experiments.{name}")
+    # Figure 7 runs fixed phases, not a request count.
+    takes_n = "n_requests" in inspect.signature(module.run).parameters
+
+    def run(n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir):
+        sized = {"n_requests": n} if takes_n else {}
+        return module.run(
             seed=seed, sanitize=sanitize, trace_dir=trace_dir,
             metrics_dir=metrics_dir, seeds=seeds, forensics_dir=forensics_dir,
-        ),
-        lambda r: r.render(),
-    ),
-    "figure8": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure8.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure8.render,
-    ),
-    "figure9": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure9.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure9.render,
-    ),
-    "figure10": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure10.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure10.render,
-    ),
-    "rack": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: rack.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        rack.render,
-    ),
-    "tables": (
-        _tables_run,
-        lambda r: tables.render_all(),
-    ),
+            **sized,
+        )
+
+    return run, module.render
+
+
+#: name -> (run(n, seed, sanitize, trace_dir, metrics_dir, seeds,
+#: forensics_dir) -> result, render(result) -> str): every registered
+#: experiment, plus the static tables.  ``seeds`` is None for the
+#: single-seed path or a sequence for replicated (CI-table) runs.
+EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
+    name: _driver(name) for name in supported_experiments()
 }
+EXPERIMENTS["tables"] = (_tables_run, lambda r: tables.render_all())
 
 
 def build_parser() -> argparse.ArgumentParser:

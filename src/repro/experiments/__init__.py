@@ -1,10 +1,12 @@
 """Experiment drivers — one module per paper figure/table.
 
-Each ``figureN`` module exposes ``run(...)`` returning a structured
-result and ``render(result)`` producing the text analogue of the paper's
-plot.  Scale knobs (``n_requests``, ``utilizations``) default to values
-that keep pure-Python runtimes reasonable; crank them up for tighter
-tails.
+Each ``figureN`` module (and ``chaos``, ``rack``) declares its grid,
+SLO and findings once as ``SPEC`` (a
+:class:`~repro.sweep.planner.ExperimentSpec`), and exposes ``run(...)``
+returning a structured result and ``render(result)`` producing the text
+analogue of the paper's plot.  Scale knobs (``n_requests``,
+``utilizations``) default to values that keep pure-Python runtimes
+reasonable; crank them up for tighter tails.
 """
 
 from .._lazy import lazy_exports

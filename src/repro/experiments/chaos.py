@@ -23,16 +23,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..sweep.stats import mean_ci
 from ..faults.plan import FaultPlan
-from ..faults.runner import ChaosResult, run_chaos
+from ..faults.runner import ChaosResult
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import high_bimodal
 from ..workload.resilience import RetryPolicy
-from .common import collect_forensics, metrics_target, trace_target
+from .common import collect_forensics
+from .results import outcomes_of, run_serial
 from .tables import render_series, render_table
 
 N_WORKERS = 8
@@ -158,6 +159,36 @@ def episode_plan(n_requests: int, spec=None):
     return plan, crash_at, recover_at, window_us
 
 
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Per system: replicate-mean time-to-recover, SLO-violation time and
+    failures (with half-widths over several seeds), and DARC's
+    reservation updates in the first replicate."""
+    facts: Dict[str, float] = {}
+    for system in outcomes.values("system"):
+        updates = outcomes.first("reservation_updates", system=system)
+        if updates == updates:
+            facts["darc_reservation_updates"] = updates
+        for metric in ("ttr_us", "violation_us", "failures"):
+            stat = outcomes.stat(metric, system=system)
+            facts[f"{metric} [{system}]"] = stat.mean
+            if outcomes.n_replicates > 1:
+                facts[f"{metric} halfwidth [{system}]"] = stat.half_width
+    return {"": facts}
+
+
+SPEC = ExperimentSpec(
+    name="chaos",
+    kind="chaos",
+    workloads=("high_bimodal",),
+    spec_for=lambda workload: high_bimodal(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=(UTILIZATION,),
+    n_requests=20_000,
+    table_metrics=("ttr_us", "violation_us", "failures", "throughput"),
+    findings=findings,
+)
+
+
 def run(
     n_requests: int = 20_000,
     seed: int = 1,
@@ -177,72 +208,28 @@ def run(
     findings (TTR, violation time, failures) become replicate means with
     ``±half-width`` companions.
     """
-    if systems is None:
-        systems = default_systems()
-    if retry is None:
-        retry = default_retry()
-    spec = high_bimodal()
-    plan, crash_at, recover_at, window_us = episode_plan(n_requests, spec)
-    replicates: Sequence[int] = seeds if seeds else (seed,)
-
+    spec = SPEC
+    if systems is not None:
+        spec = spec._replace(systems_for=lambda workload: list(systems))
+    _plan, crash_at, recover_at, window_us = episode_plan(n_requests)
+    runs = run_serial(
+        spec, seed, seeds,
+        lambda params, tag: ["chaos", params["system"], tag],
+        n_requests, sanitize=sanitize, trace_dir=trace_dir,
+        metrics_dir=metrics_dir, retry=retry or default_retry(),
+    )
     result = ChaosExperimentResult(crash_at, recover_at, window_us)
-    result.n_replicates = len(replicates)
-    for system in systems:
-        samples: Dict[str, List[float]] = {
-            "ttr_us": [], "violation_us": [], "failures": []
-        }
-        for index, replicate in enumerate(replicates):
-            if seeds is None:
-                run_seed = seed
-            else:
-                from ..sweep.cells import derive_seed
-
-                run_seed = derive_seed(
-                    "chaos",
-                    {
-                        "system": system.name,
-                        "workload": "high_bimodal",
-                        "rho": UTILIZATION,
-                        "n_requests": n_requests,
-                    },
-                    replicate,
-                )
-            suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
-            res = run_chaos(
-                system,
-                spec,
-                UTILIZATION,
-                plan,
-                n_requests=n_requests,
-                seed=run_seed,
-                retry=retry,
-                window_us=window_us,
-                slo_latency_us=SLO_LATENCY_US,
-                sanitize=sanitize,
-                trace_path=trace_target(trace_dir, "chaos", system.name, *suffix),
-                metrics_path=metrics_target(
-                    metrics_dir, "chaos", system.name, *suffix
-                ),
-            )
-            ttr = res.time_to_recover()
-            samples["ttr_us"].append(float("nan") if ttr is None else ttr)
-            samples["violation_us"].append(res.degradation.violation_time_us())
-            samples["failures"].append(float(res.recorder.failures))
-            if index > 0:
-                continue
-            result.results[system.name] = res
-            updates = getattr(res.scheduler, "reservation_updates", None)
-            if updates is not None:
-                result.findings["darc_reservation_updates"] = float(updates)
-        if len(replicates) > 1:
-            result.samples[system.name] = samples
-        for metric in ("ttr_us", "violation_us", "failures"):
-            stat = mean_ci(samples[metric])
-            result.findings[f"{metric} [{system.name}]"] = stat.mean
-            if len(replicates) > 1:
-                result.findings[f"{metric} halfwidth [{system.name}]"] = (
-                    stat.half_width
-                )
+    result.n_replicates = len(seeds) if seeds else 1
+    first = seeds[0] if seeds else seed
+    for cell, res, metrics in runs:
+        name = cell.params_dict["system"]
+        if cell.replicate == first:
+            result.results[name] = res
+        if result.n_replicates > 1:
+            samples = result.samples.setdefault(name, {})
+            for metric in ("ttr_us", "violation_us", "failures"):
+                samples.setdefault(metric, []).append(metrics[metric])
+    result.findings = findings(outcomes_of(spec, runs))[""]
     collect_forensics(forensics_dir, trace_dir, "chaos")
     return result
 

@@ -368,8 +368,8 @@ def run_sweep(
     """One :func:`run_once` per load point, all under ``seed``.
 
     Systems compared at the same points with the same seed stay paired
-    (common random numbers).  Replicating over seeds is
-    :func:`run_replicated_sweep`'s job.
+    (common random numbers).  Replicating over seeds is the sweep
+    planner's job: each cell derives its own seed.
 
     ``trace_dir`` traces every point, writing one
     ``<system>_<workload>_rho<load>.trace.json`` per point;
@@ -393,72 +393,3 @@ def run_sweep(
             )
         )
     return results
-
-
-def run_replicated_sweep(
-    system: SystemModel,
-    spec: WorkloadSpec,
-    utilizations: Sequence[float],
-    seeds: Sequence[int],
-    experiment: str,
-    workload: Optional[str] = None,
-    n_requests: int = DEFAULT_N_REQUESTS,
-    warmup_frac: float = DEFAULT_WARMUP_FRAC,
-    pct: float = 99.9,
-    sanitize: "bool | str" = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-) -> Dict[int, List[RunResult]]:
-    """Replicated sweep with **derived** per-cell seeds.
-
-    Each ``(load point, replicate)`` runs under the seed
-    :func:`repro.sweep.cells.derive_seed` produces for the matching
-    sweep cell — so a serial multi-seed figure run and a pooled
-    ``repro-sweep`` run of the same grid execute bit-identical cells.
-    ``workload`` is the planner's workload token (defaults to
-    ``spec.name``).  Returns ``{replicate: [RunResult per load point]}``
-    in the order of ``seeds``.
-    """
-    from ..sweep.cells import derive_seed
-
-    if not seeds:
-        raise ConfigurationError("run_replicated_sweep needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
-    token = spec.name if workload is None else workload
-    multi = len(seeds) > 1
-    replicates: Dict[int, List[RunResult]] = {}
-    for replicate in seeds:
-        sweep: List[RunResult] = []
-        for rho in utilizations:
-            cell_seed = derive_seed(
-                experiment,
-                {
-                    "system": system.name,
-                    "workload": token,
-                    "rho": rho,
-                    "n_requests": n_requests,
-                },
-                replicate,
-            )
-            name_parts: List[Any] = [
-                system.name, token, f"rho{round(rho * 100):03d}"
-            ]
-            if multi:
-                name_parts.append(f"seed{replicate}")
-            sweep.append(
-                run_once(
-                    system,
-                    spec,
-                    rho,
-                    n_requests=n_requests,
-                    seed=cell_seed,
-                    warmup_frac=warmup_frac,
-                    pct=pct,
-                    sanitize=sanitize,
-                    trace_path=trace_target(trace_dir, *name_parts),
-                    metrics_path=metrics_target(metrics_dir, *name_parts),
-                )
-            )
-        replicates[replicate] = sweep
-    return replicates

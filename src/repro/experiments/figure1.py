@@ -13,8 +13,9 @@ At 5.1 Mrps, short p99.9 ≈ 9.87 µs vs 7738 µs (c-FCFS) and 161 µs (TS).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import (
     PersephoneCfcfsSystem,
@@ -24,7 +25,7 @@ from ..systems.persephone import (
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import figure1_workload
 from .common import collect_forensics, max_typed_slowdown_metric
-from .results import FigureResult, collect_sweep
+from .results import FigureResult, run_load_figure
 
 N_WORKERS = 16
 SLO_SLOWDOWN = 10.0
@@ -52,6 +53,40 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Capacities at the 10x per-type SLO and DARC's capacity ratios."""
+    caps = outcomes.capacities("figure1")
+    peak_mrps = figure1_workload().peak_load(N_WORKERS)
+    facts: Dict[str, float] = {}
+    for name, cap in caps.items():
+        facts[f"capacity@10x [{name}] (frac of peak)"] = (
+            cap if cap is not None else float("nan")
+        )
+        facts[f"capacity@10x [{name}] (Mrps)"] = (
+            cap * peak_mrps if cap is not None else float("nan")
+        )
+    if caps.get("DARC") and caps.get("c-FCFS"):
+        facts["DARC vs c-FCFS capacity ratio"] = caps["DARC"] / caps["c-FCFS"]
+    ts_name = "TS (5us, 1us)"
+    if caps.get("DARC") and caps.get(ts_name):
+        facts["DARC vs TS capacity ratio"] = caps["DARC"] / caps[ts_name]
+    return {"": facts}
+
+
+SPEC = ExperimentSpec(
+    name="figure1",
+    kind="load_sweep",
+    workloads=("figure1",),
+    spec_for=lambda workload: figure1_workload(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"figure1": SLO_SLOWDOWN},
+    capacity_metric="max_typed_slowdown",
+    findings=findings,
+)
+
+
 def run(
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
     n_requests: int = 60_000,
@@ -68,28 +103,11 @@ def run(
     ``seeds`` replicates every point (derived per-cell seeds, CI
     tables); without it the single raw ``seed`` runs, as always.
     """
-    spec = figure1_workload()
-    result = FigureResult("Figure 1", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure1",
-            workload="figure1", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
-    caps = result.capacities(SLO_SLOWDOWN, max_typed_slowdown_metric)
-    peak_mrps = spec.peak_load(N_WORKERS)
-    for name, cap in caps.items():
-        result.findings[f"capacity@10x [{name}] (frac of peak)"] = (
-            cap if cap is not None else float("nan")
-        )
-        result.findings[f"capacity@10x [{name}] (Mrps)"] = (
-            cap * peak_mrps if cap is not None else float("nan")
-        )
-    if caps.get("DARC") and caps.get("c-FCFS"):
-        result.findings["DARC vs c-FCFS capacity ratio"] = caps["DARC"] / caps["c-FCFS"]
-    ts_name = "TS (5us, 1us)"
-    if caps.get("DARC") and caps.get(ts_name):
-        result.findings["DARC vs TS capacity ratio"] = caps["DARC"] / caps[ts_name]
+    result = run_load_figure(
+        SPEC, "Figure 1", utilizations, n_requests, seed=seed, seeds=seeds,
+        systems=systems, sanitize=sanitize, trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
+    )
     collect_forensics(forensics_dir, trace_dir, "figure1")
     return result
 

@@ -13,14 +13,15 @@ once preemption stops being free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import figure1_workload
 from .common import collect_forensics, max_typed_slowdown_metric
-from .results import FigureResult, collect_sweep
+from .results import FigureResult, capacity_findings, run_load_figure
 
 N_WORKERS = 16
 SLO_SLOWDOWN = 10.0
@@ -57,6 +58,31 @@ def default_systems() -> List[SystemModel]:
     return systems
 
 
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Capacities at 10x and the load 1 µs of preemption cost loses."""
+    caps = outcomes.capacities("figure1")
+    facts = capacity_findings(caps, f"{SLO_SLOWDOWN:g}x")
+    ideal = caps.get("TS 0us")
+    one_us = caps.get("TS 1us")
+    if ideal and one_us:
+        facts["load lost by TS 1us vs ideal"] = 1.0 - one_us / ideal
+    return {"": facts}
+
+
+SPEC = ExperimentSpec(
+    name="figure10",
+    kind="load_sweep",
+    workloads=("figure1",),
+    spec_for=lambda workload: figure1_workload(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"figure1": SLO_SLOWDOWN},
+    capacity_metric="max_typed_slowdown",
+    findings=findings,
+)
+
+
 def run(
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
     n_requests: int = 60_000,
@@ -68,23 +94,11 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
 ) -> FigureResult:
-    spec = figure1_workload()
-    result = FigureResult("Figure 10 [preemption overheads]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure10",
-            workload="figure1", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
-    caps = result.capacities(SLO_SLOWDOWN, max_typed_slowdown_metric)
-    for name, cap in caps.items():
-        result.findings[f"capacity@{SLO_SLOWDOWN:g}x [{name}]"] = (
-            cap if cap is not None else float("nan")
-        )
-    ideal = caps.get("TS 0us")
-    one_us = caps.get("TS 1us")
-    if ideal and one_us:
-        result.findings["load lost by TS 1us vs ideal"] = 1.0 - one_us / ideal
+    result = run_load_figure(
+        SPEC, "Figure 10 [preemption overheads]", utilizations, n_requests,
+        seed=seed, seeds=seeds, systems=systems, sanitize=sanitize,
+        trace_dir=trace_dir, metrics_dir=metrics_dir,
+    )
     collect_forensics(forensics_dir, trace_dir, "figure10")
     return result
 

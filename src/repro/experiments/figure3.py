@@ -12,8 +12,9 @@ average CPU waste ≈ 0.86 core.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import (
     PersephoneCfcfsSystem,
@@ -22,7 +23,7 @@ from ..systems.persephone import (
 )
 from ..workload.presets import high_bimodal
 from .common import collect_forensics, overall_slowdown_metric, typed_latency_metric
-from .results import FigureResult, collect_sweep
+from .results import FigureResult, run_load_figure, typed_tail_latencies
 
 N_WORKERS = 14
 SHORT_TYPE = 0
@@ -40,6 +41,69 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
+def cell_metrics(result) -> Dict[str, float]:
+    """Per-type tail latencies, plus DARC's reservation state."""
+    metrics = typed_tail_latencies(result)
+    scheduler = result.scheduler
+    if getattr(scheduler, "expected_waste", None) is not None:
+        metrics["expected_waste"] = scheduler.expected_waste()
+        metrics["reserved_short"] = float(scheduler.reserved_count(SHORT_TYPE))
+    return metrics
+
+
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """DARC against c-FCFS: slowdown gain, long-request cost, capacity
+    at the short-request SLO, and DARC's reservation at the top load."""
+    facts: Dict[str, float] = {}
+    systems = outcomes.values("system")
+    if "DARC" not in systems or "c-FCFS" not in systems:
+        return {"": facts}
+    rhos = outcomes.rhos()
+
+    def first(metric, system, rho):
+        return outcomes.first(metric, system=system, rho=rho)
+
+    slowdown = "overall_tail_slowdown"
+    facts["max slowdown improvement (DARC over c-FCFS)"] = max(
+        first(slowdown, "c-FCFS", rho) / first(slowdown, "DARC", rho)
+        for rho in rhos
+        if first(slowdown, "DARC", rho) > 0
+    )
+    long_latency = f"type{LONG_TYPE}_tail_latency"
+    facts["max long-request latency cost (DARC/c-FCFS)"] = max(
+        first(long_latency, "DARC", rho) / first(long_latency, "c-FCFS", rho)
+        for rho in rhos
+        if first(long_latency, "c-FCFS", rho) > 0
+    )
+    caps = outcomes.capacities("high_bimodal")
+    if caps.get("DARC") and caps.get("c-FCFS"):
+        facts[f"capacity ratio @ short p99.9 <= {SHORT_LATENCY_SLO_US:g}us"] = (
+            caps["DARC"] / caps["c-FCFS"]
+        )
+    waste = first("expected_waste", "DARC", rhos[-1])
+    if waste == waste:
+        facts["DARC expected CPU waste (cores)"] = waste
+        facts["DARC reserved cores for SHORT"] = first(
+            "reserved_short", "DARC", rhos[-1]
+        )
+    return {"": facts}
+
+
+SPEC = ExperimentSpec(
+    name="figure3",
+    kind="load_sweep",
+    workloads=("high_bimodal",),
+    spec_for=lambda workload: high_bimodal(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"high_bimodal": SHORT_LATENCY_SLO_US},
+    capacity_metric=f"type{SHORT_TYPE}_tail_latency",
+    findings=findings,
+    cell_metrics=cell_metrics,
+)
+
+
 def run(
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
     n_requests: int = 60_000,
@@ -51,45 +115,11 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
 ) -> FigureResult:
-    spec = high_bimodal()
-    result = FigureResult("Figure 3", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure3",
-            workload="high_bimodal", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
-
-    # Headline ratios at the highest common load point.
-    darc = result.sweeps.get("DARC")
-    cfcfs = result.sweeps.get("c-FCFS")
-    if darc and cfcfs:
-        slow_ratio = max(
-            overall_slowdown_metric(c) / overall_slowdown_metric(d)
-            for c, d in zip(cfcfs, darc)
-            if overall_slowdown_metric(d) > 0
-        )
-        result.findings["max slowdown improvement (DARC over c-FCFS)"] = slow_ratio
-        long_metric = typed_latency_metric(LONG_TYPE)
-        long_costs = [
-            long_metric(d) / long_metric(c)
-            for c, d in zip(cfcfs, darc)
-            if long_metric(c) > 0
-        ]
-        result.findings["max long-request latency cost (DARC/c-FCFS)"] = max(long_costs)
-        short_metric = typed_latency_metric(SHORT_TYPE)
-        caps = result.capacities(SHORT_LATENCY_SLO_US, short_metric)
-        if caps.get("DARC") and caps.get("c-FCFS"):
-            result.findings[
-                f"capacity ratio @ short p99.9 <= {SHORT_LATENCY_SLO_US:g}us"
-            ] = caps["DARC"] / caps["c-FCFS"]
-        last_darc = darc[-1]
-        waste = getattr(last_darc.scheduler, "expected_waste", None)
-        if waste is not None:
-            result.findings["DARC expected CPU waste (cores)"] = last_darc.scheduler.expected_waste()
-            result.findings["DARC reserved cores for SHORT"] = float(
-                last_darc.scheduler.reserved_count(SHORT_TYPE)
-            )
+    result = run_load_figure(
+        SPEC, "Figure 3", utilizations, n_requests, seed=seed, seeds=seeds,
+        systems=systems, sanitize=sanitize, trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
+    )
     collect_forensics(forensics_dir, trace_dir, "figure3")
     return result
 

@@ -13,18 +13,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..sweep.planner import ExperimentSpec
 from ..sweep.stats import mean_ci
+from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneStaticSystem
 from ..workload.presets import extreme_bimodal, high_bimodal
 from ..workload.spec import WorkloadSpec
-from .common import (
-    RunResult,
-    collect_forensics,
-    metrics_target,
-    overall_slowdown_metric,
-    run_once,
-    trace_target,
-)
+from .common import RunResult, collect_forensics, overall_slowdown_metric
+from .results import outcomes_of, run_serial
 from .tables import render_table
 
 N_WORKERS = 14
@@ -101,31 +97,56 @@ class Figure4Result:
         return "\n\n".join(parts)
 
 
-def _cell_seed(
-    seeds: Optional[Sequence[int]],
-    replicate: int,
-    raw_seed: int,
-    workload: str,
-    choice: str,
-    utilization: float,
-    n_requests: int,
-) -> int:
-    """Raw seed on the legacy path, derived per-cell seed with ``seeds``
-    (matching the pooled ``repro-sweep`` figure4 cells)."""
-    if seeds is None:
-        return raw_seed
-    from ..sweep.cells import derive_seed
+def systems_for(
+    reserved_counts: Sequence[int] = DEFAULT_RESERVED,
+) -> List[SystemModel]:
+    """The c-FCFS reference and DARC-static at each reserved count (at
+    least one worker is left for long requests)."""
+    return [PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS")] + [
+        PersephoneStaticSystem(
+            n_reserved=k, n_workers=N_WORKERS, name=f"reserved{k}"
+        )
+        for k in reserved_counts
+        if k < N_WORKERS
+    ]
 
-    return derive_seed(
-        "figure4",
-        {
-            "system": choice,
-            "workload": workload,
-            "rho": utilization,
-            "n_requests": n_requests,
-        },
-        replicate,
-    )
+
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Per workload, the best reserved count and its gain over c-FCFS,
+    on replicate-mean slowdowns."""
+    facts: Dict[str, float] = {}
+    for workload in outcomes.values("workload"):
+        slowdowns = {
+            int(name[len("reserved"):]): outcomes.mean(
+                "overall_tail_slowdown", workload=workload, system=name
+            )
+            for name in outcomes.values("system", workload=workload)
+            if name.startswith("reserved")
+        }
+        best = min(slowdowns, key=lambda k: slowdowns[k])
+        reference = outcomes.mean(
+            "overall_tail_slowdown", workload=workload, system="c-FCFS"
+        )
+        facts[f"best reserved [{workload}]"] = float(best)
+        if slowdowns[best] > 0:
+            facts[f"improvement over c-FCFS [{workload}]"] = (
+                reference / slowdowns[best]
+            )
+    return {"": facts}
+
+
+WORKLOADS = {"high_bimodal": high_bimodal, "extreme_bimodal": extreme_bimodal}
+
+SPEC = ExperimentSpec(
+    name="figure4",
+    kind="load_sweep",
+    workloads=tuple(WORKLOADS),
+    spec_for=lambda workload: WORKLOADS[workload](),
+    systems_for=lambda workload: systems_for(),
+    utilizations=(UTILIZATION,),
+    n_requests=60_000,
+    findings=findings,
+)
 
 
 def run(
@@ -140,73 +161,41 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
 ) -> Figure4Result:
-    if workloads is None:
-        workloads = {
-            "high_bimodal": high_bimodal(),
-            "extreme_bimodal": extreme_bimodal(),
-        }
-    replicates: Sequence[int] = seeds if seeds else (seed,)
+    spec = SPEC._replace(systems_for=lambda workload: systems_for(reserved_counts))
+    if workloads is not None:
+        spec = spec._replace(
+            workloads=tuple(workloads), spec_for=workloads.__getitem__
+        )
+    runs = run_serial(
+        spec, seed, seeds,
+        lambda params, tag: ["figure4", params["workload"], params["system"], tag],
+        n_requests, (utilization,), sanitize=sanitize, trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
+    )
     result = Figure4Result(utilization)
-    result.n_replicates = len(replicates)
-    cfcfs = PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS")
-    for name, spec in workloads.items():
-        ref_samples: List[float] = []
-        samples: Dict[int, List[float]] = {}
-        for index, replicate in enumerate(replicates):
-            first = index == 0
-            suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
-            ref = run_once(
-                cfcfs, spec, utilization, n_requests=n_requests,
-                seed=_cell_seed(
-                    seeds, replicate, seed, name, "c-FCFS",
-                    utilization, n_requests,
-                ),
-                sanitize=sanitize,
-                trace_path=trace_target(
-                    trace_dir, "figure4", name, "c-FCFS", *suffix
-                ),
-                metrics_path=metrics_target(
-                    metrics_dir, "figure4", name, "c-FCFS", *suffix
-                ),
-            )
-            ref_samples.append(overall_slowdown_metric(ref))
-            if first:
-                result.references[name] = ref
-            runs: Dict[int, RunResult] = {}
-            for k in reserved_counts:
-                if k >= N_WORKERS:
-                    continue  # must leave at least one worker for long requests
-                system = PersephoneStaticSystem(n_reserved=k, n_workers=N_WORKERS)
-                run_result = run_once(
-                    system, spec, utilization, n_requests=n_requests,
-                    seed=_cell_seed(
-                        seeds, replicate, seed, name, f"reserved{k}",
-                        utilization, n_requests,
-                    ),
-                    sanitize=sanitize,
-                    trace_path=trace_target(
-                        trace_dir, "figure4", name, f"reserved{k}", *suffix
-                    ),
-                    metrics_path=metrics_target(
-                        metrics_dir, "figure4", name, f"reserved{k}", *suffix
-                    ),
-                )
-                runs[k] = run_result
-                samples.setdefault(k, []).append(
-                    overall_slowdown_metric(run_result)
-                )
-            if first:
-                result.sweeps[name] = runs
-        if len(replicates) > 1:
-            result.slowdown_samples[name] = samples
-            result.reference_samples[name] = ref_samples
-        best = result.best_reserved(name)
-        ref_value = result.reference_slowdown(name)
-        best_val = result.slowdowns(name)[best]
-        result.findings[f"best reserved [{name}]"] = float(best)
-        if best_val > 0:
-            result.findings[f"improvement over c-FCFS [{name}]"] = (
-                ref_value / best_val
-            )
+    result.n_replicates = len(seeds) if seeds else 1
+    first = seeds[0] if seeds else seed
+    for cell, live, metrics in runs:
+        params = cell.params_dict
+        workload, name = params["workload"], params["system"]
+        slowdown = metrics["overall_tail_slowdown"]
+        if name == "c-FCFS":
+            if cell.replicate == first:
+                result.references[workload] = live
+            if result.n_replicates > 1:
+                result.reference_samples.setdefault(workload, []).append(slowdown)
+            continue
+        k = int(name[len("reserved"):])
+        if cell.replicate == first:
+            result.sweeps.setdefault(workload, {})[k] = live
+        if result.n_replicates > 1:
+            result.slowdown_samples.setdefault(workload, {}).setdefault(
+                k, []
+            ).append(slowdown)
+    result.findings = findings(outcomes_of(spec, runs))[""]
     collect_forensics(forensics_dir, trace_dir, "figure4")
     return result
+
+
+def render(result: Figure4Result) -> str:
+    return result.render()

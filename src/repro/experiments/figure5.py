@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import extreme_bimodal, high_bimodal
 from .common import collect_forensics, overall_slowdown_metric, typed_latency_metric
-from .results import FigureResult, collect_sweep
+from .results import FigureResult, capacity_findings, run_load_figure
 
 N_WORKERS = 14
 DEFAULT_UTILIZATIONS = (0.2, 0.35, 0.5, 0.65, 0.75, 0.85, 0.95)
@@ -40,6 +41,37 @@ def systems_for(workload_name: str) -> List[SystemModel]:
     ]
 
 
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Per workload: capacity at its slowdown target, and DARC's
+    capacity ratio over Shenango and Shinjuku."""
+    sections: Dict[str, Dict[str, float]] = {}
+    for workload in outcomes.values("workload"):
+        caps = outcomes.capacities(workload)
+        facts = capacity_findings(caps, f"{SPEC.slo[workload]:g}x")
+        for baseline in ("Shenango", "Shinjuku"):
+            if caps.get("Persephone") and caps.get(baseline):
+                facts[f"DARC vs {baseline} capacity"] = (
+                    caps["Persephone"] / caps[baseline]
+                )
+        sections[workload] = facts
+    return sections
+
+
+WORKLOADS = {"high_bimodal": high_bimodal, "extreme_bimodal": extreme_bimodal}
+
+SPEC = ExperimentSpec(
+    name="figure5",
+    kind="load_sweep",
+    workloads=tuple(WORKLOADS),
+    spec_for=lambda workload: WORKLOADS[workload](),
+    systems_for=systems_for,
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"high_bimodal": SLO_HIGH, "extreme_bimodal": SLO_EXTREME},
+    findings=findings,
+)
+
+
 def run_one_workload(
     workload_name: str,
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
@@ -51,26 +83,12 @@ def run_one_workload(
     metrics_dir: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
 ) -> FigureResult:
-    spec = high_bimodal() if workload_name == "high_bimodal" else extreme_bimodal()
-    slo = SLO_HIGH if workload_name == "high_bimodal" else SLO_EXTREME
-    result = FigureResult(f"Figure 5 [{workload_name}]", utilizations)
-    for system in systems if systems is not None else systems_for(workload_name):
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure5",
-            workload=workload_name, n_requests=n_requests, seed=seed,
-            seeds=seeds, sanitize=sanitize, trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-        )
-    caps = result.capacities(slo, overall_slowdown_metric)
-    for name, cap in caps.items():
-        result.findings[f"capacity@{slo:g}x [{name}]"] = (
-            cap if cap is not None else float("nan")
-        )
-    if caps.get("Persephone") and caps.get("Shenango"):
-        result.findings["DARC vs Shenango capacity"] = caps["Persephone"] / caps["Shenango"]
-    if caps.get("Persephone") and caps.get("Shinjuku"):
-        result.findings["DARC vs Shinjuku capacity"] = caps["Persephone"] / caps["Shinjuku"]
-    return result
+    return run_load_figure(
+        SPEC._replace(workloads=(workload_name,)), f"Figure 5 [{workload_name}]",
+        utilizations, n_requests, seed=seed, seeds=seeds, systems=systems,
+        section=workload_name, sanitize=sanitize, trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
+    )
 
 
 def run(

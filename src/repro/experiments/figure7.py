@@ -24,12 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sweep.planner import ExperimentSpec
 from ..sweep.stats import mean_ci
 from ..metrics.recorder import Recorder
 from ..metrics.sanitizer import SimSanitizer
 from ..metrics.summary import RunSummary
 from ..metrics.timeseries import AllocationTimeline, WindowedStats
-from ..server.config import ServerConfig
 from ..server.server import Server
 from ..sim.engine import EventLoop
 from ..sim.randomness import RngRegistry
@@ -41,7 +41,8 @@ from ..workload.generator import OpenLoopGenerator
 from ..workload.phases import Phase, PhaseSchedule
 from ..workload.spec import TypedClass, WorkloadSpec
 from ..workload.distributions import Fixed
-from .common import collect_forensics, metrics_target, trace_target
+from .common import collect_forensics
+from .results import run_serial
 from .tables import render_series
 
 N_WORKERS = 14
@@ -133,7 +134,6 @@ def _run_system(
     system: SystemModel,
     phases: List[Phase],
     seed: int,
-    window_us: float,
     sanitize: bool = False,
     trace_path: Optional[str] = None,
     metrics_path: Optional[str] = None,
@@ -195,6 +195,31 @@ def _run_system(
     return recorder, scheduler, loop
 
 
+def default_systems() -> List[SystemModel]:
+    return [
+        PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS"),
+        PersephoneSystem(
+            n_workers=N_WORKERS,
+            oracle=False,
+            min_samples=500,
+            ema_alpha=0.1,
+            name="DARC",
+        ),
+    ]
+
+
+SPEC = ExperimentSpec(
+    name="figure7",
+    kind="phased",
+    workloads=("phased",),
+    spec_for=lambda workload: default_phases(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=(),
+    n_requests=0,
+    table_metrics=("overall_tail_slowdown", "overall_tail_latency"),
+)
+
+
 def run(
     phases: Optional[List[Phase]] = None,
     seed: int = 1,
@@ -212,72 +237,53 @@ def run(
     the pooled ``repro-sweep`` figure7 cells); scalar stats across all
     replicates land in ``tail_latency_samples``/``update_samples``.
     """
-    if phases is None:
-        phases = default_phases()
-    if systems is None:
-        systems = [
-            PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS"),
-            PersephoneSystem(
-                n_workers=N_WORKERS,
-                oracle=False,
-                min_samples=500,
-                ema_alpha=0.1,
-                name="DARC",
-            ),
-        ]
-    replicates: Sequence[int] = seeds if seeds else (seed,)
+    spec = SPEC
+    if phases is not None:
+        spec = spec._replace(spec_for=lambda workload: phases)
+    if systems is not None:
+        spec = spec._replace(systems_for=lambda workload: list(systems))
+    phases = spec.spec_for("phased")
+    runs = run_serial(
+        spec, seed, seeds,
+        lambda params, tag: ["figure7", params["system"], tag],
+        sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
+    )
     boundaries = list(np.cumsum([p.duration_us for p in phases]))
     result = Figure7Result(window_us, boundaries)
-    result.n_replicates = len(replicates)
+    result.n_replicates = len(seeds) if seeds else 1
+    first = seeds[0] if seeds else seed
     stats = WindowedStats(window_us)
-    for system in systems:
-        for index, replicate in enumerate(replicates):
-            if seeds is None:
-                run_seed = seed
-            else:
-                from ..sweep.cells import derive_seed
-
-                run_seed = derive_seed(
-                    "figure7",
-                    {"system": system.name, "workload": "phased"},
-                    replicate,
-                )
-            first = index == 0
-            suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
-            recorder, scheduler, loop = _run_system(
-                system, phases, run_seed, window_us, sanitize=sanitize,
-                trace_path=trace_target(
-                    trace_dir, "figure7", system.name, *suffix
-                ),
-                metrics_path=metrics_target(
-                    metrics_dir, "figure7", system.name, *suffix
-                ),
+    for cell, (recorder, scheduler, loop), metrics in runs:
+        name = cell.params_dict["system"]
+        if result.n_replicates > 1:
+            result.tail_latency_samples.setdefault(name, []).append(
+                metrics["overall_tail_latency"]
             )
-            duration = loop.now
-            cols = recorder.columns()
-            summary = RunSummary(recorder, duration_us=duration, warmup_frac=0.0)
-            updates = getattr(scheduler, "reservation_updates", 0)
-            if len(replicates) > 1:
-                result.tail_latency_samples.setdefault(system.name, []).append(
-                    summary.overall_tail_latency
-                )
-                result.update_samples.setdefault(system.name, []).append(
-                    float(updates)
-                )
-            if not first:
-                continue
-            result.latency_series[system.name] = {
-                tid: stats.series(cols, type_id=tid) for tid in (TYPE_A, TYPE_B)
+            result.update_samples.setdefault(name, []).append(
+                metrics["reservation_updates"]
+            )
+        if cell.replicate != first:
+            continue
+        cols = recorder.columns()
+        result.latency_series[name] = {
+            tid: stats.series(cols, type_id=tid) for tid in (TYPE_A, TYPE_B)
+        }
+        result.summaries[name] = RunSummary(
+            recorder, duration_us=loop.now, warmup_frac=0.0
+        )
+        log = getattr(scheduler, "reservation_log", None)
+        if log is not None:
+            timeline = AllocationTimeline(log)
+            times = result.latency_series[name][TYPE_A][0]
+            result.alloc_series[name] = {
+                tid: (times, timeline.sample(times, tid)) for tid in (TYPE_A, TYPE_B)
             }
-            result.summaries[system.name] = summary
-            log = getattr(scheduler, "reservation_log", None)
-            if log is not None:
-                timeline = AllocationTimeline(log)
-                times = result.latency_series[system.name][TYPE_A][0]
-                result.alloc_series[system.name] = {
-                    tid: (times, timeline.sample(times, tid))
-                    for tid in (TYPE_A, TYPE_B)
-                }
-                result.reservation_updates[system.name] = updates
+            result.reservation_updates[name] = getattr(
+                scheduler, "reservation_updates", 0
+            )
     collect_forensics(forensics_dir, trace_dir, "figure7")
     return result
+
+
+def render(result: Figure7Result) -> str:
+    return result.render()

@@ -11,15 +11,16 @@ GETs, idling 0.96 cores on average.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..apps.rocksdb import GET_TYPE, RocksDbLike
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from .common import collect_forensics, overall_slowdown_metric
-from .results import FigureResult, collect_sweep
+from .results import FigureResult, capacity_findings, run_load_figure
 
 N_WORKERS = 14
 SLO_SLOWDOWN = 20.0
@@ -34,6 +35,53 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
+def cell_metrics(result) -> Dict[str, float]:
+    """DARC's GET reservation and expected idle cores, once it has one."""
+    scheduler = result.scheduler
+    if getattr(scheduler, "reservation", None) is None:
+        return {}
+    return {
+        "reserved_get": float(scheduler.reserved_count(GET_TYPE)),
+        "expected_waste": scheduler.expected_waste(),
+    }
+
+
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Capacities at 20x, DARC's capacity ratios, and its reservation at
+    the top load (first replicate)."""
+    caps = outcomes.capacities("rocksdb")
+    facts = capacity_findings(caps, f"{SLO_SLOWDOWN:g}x")
+    for baseline in ("Shenango", "Shinjuku"):
+        if caps.get("Persephone") and caps.get(baseline):
+            facts[f"DARC vs {baseline} capacity"] = (
+                caps["Persephone"] / caps[baseline]
+            )
+    rhos = outcomes.rhos(system="Persephone")
+    if rhos:
+        where = dict(system="Persephone", rho=rhos[-1])
+        reserved = outcomes.first("reserved_get", **where)
+        if reserved == reserved:
+            facts["DARC reserved cores for GET"] = reserved
+            facts["DARC expected CPU waste (cores)"] = outcomes.first(
+                "expected_waste", **where
+            )
+    return {"": facts}
+
+
+SPEC = ExperimentSpec(
+    name="figure8",
+    kind="load_sweep",
+    workloads=("rocksdb",),
+    spec_for=lambda workload: RocksDbLike().workload_spec(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"rocksdb": SLO_SLOWDOWN},
+    findings=findings,
+    cell_metrics=cell_metrics,
+)
+
+
 def run(
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
     n_requests: int = 60_000,
@@ -45,36 +93,11 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
 ) -> FigureResult:
-    store = RocksDbLike()
-    spec = store.workload_spec()
-    result = FigureResult("Figure 8 [RocksDB]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure8",
-            workload="rocksdb", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
-    caps = result.capacities(SLO_SLOWDOWN, overall_slowdown_metric)
-    for name, cap in caps.items():
-        result.findings[f"capacity@{SLO_SLOWDOWN:g}x [{name}]"] = (
-            cap if cap is not None else float("nan")
-        )
-    if caps.get("Persephone") and caps.get("Shenango"):
-        result.findings["DARC vs Shenango capacity"] = (
-            caps["Persephone"] / caps["Shenango"]
-        )
-    if caps.get("Persephone") and caps.get("Shinjuku"):
-        result.findings["DARC vs Shinjuku capacity"] = (
-            caps["Persephone"] / caps["Shinjuku"]
-        )
-    persephone = result.sweeps.get("Persephone")
-    if persephone:
-        darc = persephone[-1].scheduler
-        if getattr(darc, "reservation", None) is not None:
-            result.findings["DARC reserved cores for GET"] = float(
-                darc.reserved_count(GET_TYPE)
-            )
-            result.findings["DARC expected CPU waste (cores)"] = darc.expected_waste()
+    result = run_load_figure(
+        SPEC, "Figure 8 [RocksDB]", utilizations, n_requests, seed=seed,
+        seeds=seeds, systems=systems, sanitize=sanitize, trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
+    )
     collect_forensics(forensics_dir, trace_dir, "figure8")
     return result
 

@@ -10,16 +10,17 @@ melt down).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.classifier import RandomClassifier
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from ..workload.presets import high_bimodal
 from .common import collect_forensics, overall_slowdown_metric
-from .results import FigureResult, collect_sweep
+from .results import FigureResult, run_load_figure
 
 N_WORKERS = 8
 DEFAULT_UTILIZATIONS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
@@ -42,6 +43,37 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Convergence check: mean |log-ratio| of the DARC-random and c-FCFS
+    slowdown curves (first replicate)."""
+    facts: Dict[str, float] = {}
+    systems = outcomes.values("system")
+    if "DARC-random" in systems and "c-FCFS" in systems:
+        ratios = []
+        for rho in outcomes.rhos():
+            a = outcomes.first("overall_tail_slowdown", system="DARC-random", rho=rho)
+            b = outcomes.first("overall_tail_slowdown", system="c-FCFS", rho=rho)
+            if a > 0 and b > 0 and a == a and b == b:
+                ratios.append(abs(np.log(a / b)))
+        if ratios:
+            facts["mean |log slowdown ratio| (DARC-random vs c-FCFS)"] = float(
+                np.mean(ratios)
+            )
+    return {"": facts}
+
+
+SPEC = ExperimentSpec(
+    name="figure9",
+    kind="load_sweep",
+    workloads=("high_bimodal",),
+    spec_for=lambda workload: high_bimodal(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=50_000,
+    findings=findings,
+)
+
+
 def run(
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
     n_requests: int = 50_000,
@@ -53,28 +85,11 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
 ) -> FigureResult:
-    spec = high_bimodal()
-    result = FigureResult("Figure 9 [random classifier]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure9",
-            workload="high_bimodal", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
-    random_sweep = result.sweeps.get("DARC-random")
-    cfcfs_sweep = result.sweeps.get("c-FCFS")
-    if random_sweep and cfcfs_sweep:
-        # Convergence check: mean |log-ratio| of the two slowdown curves.
-        ratios = []
-        for r_rand, r_cf in zip(random_sweep, cfcfs_sweep):
-            a = overall_slowdown_metric(r_rand)
-            b = overall_slowdown_metric(r_cf)
-            if a > 0 and b > 0 and a == a and b == b:
-                ratios.append(abs(np.log(a / b)))
-        if ratios:
-            result.findings["mean |log slowdown ratio| (DARC-random vs c-FCFS)"] = float(
-                np.mean(ratios)
-            )
+    result = run_load_figure(
+        SPEC, "Figure 9 [random classifier]", utilizations, n_requests,
+        seed=seed, seeds=seeds, systems=systems, sanitize=sanitize,
+        trace_dir=trace_dir, metrics_dir=metrics_dir,
+    )
     collect_forensics(forensics_dir, trace_dir, "figure9")
     return result
 

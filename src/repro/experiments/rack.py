@@ -20,19 +20,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..rack.rack import RackResult, run_rack
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
 from ..workload.presets import high_bimodal
-from .common import (
-    collect_forensics,
-    metrics_target,
-    overall_slowdown_metric,
-    trace_target,
-)
-from .results import FigureResult
+from .common import collect_forensics, overall_slowdown_metric
+from .results import FigureResult, figure_of, outcomes_of, run_serial
 
 #: Rack geometry: 16 replicas x 8 cores = 128 cores.
 N_SERVERS = 16
@@ -55,53 +50,49 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
-def _run_grid_point(
-    system: SystemModel,
-    balancer: str,
-    rho: float,
-    n_requests: int,
-    seed: int,
-    n_servers: int,
-    staleness_us: float,
-    sanitize: "bool | str",
-    metrics_dir: Optional[str],
-    trace_dir: Optional[str] = None,
-    seed_suffix: Optional[int] = None,
-) -> RackResult:
-    name_parts: List[object] = [
-        "rack", balancer, system.name, f"rho{round(rho * 100):03d}"
-    ]
-    if seed_suffix is not None:
-        name_parts.append(f"seed{seed_suffix}")
-    return run_rack(
-        system,
-        high_bimodal(),
-        balancer=balancer,
-        n_servers=n_servers,
-        utilization=rho,
-        n_requests=n_requests,
-        seed=seed,
-        staleness_us=staleness_us,
-        sanitize=sanitize,
-        metrics_path=metrics_target(metrics_dir, *name_parts),
-        trace_path=trace_target(trace_dir, *name_parts),
-        trace_meta={"experiment": "rack"},
-    )
+def findings(outcomes) -> Dict[str, Dict[str, float]]:
+    """Per balancer: each baseline's tail slowdown over DARC's at the
+    highest load point (replicate means)."""
+    sections: Dict[str, Dict[str, float]] = {}
+    for balancer in outcomes.values("balancer"):
+        facts: Dict[str, float] = {}
+        rho = outcomes.rhos(balancer=balancer)[-1]
 
-
-def _findings(result: FigureResult, utilizations: Sequence[float]) -> None:
-    """DARC-vs-baseline tail-slowdown ratios at the highest load point."""
-    rho = utilizations[-1]
-    series = result.series(overall_slowdown_metric)
-    darc = series.get("Persephone")
-    if not darc or darc[-1] != darc[-1] or darc[-1] <= 0:
-        return
-    for baseline in ("Shenango", "Shinjuku"):
-        values = series.get(baseline)
-        if values and values[-1] == values[-1]:
-            result.findings[f"DARC vs {baseline} p99.9 slowdown @{rho:g}"] = (
-                values[-1] / darc[-1]
+        def slowdown(system):
+            return outcomes.mean(
+                "overall_tail_slowdown", balancer=balancer, system=system, rho=rho
             )
+
+        darc = slowdown("Persephone")
+        if darc == darc and darc > 0:
+            for baseline in ("Shenango", "Shinjuku"):
+                value = slowdown(baseline)
+                if value == value:
+                    facts[f"DARC vs {baseline} p99.9 slowdown @{rho:g}"] = (
+                        value / darc
+                    )
+        sections[balancer] = facts
+    return sections
+
+
+SPEC = ExperimentSpec(
+    name="rack",
+    kind="rack",
+    workloads=(WORKLOAD,),
+    spec_for=lambda workload: high_bimodal(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=20_000,
+    table_metrics=(
+        "overall_tail_slowdown",
+        "overall_tail_latency",
+        "throughput",
+        "load_imbalance",
+    ),
+    findings=findings,
+    balancers=DEFAULT_BALANCERS,
+    cell_params={"n_servers": N_SERVERS},
+)
 
 
 def run(
@@ -124,47 +115,31 @@ def run(
     one raw-seed run per point.  ``n_requests`` is the *total* arrival
     count per point (the rack splits it among replicas).
     """
+    spec = SPEC._replace(
+        balancers=tuple(balancers), cell_params={"n_servers": n_servers}
+    )
+
+    def name_parts(params, tag):
+        rho = f"rho{round(params['rho'] * 100):03d}"
+        # Any --seeds run tags its exports, even a single seed.
+        tag = tag or (f"seed{seeds[0]}" if seeds else "")
+        return ["rack", params["balancer"], params["system"], rho, tag]
+
+    runs = run_serial(
+        spec, seed, seeds, name_parts, n_requests, utilizations,
+        sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
+        staleness_us=staleness_us, trace_meta={"experiment": "rack"},
+    )
+    facts = findings(outcomes_of(spec, runs))
     results: Dict[str, FigureResult] = {}
     for balancer in balancers:
-        result = FigureResult(f"Rack [{balancer}]", utilizations)
-        for system in default_systems():
-            if seeds is None:
-                sweep = [
-                    _run_grid_point(
-                        system, balancer, rho, n_requests, seed, n_servers,
-                        staleness_us, sanitize, metrics_dir,
-                        trace_dir=trace_dir,
-                    )
-                    for rho in utilizations
-                ]
-                result.add_sweep(system.name, sweep)
-            else:
-                from ..sweep.cells import derive_seed
-
-                replicates: Dict[int, List[RackResult]] = {}
-                for replicate in seeds:
-                    replicates[replicate] = [
-                        _run_grid_point(
-                            system, balancer, rho, n_requests,
-                            derive_seed(
-                                "rack",
-                                {
-                                    "system": system.name,
-                                    "workload": WORKLOAD,
-                                    "balancer": balancer,
-                                    "rho": rho,
-                                    "n_requests": n_requests,
-                                    "n_servers": n_servers,
-                                },
-                                replicate,
-                            ),
-                            n_servers, staleness_us, sanitize, metrics_dir,
-                            trace_dir=trace_dir, seed_suffix=replicate,
-                        )
-                        for rho in utilizations
-                    ]
-                result.add_replicated(system.name, replicates)
-        _findings(result, utilizations)
+        result = figure_of(
+            f"Rack [{balancer}]",
+            utilizations,
+            [run for run in runs if run[0].params_dict["balancer"] == balancer],
+            seeds,
+        )
+        result.findings = facts.get(balancer, {})
         results[balancer] = result
     collect_forensics(forensics_dir, trace_dir, "rack")
     return results

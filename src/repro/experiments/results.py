@@ -3,14 +3,25 @@
 A :class:`FigureResult` holds, per system, an ordered load sweep of
 :class:`~repro.experiments.common.RunResult` plus figure-specific derived
 numbers, and renders itself as the text analogue of the paper's plot.
+:func:`run_serial` runs an experiment's planned cells in-process for
+every serial driver.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..sweep.merge import Outcomes
+from ..sweep.planner import plan_experiment
+from ..sweep.runner import run_point
 from ..sweep.stats import CIStat, capacity_at_slo, mean_ci
-from .common import MetricFn, RunResult, run_replicated_sweep, run_sweep
+from .common import (
+    MetricFn,
+    RunResult,
+    metrics_target,
+    trace_target,
+    typed_latency_metric,
+)
 from .tables import render_series
 
 
@@ -144,43 +155,130 @@ class FigureResult:
         return f"FigureResult({self.name!r}, systems={sorted(self.sweeps)})"
 
 
-def collect_sweep(
-    result: FigureResult,
-    system,
+def run_serial(
     spec,
-    utilizations: Sequence[float],
-    experiment: str,
-    workload: Optional[str] = None,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    seeds: Optional[Sequence[int]] = None,
+    seed: int,
+    seeds: Optional[Sequence[int]],
+    name_parts: Callable[[Dict[str, Any], str], List[Any]],
+    n_requests: Optional[int] = None,
+    utilizations: Optional[Sequence[float]] = None,
     sanitize: "bool | str" = False,
     trace_dir: Optional[str] = None,
     metrics_dir: Optional[str] = None,
-) -> None:
-    """Run one system's sweep into ``result``, single- or multi-seed.
+    **options: Any,
+) -> List[Tuple[Any, Any, Dict[str, float]]]:
+    """Run every cell of ``spec``'s plan in this process, in plan order.
 
-    Without ``seeds`` this is the legacy path: one raw-seed sweep, byte-
-    identical to what the drivers have always produced.  With ``seeds``
-    every load point is replicated under the *derived* per-cell seeds
-    (:func:`repro.experiments.common.run_replicated_sweep`), matching
-    the pooled ``repro-sweep`` cells for ``experiment``/``workload``.
+    Returns ``(cell, live result, metrics)`` per cell.  This is where a
+    run's seed is chosen: without ``seeds`` the single raw ``seed``
+    runs, as it always has; with ``seeds`` each cell runs under its
+    derived seed, so a serial multi-seed run and a pooled ``repro-sweep``
+    run of one grid execute bit-identical cells.  ``name_parts(params,
+    seed_tag)`` names a cell's trace/metrics exports; ``seed_tag`` is
+    ``seed<N>`` when several seeds replicate the grid, else empty.
     """
-    if seeds is None:
-        result.add_sweep(
-            system.name,
-            run_sweep(
-                system, spec, utilizations, n_requests=n_requests,
-                sanitize=sanitize, trace_dir=trace_dir,
-                metrics_dir=metrics_dir, seed=seed,
-            ),
-        )
-        return
-    result.add_replicated(
-        system.name,
-        run_replicated_sweep(
-            system, spec, utilizations, seeds, experiment=experiment,
-            workload=workload, n_requests=n_requests, sanitize=sanitize,
-            trace_dir=trace_dir, metrics_dir=metrics_dir,
-        ),
+    plan = plan_experiment(
+        spec, (seed,) if seeds is None else seeds, n_requests, utilizations
     )
+    systems: Dict[str, Dict[str, Any]] = {}
+    runs = []
+    for cell in plan.cells:
+        params = cell.params_dict
+        workload = params["workload"]
+        if workload not in systems:
+            systems[workload] = {s.name: s for s in spec.systems_for(workload)}
+        tag = f"seed{cell.replicate}" if seeds and len(seeds) > 1 else ""
+        parts = name_parts(params, tag)
+        live, metrics = run_point(
+            spec,
+            systems[workload][params["system"]],
+            params,
+            seed if seeds is None else cell.seed,
+            sanitize=sanitize,
+            trace_path=trace_target(trace_dir, *parts),
+            metrics_path=metrics_target(metrics_dir, *parts),
+            **options,
+        )
+        runs.append((cell, live, metrics))
+    return runs
+
+
+def outcomes_of(spec, runs) -> Outcomes:
+    """The findings input of :func:`run_serial`'s runs."""
+    return Outcomes(
+        spec, [(cell.params, cell.replicate, metrics) for cell, _, metrics in runs]
+    )
+
+
+def load_name_parts(params: Dict[str, Any], tag: str) -> List[Any]:
+    """``<system>_<workload>_rho<load>[_seed<N>]`` export names."""
+    rho = f"rho{round(params['rho'] * 100):03d}"
+    return [params["system"], params["workload"], rho, tag]
+
+
+def run_load_figure(
+    spec,
+    title: str,
+    utilizations: Sequence[float],
+    n_requests: int,
+    seed: int = 1,
+    seeds: Optional[Sequence[int]] = None,
+    systems: Optional[List[Any]] = None,
+    section: str = "",
+    **kwargs: Any,
+) -> FigureResult:
+    """A load-sweep figure: every system over ``utilizations``.
+
+    ``systems`` replaces the spec's own; the findings are the spec's
+    ``section`` (a workload for multi-workload figures).
+    """
+    if systems is not None:
+        spec = spec._replace(systems_for=lambda workload: list(systems))
+    runs = run_serial(
+        spec, seed, seeds, load_name_parts, n_requests, utilizations, **kwargs
+    )
+    result = figure_of(title, utilizations, runs, seeds)
+    if spec.findings is not None:
+        result.findings = spec.findings(outcomes_of(spec, runs)).get(section, {})
+    return result
+
+
+def figure_of(
+    title: str,
+    utilizations: Sequence[float],
+    runs: Sequence[Tuple[Any, Any, Dict[str, float]]],
+    seeds: Optional[Sequence[int]],
+) -> FigureResult:
+    """Tabulate :func:`run_serial`'s runs per system (replicated when
+    ``seeds`` was given)."""
+    by_system: Dict[str, Dict[int, List[Any]]] = {}
+    for cell, live, _ in runs:
+        by_system.setdefault(cell.params_dict["system"], {}).setdefault(
+            cell.replicate, []
+        ).append(live)
+    result = FigureResult(title, utilizations)
+    for name, replicates in by_system.items():
+        if seeds is not None:
+            result.add_replicated(name, replicates)
+        else:
+            (sweep,) = replicates.values()
+            result.add_sweep(name, sweep)
+    return result
+
+
+def capacity_findings(
+    capacities: Mapping[str, Optional[float]], label: str
+) -> Dict[str, float]:
+    """``capacity@<label> [<system>]`` per system (NaN when none)."""
+    return {
+        f"capacity@{label} [{name}]": cap if cap is not None else float("nan")
+        for name, cap in capacities.items()
+    }
+
+
+def typed_tail_latencies(result: RunResult) -> Dict[str, float]:
+    """``type<N>_tail_latency`` for every type of the run's workload."""
+    return {
+        f"type{tid}_tail_latency": typed_latency_metric(tid)(result)
+        for tid in range(result.spec.n_types)
+    }

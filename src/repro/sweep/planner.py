@@ -8,73 +8,65 @@ grid crossed with the requested seeds into a flat list of independent
 :class:`~repro.sweep.cells.Cell`\\ s, each carrying a deterministically
 derived root seed, and wraps it in a serializable :class:`SweepPlan`.
 
-The registry deliberately reuses the figure modules' own
-``default_systems``/``systems_for`` functions and module constants, so
-a pooled sweep runs exactly the configurations the serial drivers run
-— one source of truth for every grid.
+Each figure module declares its own ``SPEC``; the registry only
+collects them, so a pooled sweep and the serial driver run exactly the
+same cells — one description per experiment.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..errors import ConfigurationError
 from .cells import Cell
 
 
 class ExperimentSpec(NamedTuple):
-    """Everything the planner and merger need to know about one experiment."""
+    """One experiment's grid, declared once in its figure module.
+
+    The planner expands it into cells, the runner executes those cells,
+    the serial drivers run the same cells in-process, and
+    :func:`~repro.sweep.merge.merge_results` and the drivers state the
+    same findings through :attr:`findings`.
+    """
 
     name: str
-    #: "load_sweep" | "reserved_grid" | "phased" | "chaos" | "rack" |
-    #: "selftest"
+    #: "load_sweep" | "phased" | "chaos" | "rack" | "selftest"
     kind: str
     #: Workload tokens the experiment iterates over ("" when implicit).
     workloads: Tuple[str, ...]
-    #: workload token -> WorkloadSpec factory (None for non-sweep kinds).
+    #: workload token -> WorkloadSpec (the phase list for "phased").
     spec_for: Optional[Callable[[str], Any]]
     #: workload token -> list of SystemModel (fresh instances per call).
     systems_for: Optional[Callable[[str], List[Any]]]
-    #: Default load points (empty for single-point experiments).
+    #: Default load points (empty for experiments without a load axis).
     utilizations: Tuple[float, ...]
     #: Default arrivals per cell.
     n_requests: int
     #: workload token -> SLO threshold for capacity findings (may be {}).
-    slo: Dict[str, float]
+    slo: Dict[str, float] = {}
     #: Metric key (in CellResult.metrics) the SLO applies to.
-    capacity_metric: str
-    #: Metric keys worth tabulating in merged output, in display order.
-    table_metrics: Tuple[str, ...]
-
-
-def _load_sweep(
-    name: str,
-    workloads: Tuple[str, ...],
-    spec_for,
-    systems_for,
-    utilizations: Tuple[float, ...],
-    n_requests: int,
-    slo: Dict[str, float],
-    capacity_metric: str,
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        name=name,
-        kind="load_sweep",
-        workloads=workloads,
-        spec_for=spec_for,
-        systems_for=systems_for,
-        utilizations=utilizations,
-        n_requests=n_requests,
-        slo=slo,
-        capacity_metric=capacity_metric,
-        table_metrics=(capacity_metric, "overall_tail_latency", "throughput"),
-    )
+    capacity_metric: str = "overall_tail_slowdown"
+    #: Metric keys the generic (non-load) merged table shows, in order.
+    table_metrics: Tuple[str, ...] = ()
+    #: Outcomes -> {section: {finding: value}}; a section is a workload
+    #: or balancer the serial driver reports apart ("" for the whole
+    #: experiment).  Capacity findings ("capacity@...") are the serial
+    #: tables' view of what the merged output lists as capacities.
+    findings: Optional[Callable[[Any], Dict[str, Dict[str, float]]]] = None
+    #: Live run result -> extra cell metrics the findings read.
+    cell_metrics: Optional[Callable[[Any], Dict[str, float]]] = None
+    #: Balancers swept per workload (rack grids only).
+    balancers: Tuple[str, ...] = ()
+    #: Fixed parameters every cell carries (e.g. the rack's n_servers).
+    cell_params: Dict[str, Any] = {}
 
 
 def _registry() -> Dict[str, ExperimentSpec]:
     # Imported here (not at module top) so `import repro.sweep` stays
     # cheap and free of import cycles with repro.experiments.
-    from ..apps.rocksdb import RocksDbLike
     from ..experiments import (
         chaos,
         figure1,
@@ -88,111 +80,12 @@ def _registry() -> Dict[str, ExperimentSpec]:
         figure10,
         rack,
     )
-    from ..workload.presets import (
-        extreme_bimodal,
-        figure1_workload,
-        high_bimodal,
-        tpcc,
-    )
 
-    def bimodal_spec(workload: str):
-        return high_bimodal() if workload == "high_bimodal" else extreme_bimodal()
-
-    registry: Dict[str, ExperimentSpec] = {}
-
-    registry["figure1"] = _load_sweep(
-        "figure1", ("figure1",), lambda w: figure1_workload(),
-        lambda w: figure1.default_systems(), figure1.DEFAULT_UTILIZATIONS,
-        60_000, {"figure1": figure1.SLO_SLOWDOWN}, "max_typed_slowdown",
+    modules = (
+        chaos, figure1, figure3, figure4, figure5, figure6, figure7,
+        figure8, figure9, figure10, rack,
     )
-    registry["figure3"] = _load_sweep(
-        "figure3", ("high_bimodal",), bimodal_spec,
-        lambda w: figure3.default_systems(), figure3.DEFAULT_UTILIZATIONS,
-        60_000, {"high_bimodal": figure3.SHORT_LATENCY_SLO_US},
-        "overall_tail_slowdown",
-    )
-    registry["figure5"] = _load_sweep(
-        "figure5", ("high_bimodal", "extreme_bimodal"), bimodal_spec,
-        figure5.systems_for, figure5.DEFAULT_UTILIZATIONS, 60_000,
-        {"high_bimodal": figure5.SLO_HIGH, "extreme_bimodal": figure5.SLO_EXTREME},
-        "overall_tail_slowdown",
-    )
-    registry["figure6"] = _load_sweep(
-        "figure6", ("tpcc",), lambda w: tpcc(),
-        lambda w: figure6.default_systems(), figure6.DEFAULT_UTILIZATIONS,
-        60_000, {"tpcc": figure6.SLO_SLOWDOWN}, "overall_tail_slowdown",
-    )
-    registry["figure8"] = _load_sweep(
-        "figure8", ("rocksdb",), lambda w: RocksDbLike().workload_spec(),
-        lambda w: figure8.default_systems(), figure8.DEFAULT_UTILIZATIONS,
-        60_000, {"rocksdb": figure8.SLO_SLOWDOWN}, "overall_tail_slowdown",
-    )
-    registry["figure9"] = _load_sweep(
-        "figure9", ("high_bimodal",), bimodal_spec,
-        lambda w: figure9.default_systems(), figure9.DEFAULT_UTILIZATIONS,
-        50_000, {}, "overall_tail_slowdown",
-    )
-    registry["figure10"] = _load_sweep(
-        "figure10", ("figure1",), lambda w: figure1_workload(),
-        lambda w: figure10.default_systems(), figure10.DEFAULT_UTILIZATIONS,
-        60_000, {"figure1": figure10.SLO_SLOWDOWN}, "max_typed_slowdown",
-    )
-
-    registry["figure4"] = ExperimentSpec(
-        name="figure4",
-        kind="reserved_grid",
-        workloads=("high_bimodal", "extreme_bimodal"),
-        spec_for=bimodal_spec,
-        systems_for=None,
-        utilizations=(figure4.UTILIZATION,),
-        n_requests=60_000,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=("overall_tail_slowdown", "overall_tail_latency"),
-    )
-    registry["figure7"] = ExperimentSpec(
-        name="figure7",
-        kind="phased",
-        workloads=("phased",),
-        spec_for=None,
-        systems_for=lambda w: [
-            s for s in _figure7_systems(figure7)
-        ],
-        utilizations=(),
-        n_requests=0,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=("overall_tail_slowdown", "overall_tail_latency"),
-    )
-    registry["chaos"] = ExperimentSpec(
-        name="chaos",
-        kind="chaos",
-        workloads=("high_bimodal",),
-        spec_for=bimodal_spec,
-        systems_for=lambda w: chaos.default_systems(),
-        utilizations=(chaos.UTILIZATION,),
-        n_requests=20_000,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=("ttr_us", "violation_us", "failures", "throughput"),
-    )
-    registry["rack"] = ExperimentSpec(
-        name="rack",
-        kind="rack",
-        workloads=(rack.WORKLOAD,),
-        spec_for=bimodal_spec,
-        systems_for=lambda w: rack.default_systems(),
-        utilizations=rack.DEFAULT_UTILIZATIONS,
-        n_requests=20_000,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=(
-            "overall_tail_slowdown",
-            "overall_tail_latency",
-            "throughput",
-            "load_imbalance",
-        ),
-    )
+    registry = {module.SPEC.name: module.SPEC for module in modules}
     registry[SELFTEST] = ExperimentSpec(
         name=SELFTEST,
         kind="selftest",
@@ -201,50 +94,19 @@ def _registry() -> Dict[str, ExperimentSpec]:
         systems_for=None,
         utilizations=(),
         n_requests=400,
-        slo={},
         capacity_metric="value",
         table_metrics=("value",),
     )
     return registry
 
 
-def _figure7_systems(figure7_mod) -> List[Any]:
-    """The two systems figure7.run compares, by the same names."""
-    from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
-
-    return [
-        PersephoneCfcfsSystem(n_workers=figure7_mod.N_WORKERS, name="c-FCFS"),
-        PersephoneSystem(
-            n_workers=figure7_mod.N_WORKERS,
-            oracle=False,
-            min_samples=500,
-            ema_alpha=0.1,
-            name="DARC",
-        ),
-    ]
-
-
 #: Hidden experiment exercising the executor itself (crash isolation,
 #: timeouts, latency overlap) without a full simulation per cell.
 SELFTEST = "_selftest"
 
-#: Registry cache — filled in place on first use (configuration, not
-#: simulation state: the grid specs are immutable once built).
-_SPECS: Dict[str, ExperimentSpec] = {}
-
-
-def _specs() -> Dict[str, ExperimentSpec]:
-    # Worker-path read of a lazily-filled module cache: fork-safe by
-    # construction — _registry() is a pure function of the code, so any
-    # process (parent, forked, or spawned) that misses the cache rebuilds
-    # the identical table.  Nothing in it reflects parent runtime state.
-    if not _SPECS:  # repro-analyze: disable=A602
-        _SPECS.update(_registry())
-    return _SPECS
-
 
 def experiment_spec(name: str) -> ExperimentSpec:
-    spec = _specs().get(name)
+    spec = _registry().get(name)
     if spec is None:
         raise ConfigurationError(
             f"unknown sweep experiment {name!r} (choices: "
@@ -255,7 +117,7 @@ def experiment_spec(name: str) -> ExperimentSpec:
 
 def supported_experiments() -> List[str]:
     """Public, orchestrable experiment names (selftest excluded)."""
-    return sorted(name for name in _specs() if not name.startswith("_"))
+    return sorted(name for name in _registry() if not name.startswith("_"))
 
 
 class SweepPlan(NamedTuple):
@@ -294,22 +156,28 @@ class SweepPlan(NamedTuple):
 
 
 def plan_experiment(
-    experiment: str,
+    experiment: Union[str, ExperimentSpec],
     seeds: Sequence[int] = (1,),
     n_requests: Optional[int] = None,
     utilizations: Optional[Sequence[float]] = None,
 ) -> SweepPlan:
     """Expand one experiment's grid × seeds into independent cells.
 
-    Cell ordering is deterministic (workload-major, then load point,
-    then system, then seed) but carries no meaning: every cell is
-    independent and the executor may complete them in any order.
+    ``experiment`` is a registered name or a spec (a serial driver
+    passes its own spec with the caller's systems or balancers).  Cell
+    ordering is deterministic (workload-major, then balancer, then load
+    point, then system, then seed) but carries no meaning: every cell
+    is independent and the executor may complete them in any order.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
-    spec = experiment_spec(experiment)
+    spec = (
+        experiment_spec(experiment) if isinstance(experiment, str) else experiment
+    )
+    if spec.systems_for is None:
+        raise ConfigurationError(f"experiment {spec.name!r} is not plannable")
     n = int(n_requests) if n_requests is not None else spec.n_requests
     utils = (
         tuple(float(u) for u in utilizations)
@@ -317,98 +185,24 @@ def plan_experiment(
         else spec.utilizations
     )
     cells: List[Cell] = []
-    if spec.kind == "load_sweep":
-        for workload in spec.workloads:
-            names = [s.name for s in spec.systems_for(workload)]
-            for rho in utils:
+    for workload in spec.workloads:
+        names = [s.name for s in spec.systems_for(workload)]
+        for balancer in spec.balancers or (None,):
+            # Experiments without a load axis (phased) carry neither a
+            # load point nor a request count.
+            for rho in utils or (None,):
+                params: Dict[str, Any] = {"workload": workload, **spec.cell_params}
+                if balancer is not None:
+                    params["balancer"] = balancer
+                if rho is not None:
+                    params.update(rho=rho, n_requests=n)
                 for name in names:
                     for seed in seeds:
                         cells.append(
-                            Cell.make(
-                                experiment,
-                                {
-                                    "system": name,
-                                    "workload": workload,
-                                    "rho": rho,
-                                    "n_requests": n,
-                                },
-                                seed,
-                            )
+                            Cell.make(spec.name, {**params, "system": name}, seed)
                         )
-    elif spec.kind == "reserved_grid":
-        from ..experiments import figure4
-
-        rho = utils[0]
-        for workload in spec.workloads:
-            choices = ["c-FCFS"] + [
-                f"reserved{k}"
-                for k in figure4.DEFAULT_RESERVED
-                if k < figure4.N_WORKERS
-            ]
-            for choice in choices:
-                for seed in seeds:
-                    cells.append(
-                        Cell.make(
-                            experiment,
-                            {
-                                "system": choice,
-                                "workload": workload,
-                                "rho": rho,
-                                "n_requests": n,
-                            },
-                            seed,
-                        )
-                    )
-    elif spec.kind == "phased":
-        for name in [s.name for s in spec.systems_for("phased")]:
-            for seed in seeds:
-                cells.append(
-                    Cell.make(experiment, {"system": name, "workload": "phased"}, seed)
-                )
-    elif spec.kind == "chaos":
-        for workload in spec.workloads:
-            names = [s.name for s in spec.systems_for(workload)]
-            for name in names:
-                for seed in seeds:
-                    cells.append(
-                        Cell.make(
-                            experiment,
-                            {
-                                "system": name,
-                                "workload": workload,
-                                "rho": utils[0],
-                                "n_requests": n,
-                            },
-                            seed,
-                        )
-                    )
-    elif spec.kind == "rack":
-        from ..experiments import rack as rack_mod
-
-        for workload in spec.workloads:
-            names = [s.name for s in spec.systems_for(workload)]
-            for balancer in rack_mod.DEFAULT_BALANCERS:
-                for rho in utils:
-                    for name in names:
-                        for seed in seeds:
-                            cells.append(
-                                Cell.make(
-                                    experiment,
-                                    {
-                                        "system": name,
-                                        "workload": workload,
-                                        "balancer": balancer,
-                                        "rho": rho,
-                                        "n_requests": n,
-                                        "n_servers": rack_mod.N_SERVERS,
-                                    },
-                                    seed,
-                                )
-                            )
-    else:
-        raise ConfigurationError(f"experiment {experiment!r} is not plannable")
     return SweepPlan(
-        experiment=experiment,
+        experiment=spec.name,
         seeds=tuple(int(s) for s in seeds),
         n_requests=n,
         utilizations=utils,

@@ -4,7 +4,8 @@
 :func:`run_cell` dispatches on the experiment registry by *name*, so a
 cell is runnable from any process that can import :mod:`repro` — the
 pool executor ships cell documents, not live objects, and stays
-compatible with every ``multiprocessing`` start method.
+compatible with every ``multiprocessing`` start method.  Both it and
+the serial figure drivers run a grid point through :func:`run_point`.
 
 Every cell's digest comes from
 :func:`repro.metrics.digest.digest_outcome` (or its chaos variant) —
@@ -19,13 +20,12 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..metrics.digest import digest_chaos_outcome, digest_outcome
-from ..sim.units import US_PER_MS
 from .cells import Cell, CellResult
-from .planner import SELFTEST, experiment_spec
+from .planner import ExperimentSpec, experiment_spec
 
 
 def _summary_metrics(summary) -> Dict[str, float]:
@@ -67,143 +67,85 @@ def _cell_paths(
     return trace_path, metrics_path, artifacts
 
 
-def _run_simulated_cell(
-    cell: Cell,
+def run_point(
+    spec: ExperimentSpec,
     system,
-    wspec,
-    artifact_dir: Optional[str],
-    observe: Tuple[str, ...],
-) -> CellResult:
-    """The common load-point path: ``run_once`` + outcome digest."""
-    from ..experiments.common import run_once
+    params: Mapping[str, Any],
+    seed: int,
+    sanitize: "bool | str" = False,
+    trace_path: Optional[str] = None,
+    metrics_path: Optional[str] = None,
+    **options: Any,
+) -> Tuple[Any, Dict[str, float]]:
+    """Run one grid point of ``spec`` with ``system`` under ``seed``.
 
-    params = cell.params_dict
-    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    meta = {"cell_id": cell.cell_id, "replicate": cell.replicate}
-    result = run_once(
-        system,
-        wspec,
-        params["rho"],
-        n_requests=params["n_requests"],
-        seed=cell.seed,
-        trace_path=trace_path,
-        trace_meta=meta if trace_path else None,
-        metrics_path=metrics_path,
-        metrics_meta=meta if metrics_path else None,
-    )
-    recorder = result.server.recorder
-    loop = result.server.loop
-    return CellResult.build(
-        cell,
-        _summary_metrics(result.summary),
-        digest_outcome(recorder, loop),
-        loop.now,
-        artifacts=artifacts,
-    )
+    Returns the live result (a ``RunResult``, ``ChaosResult``,
+    ``RackResult``, or figure 7's ``(recorder, scheduler, loop)``) and
+    the flat metrics a :class:`CellResult` records, including the
+    spec's own :attr:`~ExperimentSpec.cell_metrics`.  ``options`` reach
+    the kind's run function (trace metadata, a chaos retry policy, a
+    rack's view staleness).  Pooled cells and the serial figure drivers
+    both run through here.
+    """
+    workload = spec.spec_for(params["workload"])
+    paths = dict(sanitize=sanitize, trace_path=trace_path, metrics_path=metrics_path)
+    if spec.kind == "load_sweep":
+        from ..experiments.common import run_once
 
-
-def _run_load_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    params = cell.params_dict
-    workload = params["workload"]
-    systems = {s.name: s for s in spec.systems_for(workload)}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for {cell.experiment}/{workload}"
+        live = run_once(
+            system, workload, params["rho"], n_requests=params["n_requests"],
+            seed=seed, **paths, **options,
         )
-    return _run_simulated_cell(cell, system, spec.spec_for(workload), artifact_dir, observe)
+        metrics = _summary_metrics(live.summary)
+    elif spec.kind == "phased":
+        from ..experiments import figure7
+        from ..metrics.summary import RunSummary
 
+        live = figure7._run_system(system, workload, seed, **paths)
+        recorder, scheduler, loop = live
+        summary = RunSummary(recorder, duration_us=loop.now, warmup_frac=0.0)
+        metrics = _summary_metrics(summary)
+        metrics["reservation_updates"] = float(
+            getattr(scheduler, "reservation_updates", 0)
+        )
+    elif spec.kind == "chaos":
+        from ..experiments import chaos
+        from ..faults.runner import run_chaos
 
-def _run_reserved_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    from ..experiments import figure4
-    from ..systems.persephone import PersephoneCfcfsSystem, PersephoneStaticSystem
+        n_requests = params["n_requests"]
+        plan, _crash_at, _recover_at, window_us = chaos.episode_plan(
+            n_requests, workload
+        )
+        options.setdefault("retry", chaos.default_retry())
+        live = run_chaos(
+            system, workload, params["rho"], plan, n_requests=n_requests,
+            seed=seed, window_us=window_us,
+            slo_latency_us=chaos.SLO_LATENCY_US, **paths, **options,
+        )
+        metrics = _chaos_metrics(live)
+    elif spec.kind == "rack":
+        from ..rack.rack import run_rack
 
-    params = cell.params_dict
-    choice = params["system"]
-    if choice == "c-FCFS":
-        system = PersephoneCfcfsSystem(n_workers=figure4.N_WORKERS, name="c-FCFS")
-    elif choice.startswith("reserved"):
-        k = int(choice[len("reserved"):])
-        if not 0 <= k < figure4.N_WORKERS:
-            raise ConfigurationError(
-                f"cell {cell.cell_id}: reserved count {k} out of range"
-            )
-        system = PersephoneStaticSystem(n_reserved=k, n_workers=figure4.N_WORKERS)
+        live = run_rack(
+            system, workload, balancer=params["balancer"],
+            n_servers=params["n_servers"], utilization=params["rho"],
+            n_requests=params["n_requests"], seed=seed, **paths, **options,
+        )
+        metrics = _summary_metrics(live.summary)
+        metrics["load_imbalance"] = float(live.load_imbalance())
+        metrics["spills"] = float(getattr(live.balancer, "spills", 0))
+        metrics["stale_reads"] = float(live.views.stale_reads)
+        metrics["view_error"] = float(live.views.mean_error())
     else:
         raise ConfigurationError(
-            f"cell {cell.cell_id}: unknown figure4 system {choice!r}"
+            f"experiment {spec.name!r}: unrunnable kind {spec.kind!r}"
         )
-    return _run_simulated_cell(
-        cell, system, spec.spec_for(params["workload"]), artifact_dir, observe
-    )
+    if spec.cell_metrics is not None:
+        metrics.update(spec.cell_metrics(live))
+    return live, metrics
 
 
-def _run_phased_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    from ..experiments import figure7
-    from ..metrics.summary import RunSummary
-
-    params = cell.params_dict
-    systems = {s.name: s for s in spec.systems_for("phased")}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for figure7"
-        )
-    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    recorder, scheduler, loop = figure7._run_system(
-        system,
-        figure7.default_phases(),
-        cell.seed,
-        window_us=10.0 * US_PER_MS,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
-    )
-    summary = RunSummary(recorder, duration_us=loop.now, warmup_frac=0.0)
-    metrics = _summary_metrics(summary)
-    metrics["reservation_updates"] = float(
-        getattr(scheduler, "reservation_updates", 0)
-    )
-    return CellResult.build(
-        cell,
-        metrics,
-        digest_outcome(recorder, loop),
-        loop.now,
-        artifacts=artifacts,
-    )
-
-
-def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    from ..experiments import chaos
-    from ..faults.runner import run_chaos
-
-    params = cell.params_dict
-    workload = params["workload"]
-    systems = {s.name: s for s in spec.systems_for(workload)}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for chaos"
-        )
-    wspec = spec.spec_for(workload)
-    n_requests = params["n_requests"]
-    plan, _crash_at, _recover_at, window_us = chaos.episode_plan(n_requests, wspec)
-    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    res = run_chaos(
-        system,
-        wspec,
-        params["rho"],
-        plan,
-        n_requests=n_requests,
-        seed=cell.seed,
-        retry=chaos.default_retry(),
-        window_us=window_us,
-        slo_latency_us=chaos.SLO_LATENCY_US,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
-    )
+def _chaos_metrics(res) -> Dict[str, float]:
     recorder = res.recorder
     loop = res.server.loop
     ttr = res.time_to_recover()
@@ -219,56 +161,26 @@ def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
         "retries": float(recorder.retries),
         "failures": float(recorder.failures),
         "late_completions": float(recorder.late_completions),
-        "reservation_updates": float(
-            getattr(res.scheduler, "reservation_updates", 0)
-        ),
     }
-    return CellResult.build(
-        cell,
-        metrics,
-        digest_chaos_outcome(recorder, loop, res.injector),
-        loop.now,
-        artifacts=artifacts,
-    )
+    # Only a reserving scheduler counts reservation updates.
+    updates = getattr(res.scheduler, "reservation_updates", None)
+    if updates is not None:
+        metrics["reservation_updates"] = float(updates)
+    return metrics
 
 
-def _run_rack_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    from ..rack.rack import run_rack
-
-    params = cell.params_dict
-    workload = params["workload"]
-    systems = {s.name: s for s in spec.systems_for(workload)}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for rack"
-        )
-    _trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    if metrics_path is None:
-        artifacts = ()
-    result = run_rack(
-        system,
-        spec.spec_for(workload),
-        balancer=params["balancer"],
-        n_servers=params["n_servers"],
-        utilization=params["rho"],
-        n_requests=params["n_requests"],
-        seed=cell.seed,
-        metrics_path=metrics_path,
-    )
-    metrics = _summary_metrics(result.summary)
-    metrics["load_imbalance"] = float(result.load_imbalance())
-    metrics["spills"] = float(getattr(result.balancer, "spills", 0))
-    metrics["stale_reads"] = float(result.views.stale_reads)
-    metrics["view_error"] = float(result.views.mean_error())
-    return CellResult.build(
-        cell,
-        metrics,
-        digest_outcome(result.recorder, result.loop),
-        result.loop.now,
-        artifacts=artifacts,
-    )
+def _digest(kind: str, live) -> Tuple[str, float]:
+    """The outcome digest and simulated duration of a live result."""
+    if kind == "chaos":
+        loop = live.server.loop
+        return digest_chaos_outcome(live.recorder, loop, live.injector), loop.now
+    if kind == "phased":
+        recorder, _scheduler, loop = live
+    elif kind == "rack":
+        recorder, loop = live.recorder, live.loop
+    else:
+        recorder, loop = live.server.recorder, live.server.loop
+    return digest_outcome(recorder, loop), loop.now
 
 
 def _run_selftest_cell(cell: Cell) -> CellResult:
@@ -319,21 +231,34 @@ def run_cell(
     under ``artifact_dir``; digests are identical either way.
     """
     spec = experiment_spec(cell.experiment)
-    if spec.kind == "load_sweep":
-        return _run_load_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "reserved_grid":
-        return _run_reserved_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "phased":
-        return _run_phased_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "chaos":
-        return _run_chaos_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "rack":
-        return _run_rack_cell(cell, spec, artifact_dir, observe)
     if spec.kind == "selftest":
         return _run_selftest_cell(cell)
-    raise ConfigurationError(
-        f"cell {cell.cell_id}: unrunnable experiment kind {spec.kind!r}"
+    params = cell.params_dict
+    systems = {s.name: s for s in spec.systems_for(params["workload"])}
+    system = systems.get(params["system"])
+    if system is None:
+        raise ConfigurationError(
+            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
+            f"{sorted(systems)} for {cell.experiment}/{params['workload']}"
+        )
+    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
+    options: Dict[str, Any] = {}
+    if spec.kind == "load_sweep":
+        meta = {"cell_id": cell.cell_id, "replicate": cell.replicate}
+        options = {
+            "trace_meta": meta if trace_path else None,
+            "metrics_meta": meta if metrics_path else None,
+        }
+    elif spec.kind == "rack":
+        # Pooled rack cells export metrics only, never rack traces.
+        trace_path = None
+        artifacts = (metrics_path,) if metrics_path else ()
+    live, metrics = run_point(
+        spec, system, params, cell.seed, trace_path=trace_path,
+        metrics_path=metrics_path, **options,
     )
+    digest, sim_time_us = _digest(spec.kind, live)
+    return CellResult.build(cell, metrics, digest, sim_time_us, artifacts=artifacts)
 
 
 def run_cell_doc(

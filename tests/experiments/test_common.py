@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import run_once, run_replicated_sweep, run_sweep
+from repro.experiments import figure5
+from repro.experiments.common import run_once, run_sweep
+from repro.sweep.planner import plan_experiment
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.presets import high_bimodal
 
@@ -101,17 +103,17 @@ class TestRunSweep:
 
 
 class TestRunSweepSeeds:
-    """Seeds for a replicated sweep go to :func:`run_replicated_sweep`."""
+    """A replicated sweep runs the planned cells of its figure."""
 
     def _sweep(self, seeds):
-        return run_replicated_sweep(
-            PersephoneCfcfsSystem(n_workers=4),
-            high_bimodal(),
+        result = figure5.run_one_workload(
+            "high_bimodal",
             [0.3, 0.6],
-            seeds=seeds,
-            experiment="figure5",
             n_requests=200,
+            systems=[PersephoneCfcfsSystem(n_workers=4)],
+            seeds=seeds,
         )
+        return result.replicates["Persephone (c-FCFS)"]
 
     def test_replicates_actually_differ(self):
         replicates = self._sweep(seeds=(1, 2))
@@ -127,39 +129,35 @@ class TestRunSweepSeeds:
 
 class TestRunReplicatedSweep:
     def test_runs_under_derived_cell_seeds(self):
-        from repro.sweep.cells import derive_seed
-
         spec = high_bimodal()
-        replicates = run_replicated_sweep(
-            PersephoneCfcfsSystem(n_workers=4),
-            spec,
+        result = figure5.run_one_workload(
+            "high_bimodal",
             [0.5],
-            seeds=(1, 2),
-            experiment="figure5",
-            workload="high_bimodal",
             n_requests=300,
+            systems=[PersephoneCfcfsSystem(n_workers=4)],
+            seeds=(1, 2),
         )
+        replicates = result.replicates["Persephone (c-FCFS)"]
         assert sorted(replicates) == [1, 2]
         assert all(len(sweep) == 1 for sweep in replicates.values())
         # Each replicate must have run under the derived cell seed — the
         # same one a pooled repro-sweep cell of this grid point gets.
+        plan = plan_experiment(
+            "figure5", seeds=(1, 2), n_requests=300, utilizations=(0.5,)
+        )
         for replicate, (result,) in replicates.items():
-            cell_seed = derive_seed(
-                "figure5",
-                {
-                    "system": "Persephone (c-FCFS)",
-                    "workload": "high_bimodal",
-                    "rho": 0.5,
-                    "n_requests": 300,
-                },
-                replicate,
-            )
+            (cell,) = [
+                c for c in plan.cells
+                if c.replicate == replicate
+                and c.params_dict["workload"] == "high_bimodal"
+                and c.params_dict["system"] == "Persephone"
+            ]
             direct = run_once(
                 PersephoneCfcfsSystem(n_workers=4),
                 spec,
                 0.5,
                 n_requests=300,
-                seed=cell_seed,
+                seed=cell.seed,
             )
             assert (
                 result.summary.overall_tail_latency

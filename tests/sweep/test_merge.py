@@ -13,7 +13,7 @@ RHOS = (0.5, 0.85)
 
 def _result(system, rho, replicate, slowdown, drop_rate=0.0):
     cell = Cell.make(
-        "figure3",
+        "figure5",
         {"system": system, "workload": WORKLOAD, "rho": rho, "n_requests": 1000},
         replicate,
     )
@@ -44,9 +44,9 @@ def _grid(slowdowns, drop_rate=0.0, seeds=(1, 2, 3)):
 
 class TestGrouping:
     def test_replicates_collapse_to_groups(self):
-        slo = experiment_spec("figure3").slo[WORKLOAD]
+        slo = experiment_spec("figure5").slo[WORKLOAD]
         results = _grid({("Persephone", 0.5): slo / 2, ("Persephone", 0.85): slo / 2})
-        merged = merge_results("figure3", results)
+        merged = merge_results("figure5", results)
         assert merged.n_cells == 6
         assert len(merged.groups) == 2
         group = merged.groups[0]
@@ -55,7 +55,7 @@ class TestGrouping:
 
     def test_metric_cis(self):
         results = _grid({("Persephone", 0.5): 2.0})
-        merged = merge_results("figure3", results, confidence=0.95)
+        merged = merge_results("figure5", results, confidence=0.95)
         stat = merged.groups[0].metric("overall_tail_slowdown")
         assert stat.n == 3
         assert stat.mean == pytest.approx(2.0)
@@ -70,32 +70,32 @@ class TestGrouping:
                 (k, v) for k, v in results[0].metrics if k != "throughput"
             )
         )
-        merged = merge_results("figure3", [short] + results[1:])
+        merged = merge_results("figure5", [short] + results[1:])
         assert merged.groups[0].metric("throughput").n == 2
 
 
 class TestCapacitiesAndFindings:
     def test_capacity_is_best_passing_load(self):
-        slo = experiment_spec("figure3").slo[WORKLOAD]
+        slo = experiment_spec("figure5").slo[WORKLOAD]
         merged = merge_results(
-            "figure3",
+            "figure5",
             _grid({
                 ("Persephone", 0.5): slo / 2,
                 ("Persephone", 0.85): slo / 2,
-                ("c-FCFS", 0.5): slo / 2,
-                ("c-FCFS", 0.85): slo * 10,
+                ("Shenango", 0.5): slo / 2,
+                ("Shenango", 0.85): slo * 10,
             }),
         )
         caps = merged.capacities
         assert caps[f"capacity@{slo:g} [{WORKLOAD}/Persephone]"] == 0.85
-        assert caps[f"capacity@{slo:g} [{WORKLOAD}/c-FCFS]"] == 0.5
-        ratio = merged.findings[f"DARC vs c-FCFS capacity [{WORKLOAD}]"]
+        assert caps[f"capacity@{slo:g} [{WORKLOAD}/Shenango]"] == 0.5
+        ratio = merged.findings[f"DARC vs Shenango capacity [{WORKLOAD}]"]
         assert ratio == pytest.approx(0.85 / 0.5)
 
     def test_drops_disqualify_a_point(self):
-        slo = experiment_spec("figure3").slo[WORKLOAD]
+        slo = experiment_spec("figure5").slo[WORKLOAD]
         merged = merge_results(
-            "figure3",
+            "figure5",
             _grid({("Persephone", 0.5): slo / 2}, drop_rate=0.01),
         )
         assert merged.capacities[
@@ -110,17 +110,17 @@ class TestCapacitiesAndFindings:
 
 class TestRenderAndDoc:
     def test_load_table_mentions_ci(self):
-        slo = experiment_spec("figure3").slo[WORKLOAD]
+        slo = experiment_spec("figure5").slo[WORKLOAD]
         merged = merge_results(
-            "figure3", _grid({("Persephone", 0.5): slo / 2})
+            "figure5", _grid({("Persephone", 0.5): slo / 2})
         )
         text = merged.render()
-        assert "figure3" in text
+        assert "figure5" in text
         assert "mean±95% CI over 3 seeds" in text
         assert "±" in text
 
     def test_doc_shape(self):
-        merged = merge_results("figure3", _grid({("Persephone", 0.5): 2.0}))
+        merged = merge_results("figure5", _grid({("Persephone", 0.5): 2.0}))
         doc = merged.to_doc()
         assert doc["kind"] == "repro-sweep-merged"
         assert doc["n_cells"] == 3

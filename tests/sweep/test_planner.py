@@ -1,4 +1,4 @@
-"""Planner: grid expansion, registry reuse, plan serialization."""
+"""Planner: grid expansion, the spec registry, plan serialization."""
 
 import pytest
 
@@ -29,14 +29,23 @@ class TestRegistry:
             experiment_spec("figure99")
 
     def test_spec_matches_serial_driver_grid(self):
-        from repro.experiments import figure5
+        # One description per experiment: the registry holds each figure
+        # module's own spec, which its serial driver also runs.
+        import importlib
 
-        spec = experiment_spec("figure5")
-        assert spec.kind == "load_sweep"
-        assert spec.workloads == ("high_bimodal", "extreme_bimodal")
-        assert spec.utilizations == figure5.DEFAULT_UTILIZATIONS
-        names = [s.name for s in spec.systems_for("high_bimodal")]
-        assert names == [s.name for s in figure5.systems_for("high_bimodal")]
+        for name in supported_experiments():
+            module = importlib.import_module(f"repro.experiments.{name}")
+            assert experiment_spec(name) is module.SPEC
+
+    def test_cli_choices_are_the_registry(self):
+        from repro.cli import build_parser
+
+        (action,) = [
+            a for a in build_parser()._actions if a.dest == "experiment"
+        ]
+        assert sorted(action.choices) == sorted(
+            supported_experiments() + ["tables", "all"]
+        )
 
 
 class TestPlanExperiment:

@@ -103,8 +103,8 @@ class TestMerge:
             results.append(self._fake_result("Persephone", balancer, 0.7, darc))
             results.append(self._fake_result("Shenango", balancer, 0.7, shenango))
         merged = merge_results("rack", results)
-        assert merged.findings["DARC vs Shenango slowdown [pow2] @0.7"] == 3.0
-        assert merged.findings["DARC vs Shenango slowdown [sed] @0.7"] == 8.0
+        assert merged.findings["DARC vs Shenango p99.9 slowdown @0.7 [pow2]"] == 3.0
+        assert merged.findings["DARC vs Shenango p99.9 slowdown @0.7 [sed]"] == 8.0
 
     def test_findings_use_highest_load_only(self):
         results = [
@@ -115,7 +115,7 @@ class TestMerge:
         ]
         merged = merge_results("rack", results)
         assert merged.findings == {
-            "DARC vs Shenango slowdown [pow2] @0.85": 2.0
+            "DARC vs Shenango p99.9 slowdown @0.85 [pow2]": 2.0
         }
 
     def test_render_generic_table_lists_balancer_cells(self):
