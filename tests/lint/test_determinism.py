@@ -1543,6 +1543,52 @@ class TestTimeSharingPins:
     def test_run_matches_pin(self, name):
         assert self.run(name) == self.PINS[name]
 
+    #: seed -> (digest in the benchmark suite's recipe, events processed,
+    #: accounting sha) of its server-shinjuku workload: 40,000 requests.
+    BENCHMARK_PINS = {
+        1: (
+            "5f601b4dc5e145d908734c8ccca9de7ac574784bf9db8872f4f6ebe21da23560",
+            461_026,
+            "99ee43769b332e3a734b7bfc6013f3096afed1f6e0566af89daba3b1418928dc",
+        ),
+        2: (
+            "5cc217fc5e0378b56dd8f7d471dca78df95c461bd1c8f3ae9dcd10345bf63b28",
+            460_361,
+            "51384a667c397ae86db22eb4d85cd0410b2865a8848cd0540ef26e6d6b017508",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BENCHMARK_PINS))
+    def test_benchmark_configuration_matches_pin(self, seed):
+        """The benchmark's server-shinjuku run, hashed as the suite hashes
+        it (``model.digest``: the recorder's completion columns, then the
+        completed, dropped and event counts)."""
+        import hashlib
+
+        result = run_once(
+            ShinjukuSystem(n_workers=14, quantum_us=5, mode="multi", trigger="timer"),
+            high_bimodal(),
+            0.7,
+            n_requests=40_000,
+            seed=seed,
+        )
+        recorder, loop = result.server.recorder, result.server.loop
+        columns = recorder.columns()
+        sha = hashlib.sha256()
+        for name in (
+            "type_ids", "arrivals", "services", "finishes", "waits",
+            "preemptions", "overheads",
+        ):
+            sha.update(name.encode())
+            sha.update(getattr(columns, name).tobytes())
+        events = loop.events_processed
+        sha.update(
+            f"completed={recorder.completed};dropped={recorder.dropped};"
+            f"events={events}".encode()
+        )
+        accounting = _timesharing_accounting(result.scheduler, result.server.workers)
+        assert (sha.hexdigest(), events, accounting) == self.BENCHMARK_PINS[seed]
+
     def test_faulted_sanitized_run_matches_pin(self):
         assert self.chaos() == self.CHAOS_PIN
 
