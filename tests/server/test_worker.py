@@ -1,5 +1,7 @@
 """Tests for the worker model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,34 @@ class TestLap:
         twin.end(now)
         assert self.slots(lapped) == self.slots(twin)
         assert lapped.utilization(now + 1.0) == twin.utilization(now + 1.0)
+
+    @given(
+        start=st.integers(min_value=1, max_value=2**40),
+        step=st.integers(min_value=1, max_value=2**12),
+        scale=st.integers(min_value=-20, max_value=4),
+        count=st.integers(min_value=0, max_value=60),
+        overhead=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        busy=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_laps_match_lap_per_boundary(self, start, step, scale, count, overhead, busy):
+        """Lap times on a lattice (``start + j*step`` exact): ``laps``
+        leaves every slot as ``count`` calls of ``lap`` do."""
+        start, step = math.ldexp(start, scale), math.ldexp(step, scale)
+        bulk, single = Worker(2), Worker(2)
+        for worker in (bulk, single):
+            worker.total_busy_time = worker.total_overhead_time = busy
+            worker.begin(req(0), start)
+        now = start
+        for _ in range(count):
+            now += step
+            single.lap(now, overhead)
+        bulk.laps(now, count, step, overhead)
+        assert self.slots(bulk) == self.slots(single)
+
+    def test_laps_while_idle_raises(self):
+        with pytest.raises(SchedulingError):
+            Worker(0).laps(7.0, 1, 7.0)
 
     def test_lap_while_idle_raises(self):
         with pytest.raises(SchedulingError):
