@@ -51,6 +51,21 @@ def result_to_dict(result: RunResult) -> Dict[str, object]:
     return out
 
 
+def rack_result_to_dict(system_name: str, result) -> Dict[str, object]:
+    """Flatten a :class:`~repro.rack.rack.RackResult` (its metadata, the
+    replicas' system, and its rack-wide summary)."""
+    out: Dict[str, object] = {
+        "system": system_name,
+        "balancer": result.balancer_name,
+        "workload": result.spec.name,
+        "utilization": result.utilization,
+        "n_servers": result.n_servers,
+        "load_imbalance": result.load_imbalance(),
+    }
+    out.update(summary_to_dict(result.summary))
+    return out
+
+
 def _write_csv(fp: TextIO, rows: List[Dict[str, object]]) -> None:
     if not rows:
         return
@@ -78,13 +93,17 @@ def figure_to_csv(
     metric: MetricFn = overall_slowdown_metric,
 ) -> str:
     """Write one row per (system, load point) with the full flat summary.
+    A rack figure's points are rack results, one row each.
 
     Returns the CSV text (also written to ``fp`` when given).
     """
     rows: List[Dict[str, object]] = []
     for system_name, sweep in figure.sweeps.items():
         for result in sweep:
-            row = result_to_dict(result)
+            if isinstance(result, RunResult):
+                row = result_to_dict(result)
+            else:
+                row = rack_result_to_dict(system_name, result)
             row["figure"] = figure.name
             row["metric"] = metric(result)
             rows.append(row)

@@ -1,10 +1,11 @@
 """Tests for result export."""
 
 import io
+from contextlib import redirect_stdout
 
 import pytest
 
-from repro.experiments import figure3
+from repro.experiments import figure3, rack
 from repro.experiments.common import run_once
 from repro.experiments.export import (
     figure_to_csv,
@@ -68,3 +69,32 @@ class TestCsvExport:
         text = findings_to_csv(small_figure)
         assert text.startswith("finding,value\n")
         assert len(text.splitlines()) == 1 + len(small_figure.findings)
+
+
+class TestRackCsvExport:
+    def test_rack_cli_writes_one_row_per_point(self, tmp_path):
+        """``repro-experiments rack --csv`` exports rack results from
+        their own fields (they have no per-server metadata)."""
+        from repro.cli import main
+
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([
+                "rack", "--n-requests", "600", "--csv", str(tmp_path),
+            ]) == 0
+        text = (tmp_path / "rack_pow2.csv").read_text()
+        header, *rows = text.splitlines()
+        cols = header.split(",")
+        assert cols[:6] == [
+            "system", "balancer", "workload", "utilization", "n_servers",
+            "load_imbalance",
+        ]
+        # Each of the three systems' replicas at every default utilization.
+        systems = [row.split(",")[0] for row in rows]
+        assert sorted(set(systems)) == ["Persephone", "Shenango", "Shinjuku"]
+        assert len(rows) == 3 * len(rack.DEFAULT_UTILIZATIONS)
+        first = dict(zip(cols, rows[0].split(",")))
+        assert first["balancer"] == "pow2"
+        assert first["workload"] == "high_bimodal"
+        assert int(first["n_servers"]) == rack.N_SERVERS
+        assert int(first["completed"]) > 0

@@ -30,8 +30,8 @@ CLI_EXPERIMENTS = (
     "chaos", "figure1", "figure3", "figure4", "figure5", "figure6",
     "figure8", "figure9", "figure10", "rack", "tables",
 )
-#: ``tables`` runs nothing; ``rack --csv`` fails (its points are rack
-#: results, which the CSV writer cannot read), so rack pins stdout only.
+#: ``tables`` runs nothing; rack pins stdout only (its CSVs are checked
+#: in ``test_export.py``).
 NO_CSV = ("tables", "rack")
 
 PRINTED_SHA256 = {
