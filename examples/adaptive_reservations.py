@@ -18,6 +18,11 @@ from repro.experiments import figure7
 PHASE_US = 100_000.0
 
 
+def _shown(latency) -> str:
+    """A window's p99.9, or "-" when the window had no requests."""
+    return "-" if latency is None or latency != latency else f"{latency:.1f}"
+
+
 def main() -> None:
     phases = figure7.default_phases(phase_us=PHASE_US)
     print("Phases (all at 80% utilization):")
@@ -36,14 +41,16 @@ def main() -> None:
 
     times, cores_a = result.alloc_series["DARC"][figure7.TYPE_A]
     _, cores_b = result.alloc_series["DARC"][figure7.TYPE_B]
-    _, lat_a = result.latency_series["DARC"][figure7.TYPE_A]
-    _, lat_b = result.latency_series["DARC"][figure7.TYPE_B]
+    # Each latency series has its own windows: a type's series ends with
+    # its last arrival (B sends nothing in phase 4).
+    lat_a = dict(zip(*result.latency_series["DARC"][figure7.TYPE_A]))
+    lat_b = dict(zip(*result.latency_series["DARC"][figure7.TYPE_B]))
 
     print(f"{'t (ms)':>8} {'cores A':>8} {'cores B':>8} "
           f"{'p99.9 A (us)':>14} {'p99.9 B (us)':>14}")
     for i, t in enumerate(times):
-        la = f"{lat_a[i]:.1f}" if lat_a[i] == lat_a[i] else "-"
-        lb = f"{lat_b[i]:.1f}" if lat_b[i] == lat_b[i] else "-"
+        la = _shown(lat_a.get(t))
+        lb = _shown(lat_b.get(t))
         print(f"{t / 1000:>8.0f} {cores_a[i]:>8} {cores_b[i]:>8} {la:>14} {lb:>14}")
 
     print("\nFor comparison, c-FCFS p99.9 across the whole run:")
