@@ -19,8 +19,8 @@ Run:  python examples/kvstore_service.py
 
 from repro.apps.kvstore import OP_TYPE_IDS, KvStore
 from repro.core.classifier import CallableClassifier
+from repro.core.protocol import encode_request, peek_type
 from repro.experiments.common import run_once
-from repro.net.protocol import encode_request, peek_type
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.request import Request
 

@@ -7,10 +7,11 @@ reimplements the system and its evaluation as a simulation:
 
 * :mod:`repro.sim` — discrete-event engine;
 * :mod:`repro.workload` — typed workloads, Poisson open-loop generation;
-* :mod:`repro.core` — DARC: classifiers, profiling, reservation, dispatch;
+* :mod:`repro.core` — DARC: classifiers and the §5.1 request header,
+  profiling, reservation, dispatch;
 * :mod:`repro.policies` — c/d-FCFS, work stealing, time sharing, and the
   rest of the Table 5 baselines;
-* :mod:`repro.server`, :mod:`repro.net` — the Fig. 2 pipeline model;
+* :mod:`repro.server` — the Fig. 2 pipeline model;
 * :mod:`repro.systems` — Perséphone / Shenango / Shinjuku comparators;
 * :mod:`repro.apps` — KV store, RocksDB-like store, TPC-C engine;
 * :mod:`repro.metrics` — percentiles, slowdown, per-type summaries;

@@ -279,21 +279,6 @@ ANNOTATIONS: Dict[str, Annotation] = {
         params={"duration_us": DURATION, "utilization": FRACTION},
         positional={1: DURATION, 2: FRACTION},
     ),
-    "diurnal_phases": Annotation(
-        params={
-            "base_utilization": FRACTION,
-            "peak_utilization": FRACTION,
-            "total_duration_us": DURATION,
-        }
-    ),
-    "flash_crowd_phases": Annotation(
-        params={
-            "base_utilization": FRACTION,
-            "spike_utilization": FRACTION,
-            "base_duration_us": DURATION,
-            "spike_duration_us": DURATION,
-        }
-    ),
     # -- rack views / fault plans --------------------------------------
     "QueueViews": Annotation(params={"staleness_us": DURATION}),
     "crash_recover": Annotation(

@@ -45,7 +45,6 @@ SIM_CRITICAL_PACKAGES = frozenset(
         "systems",
         "server",
         "workload",
-        "net",
         "rack",
         "apps",
         "faults",

@@ -2,7 +2,9 @@
 
 "To interact with the server, we use a simple protocol where TPC-C
 transaction ID, RocksDB query ID, and synthetic workload request types
-are located in the requests' header."
+are located in the requests' header."  A header classifier
+(:class:`~repro.core.classifier.CallableClassifier` over
+:func:`peek_type`) reads the type field and nothing else.
 
 Wire format (little endian):
 
@@ -21,39 +23,16 @@ offset size    field
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
-
-from ..errors import ReproError
+from typing import Optional
 
 MAGIC = 0x50455250
 _HEADER = struct.Struct("<IqidI")
 HEADER_LEN = _HEADER.size
 
 
-class ProtocolError(ReproError):
-    """Raised for malformed request payloads."""
-
-
 def encode_request(rid: int, type_id: int, timestamp_us: float, body: bytes = b"") -> bytes:
     """Serialize a request into its wire payload."""
     return _HEADER.pack(MAGIC, rid, type_id, timestamp_us, len(body)) + body
-
-
-def decode_request(payload: bytes) -> Tuple[int, int, float, bytes]:
-    """Parse a payload; returns ``(rid, type_id, timestamp_us, body)``.
-
-    Raises :class:`ProtocolError` on truncation or a bad magic — which a
-    request classifier turns into UNKNOWN rather than propagating.
-    """
-    if len(payload) < HEADER_LEN:
-        raise ProtocolError(f"payload too short: {len(payload)} < {HEADER_LEN}")
-    magic, rid, type_id, timestamp, body_len = _HEADER.unpack_from(payload, 0)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic 0x{magic:08x}")
-    body = payload[HEADER_LEN : HEADER_LEN + body_len]
-    if len(body) != body_len:
-        raise ProtocolError(f"truncated body: {len(body)} != {body_len}")
-    return rid, type_id, timestamp, body
 
 
 def peek_type(payload: bytes) -> Optional[int]:

@@ -216,9 +216,6 @@ class FaultPlan:
     def worker_events(self) -> List[WorkerFault]:
         return [e for e in self.events if isinstance(e, WorkerFault)]
 
-    def packet_events(self) -> List[PacketFault]:
-        return [e for e in self.events if isinstance(e, PacketFault)]
-
     @property
     def needs_rng(self) -> bool:
         """True when the plan contains probabilistic (packet) faults."""

@@ -6,9 +6,9 @@ identical replicas (each running its *own* complete SystemModel — a
 Perséphone/DARC, Shenango or Shinjuku server with its own scheduler
 state and per-replica RNG fork), a :class:`~repro.rack.views.QueueViews`
 information model, one balancer from the catalogue, and a load source —
-open-loop Poisson, a phased schedule (diurnal / flash crowd), or a
-recorded trace — then runs to completion and wraps everything in a
-:class:`RackResult`.
+open-loop Poisson, a phased schedule (a list of
+:class:`~repro.workload.phases.Phase`), or a recorded trace — then runs
+to completion and wraps everything in a :class:`RackResult`.
 
 Determinism contract: all randomness flows through the run's
 :class:`~repro.sim.randomness.RngRegistry` (``rack.*`` streams for the
@@ -300,8 +300,8 @@ def run_rack(
     ``balancer`` is a catalogue name (see
     :data:`~repro.rack.balancers.BALANCER_NAMES`) or a factory callable.
     Exactly one load source applies: a recorded ``trace`` (replayed as
-    is; ``n_requests``/``utilization`` ignored), ``phases`` (a phased
-    schedule — e.g. :func:`~repro.rack.load.diurnal_phases` — whose
+    is; ``n_requests``/``utilization`` ignored), ``phases`` (a list of
+    :class:`~repro.workload.phases.Phase`, as figure 7 uses, whose
     per-core utilizations are scaled by the whole rack's core count;
     the open-loop generator stops when the last phase ends), or the
     default steady open-loop Poisson stream at ``utilization`` of the

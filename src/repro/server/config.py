@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
-from ..net.channel import CHANNEL_OP_US
-from ..sim.units import nanoseconds
+from ..sim.units import cycles_to_us, nanoseconds
 
 #: §5.1 testbed: 14 worker threads on dedicated physical cores.
 TESTBED_WORKERS = 14
 #: §2 simulation: 16 workers.
 SIMULATION_WORKERS = 16
+#: Dispatcher→worker SPSC channel operation: 88 cycles (§4.3.2).
+CHANNEL_OP_US = cycles_to_us(88)
 
 
 @dataclass

@@ -102,11 +102,6 @@ class Worker:
     def is_free(self) -> bool:
         return self.current is None and not self.failed
 
-    @property
-    def is_busy(self) -> bool:
-        """True while a request occupies the core (crashed or not)."""
-        return self.current is not None
-
     def fail(self) -> None:
         """Mark the core crashed.  The caller (the scheduler's crash
         handler) is responsible for evicting any in-flight request first."""

@@ -15,12 +15,11 @@ Design notes
   when popped.  This keeps ``cancel`` O(1), which matters for preemption
   timers that are cancelled far more often than they fire.
 * The heap stores ``(time, seq, event)`` tuples rather than bare
-  :class:`~repro.sim.events.Event` objects.  Tuple comparison runs in C;
-  comparing events via ``Event.__lt__`` was the single hottest function
-  in a profile of the loop (one Python call per sift step per
-  push/pop).  The ordering is identical — ``Event.__lt__`` uses the same
-  ``(time, seq)`` key — and :meth:`peek_event` still hands callers the
-  event object.
+  :class:`~repro.sim.events.Event` objects, so events are never compared
+  themselves.  Tuple comparison runs in C; a Python-level ``__lt__`` was
+  the single hottest function in a profile of the loop (one Python call
+  per sift step per push/pop).  :meth:`peek_event` still hands callers
+  the event object.
 * The loop never moves time backwards; scheduling in the past, or at a
   NaN time, raises :class:`~repro.errors.SimulationError` instead of
   silently reordering history.

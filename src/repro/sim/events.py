@@ -8,7 +8,7 @@ at the same instant — an important property for reproducible simulations.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 
 class Event:
@@ -37,22 +37,7 @@ class Event:
         """True while the event has not been cancelled (it may have fired)."""
         return not self.cancelled
 
-    def sort_key(self) -> Tuple[float, int]:
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__name__", repr(self.fn))
         return f"Event(t={self.time:.3f}, seq={self.seq}, fn={name}, {state})"
-
-
-def make_repr_time(t: Optional[float]) -> str:
-    """Format a simulation time for human-readable messages."""
-    if t is None:
-        return "<none>"
-    return f"{t:.3f}us"

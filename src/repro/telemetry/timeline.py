@@ -40,16 +40,6 @@ class SeriesTrack:
     def last_value(self) -> Optional[float]:
         return self.points[-1][1] if self.points else None
 
-    def value_at(self, scrape_index: int) -> Optional[float]:
-        """Step-function value at ``scrape_index`` (None before the first
-        point — the series did not exist yet)."""
-        value: Optional[float] = None
-        for idx, v in self.points:
-            if idx > scrape_index:
-                break
-            value = v
-        return value
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SeriesTrack({self.key}, points={len(self.points)})"
 
@@ -126,24 +116,6 @@ class MetricsTimeline:
     @property
     def n_scrapes(self) -> int:
         return len(self.times)
-
-    def changes_at(self, scrape_index: int) -> Dict[str, float]:
-        """Every series change recorded at one scrape (for JSONL rows)."""
-        out: Dict[str, float] = {}
-        for key, track in self.series.items():
-            for idx, value in track.points:
-                if idx == scrape_index:
-                    out[key] = value
-                elif idx > scrape_index:
-                    break
-        return out
-
-    def expand(self, key: str) -> List[Tuple[float, float]]:
-        """One series as explicit ``(time, value)`` step points."""
-        track = self.series.get(key)
-        if track is None:
-            return []
-        return [(self.times[idx], value) for idx, value in track.points]
 
     def final_values(self) -> Dict[str, float]:
         """Last recorded value of every series, in appearance order."""

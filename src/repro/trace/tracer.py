@@ -335,14 +335,6 @@ class Tracer:
             if self.spans[rid].terminal == COMPLETE
         ]
 
-    def open_spans(self) -> List[Span]:
-        """Spans with no terminal state (in-flight at trace capture)."""
-        return [
-            self.spans[rid]
-            for rid in self._rid_order
-            if self.spans[rid].terminal is None
-        ]
-
     def terminal_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {COMPLETE: 0, DROP: 0, DISPATCHER_DROP: 0, "open": 0}
         for rid in self._rid_order:

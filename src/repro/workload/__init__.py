@@ -12,7 +12,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PoissonArrivals",
             "arrival_stream",
         ),
-        ".closedloop": ("ClosedLoopClients",),
         ".distributions": (
             "Bimodal",
             "Exponential",

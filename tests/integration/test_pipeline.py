@@ -6,8 +6,8 @@ import pytest
 from repro.apps.kvstore import OP_TYPE_IDS, KvStore
 from repro.core.classifier import CallableClassifier
 from repro.core.darc import DarcScheduler
+from repro.core.protocol import encode_request, peek_type
 from repro.metrics.recorder import Recorder
-from repro.net.protocol import encode_request, peek_type
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop

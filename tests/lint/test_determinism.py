@@ -146,17 +146,6 @@ class TestUnitConstantRewritesBitIdentical:
     literals, and the engine itself reproduces the 3-system x 3-seed
     digests above unchanged."""
 
-    def test_rack_load_defaults_are_the_old_literals(self):
-        import inspect
-
-        from repro.rack.load import diurnal_phases, flash_crowd_phases
-
-        diurnal = inspect.signature(diurnal_phases).parameters
-        assert diurnal["total_duration_us"].default == 1_200_000.0
-        crowd = inspect.signature(flash_crowd_phases).parameters
-        assert crowd["base_duration_us"].default == 300_000.0
-        assert crowd["spike_duration_us"].default == 120_000.0
-
     def test_figure7_defaults_are_the_old_literals(self):
         import inspect
 
@@ -729,12 +718,19 @@ def _stochastic_spec():
     )
 
 
+def _flash_crowd(spec, base_us, spike_us):
+    """Steady load, an overload spike above rho = 1, then steady again."""
+    from repro.workload.phases import Phase
+
+    return [Phase(spec, base_us, 0.55), Phase(spec, spike_us, 1.2), Phase(spec, base_us, 0.55)]
+
+
 class TestArrivalStreamPins:
     """Client paths the high-bimodal pins above never exercise: a phased
     run that swaps the spec and the rate mid-run with no request limit,
     service times that really draw from the ``service`` stream, bursty
-    arrivals, closed-loop clients, and a run long enough to cross any
-    block boundary of a pre-drawn stream.  Captured on the scalar
+    arrivals, and a run long enough to cross any block boundary of a
+    pre-drawn stream.  Captured on the scalar
     generator (one numpy draw per value)."""
 
     #: ShenangoSystem(n_workers=4, work_stealing=True), 4-server
@@ -758,11 +754,6 @@ class TestArrivalStreamPins:
     BURSTY_SEQUENCE_DIGEST = (
         "e56c8870bc3780d9daf8be648e651c32fc63948a1e7f24782f36c5f47f004f8f"
     )
-    #: 6 closed-loop clients, 5 us think, stochastic spec, c-FCFS on 2
-    #: workers, 2,000 requests, seed 6.
-    CLOSED_LOOP_DIGEST = (
-        "ac9344879e398920728b30e4f42895fff3c1caf7978187733a407d9b9d86288b"
-    )
     #: PersephoneSystem(n_workers=8, min_samples=200), high bimodal,
     #: rho 0.7, n=10,000 (not a multiple of 4,096), seed 8.
     LONG_RUN_DIGEST = (
@@ -782,13 +773,7 @@ class TestArrivalStreamPins:
         ).digest()
 
     def test_flash_crowd_rack_matches_pin(self):
-        from repro.rack.load import flash_crowd_phases
-
-        phases = flash_crowd_phases(
-            high_bimodal(),
-            base_duration_us=10_000.0,
-            spike_duration_us=5_000.0,
-        )
+        phases = _flash_crowd(high_bimodal(), base_us=10_000.0, spike_us=5_000.0)
         assert self._rack(phases, seed=2) == self.FLASH_CROWD_DIGEST
 
     def test_spec_swapping_rack_matches_pin(self):
@@ -837,45 +822,6 @@ class TestArrivalStreamPins:
         loop.run()
         assert len(requests) == 3_000
         assert _request_sequence_digest(requests) == self.BURSTY_SEQUENCE_DIGEST
-
-    def test_closed_loop_run_matches_pin(self):
-        from repro.metrics.digest import digest_outcome
-        from repro.metrics.recorder import Recorder
-        from repro.policies.fcfs import CentralizedFCFS
-        from repro.server.config import ServerConfig
-        from repro.server.server import Server
-        from repro.sim.engine import EventLoop
-        from repro.sim.randomness import RngRegistry
-        from repro.workload.closedloop import ClosedLoopClients
-
-        loop = EventLoop()
-        rngs = RngRegistry(seed=6)
-        recorder = Recorder()
-        scheduler = CentralizedFCFS()
-        server = Server(
-            loop, scheduler, config=ServerConfig(n_workers=2), recorder=recorder
-        )
-        clients = ClosedLoopClients(
-            loop,
-            _stochastic_spec(),
-            server.ingress,
-            n_clients=6,
-            think_time_us=5.0,
-            type_rng=rngs.stream("types"),
-            service_rng=rngs.stream("service"),
-            think_rng=rngs.stream("think"),
-            max_requests=2_000,
-        )
-
-        def on_complete(request):
-            recorder.on_complete(request)
-            clients.on_complete(request)
-
-        scheduler._on_complete = on_complete
-        clients.start()
-        loop.run()
-        assert recorder.completed == 2_000
-        assert digest_outcome(recorder, loop) == self.CLOSED_LOOP_DIGEST
 
     def test_block_crossing_run_matches_pin(self):
         from repro.metrics.digest import digest_outcome
@@ -1036,8 +982,6 @@ class TestRackDrawPins:
 
     @classmethod
     def outcome(cls, name):
-        from repro.rack.load import flash_crowd_phases
-
         if name == "pow2-steady":
             return _rack_draw_outcome(cls._run("pow2"))
         if name == "pow2-shrink":
@@ -1055,9 +999,7 @@ class TestRackDrawPins:
         if name == "session-7-users":
             return _rack_draw_outcome(cls._run("session", n_users=7))
         if name == "session-phased":
-            phases = flash_crowd_phases(
-                high_bimodal(), base_duration_us=6_000.0, spike_duration_us=3_000.0
-            )
+            phases = _flash_crowd(high_bimodal(), base_us=6_000.0, spike_us=3_000.0)
             return _rack_draw_outcome(
                 cls._run("session", n_servers=8, phases=phases, seed=13)
             )

@@ -1,13 +1,13 @@
-"""run_rack end to end: conservation, determinism, chaos, phased load."""
+"""run_rack end to end: conservation, determinism, chaos, telemetry."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.rack.faults import RackFaultPlan
-from repro.rack.load import diurnal_phases, flash_crowd_phases
 from repro.rack.rack import run_rack
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.systems.shinjuku import ShinjukuSystem
+from repro.workload.phases import Phase
 from repro.workload.presets import high_bimodal
 
 SMALL = dict(n_servers=4, utilization=0.6, n_requests=2000, seed=3)
@@ -119,29 +119,6 @@ class TestChaos:
         ) == 4000
 
 
-class TestPhasedLoad:
-    def test_diurnal_curve_runs(self):
-        phases = diurnal_phases(
-            high_bimodal(), n_phases=4, total_duration_us=40_000.0
-        )
-        result = run_rack(
-            small_system(), high_bimodal(), balancer="pow2",
-            n_servers=4, seed=3, phases=phases,
-        )
-        assert result.recorder.completed > 0
-        assert result.loop.now >= 40_000.0
-
-    def test_flash_crowd_runs(self):
-        phases = flash_crowd_phases(
-            high_bimodal(), base_duration_us=10_000.0, spike_duration_us=5_000.0
-        )
-        result = run_rack(
-            small_system(), high_bimodal(), balancer="jsq-stale",
-            n_servers=4, seed=3, phases=phases,
-        )
-        assert result.recorder.completed > 0
-
-
 class TestTelemetry:
     def test_metrics_do_not_perturb_digest(self, tmp_path):
         plain = run_rack(small_system(), high_bimodal(), balancer="pow2", **SMALL)
@@ -177,7 +154,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_rack(
                 small_system(), spec, trace=object(),
-                phases=diurnal_phases(spec, n_phases=2, total_duration_us=100.0),
+                phases=[Phase(spec, 50.0, 0.5), Phase(spec, 50.0, 0.5)],
             )
 
     def test_darc_beats_cfcfs_with_affinity(self):

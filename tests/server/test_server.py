@@ -5,9 +5,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.metrics.recorder import Recorder
 from repro.policies.fcfs import CentralizedFCFS
-from repro.server.config import ServerConfig
+from repro.server.config import CHANNEL_OP_US, ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
+from repro.sim.units import cycles_to_us
 from repro.workload.request import Request
 
 
@@ -28,6 +29,7 @@ class TestServerConfig:
         cfg = ServerConfig.prototype()
         # net worker 50ns + classifier 100ns + channel ~34ns.
         assert cfg.ingress_delay_us == pytest.approx(0.1838, abs=0.001)
+        assert cfg.channel_delay_us == CHANNEL_OP_US == cycles_to_us(88)
 
     def test_ideal(self):
         cfg = ServerConfig.ideal()
