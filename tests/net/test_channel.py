@@ -1,52 +1,12 @@
-"""Tests for SPSC channels."""
+"""Tests for the dispatcher→worker SPSC channel cost."""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.net.channel import CHANNEL_OP_US, SpscChannel
+from repro.server.config import CHANNEL_OP_US, ServerConfig
 
 
 class TestSpscChannel:
-    def test_fifo_order(self):
-        ch = SpscChannel(capacity=8)
-        for i in range(5):
-            assert ch.push(i)
-        assert [ch.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_pop_empty_returns_none(self):
-        assert SpscChannel().pop() is None
-
-    def test_push_full_rejected(self):
-        ch = SpscChannel(capacity=2)
-        assert ch.push("a")
-        assert ch.push("b")
-        assert not ch.push("c")
-        assert ch.full_rejections == 1
-        assert len(ch) == 2
-
-    def test_counters(self):
-        ch = SpscChannel(capacity=4)
-        ch.push(1)
-        ch.push(2)
-        ch.pop()
-        assert ch.pushes == 2
-        assert ch.pops == 1
-
-    def test_is_full_is_empty(self):
-        ch = SpscChannel(capacity=1)
-        assert ch.is_empty
-        ch.push(1)
-        assert ch.is_full
-        ch.pop()
-        assert ch.is_empty
-
     def test_default_cost_matches_paper(self):
         # 88 cycles at 2.6 GHz ~= 33.8 ns.
-        assert SpscChannel().op_cost_us == pytest.approx(CHANNEL_OP_US)
+        assert ServerConfig.prototype().channel_delay_us == pytest.approx(CHANNEL_OP_US)
         assert CHANNEL_OP_US == pytest.approx(0.0338, rel=0.01)
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            SpscChannel(capacity=0)
-        with pytest.raises(ConfigurationError):
-            SpscChannel(op_cost_us=-1.0)
